@@ -1,37 +1,14 @@
-"""Build config: compiles the optional speedup extension when Cython and a
-C toolchain are available, otherwise installs the pure-Python package."""
+"""Build config: compiles the shipped C of the optional speedup extension;
+without a C compiler the install falls back to the pure-Python kernels."""
 
-import os
+from setuptools import Extension, setup
 
-from setuptools import setup
-
-ext_modules = []
-cmdclass = {}
-
-if not os.environ.get("DOUBLEDIST_PURE"):
-    try:
-        from Cython.Build import cythonize
-        from setuptools.command.build_ext import build_ext
-
-        class OptionalBuildExt(build_ext):
-            def run(self):
-                try:
-                    build_ext.run(self)
-                except Exception as exc:  # toolchain missing: fall back to pure
-                    print("speedup extension skipped: %s" % exc)
-
-            def build_extension(self, ext):
-                try:
-                    build_ext.build_extension(self, ext)
-                except Exception as exc:
-                    print("speedup extension skipped: %s" % exc)
-
-        ext_modules = cythonize(
-            ["src/doubledist/_kernels/_speedups.pyx"],
-            compiler_directives={"language_level": "3"},
+setup(
+    ext_modules=[
+        Extension(
+            "doubledist._kernels._speedups",
+            ["src/doubledist/_kernels/_speedups.c"],
+            optional=True,
         )
-        cmdclass = {"build_ext": OptionalBuildExt}
-    except ImportError:
-        pass
-
-setup(ext_modules=ext_modules, cmdclass=cmdclass)
+    ]
+)

@@ -1,7 +1,7 @@
 """Kernel backend selection: compiled `_speedups` if available, else pure Python.
 
-Set DOUBLEDIST_PURE=1 to force the pure backend (used by the benchmark and
-for differential testing).
+Set DOUBLEDIST_PURE=1 to force the pure backend, e.g. to time it once the
+compiled module is built.
 """
 
 import os
@@ -25,5 +25,3 @@ sigma2x_from_lengths = _impl.sigma2x_from_lengths
 best_resolution = _impl.best_resolution
 alternating_cycles = _impl.alternating_cycles
 alternating_even_paths = _impl.alternating_even_paths
-
-pure = _py

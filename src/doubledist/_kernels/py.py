@@ -96,7 +96,6 @@ def best_resolution(sq_id, e_part, t_part, d_part, a_star, kcap, node_budget):
     best = -1
     best_tau = 0
     pa = [-1] * n
-    seen = bytearray(n)
     square_verts = [v for v in range(n) if sq_id[v] >= 0]
     explored = 0
     for tau in range(total):
@@ -104,54 +103,8 @@ def best_resolution(sq_id, e_part, t_part, d_part, a_star, kcap, node_budget):
             break
         explored += 1
         for v in square_verts:
-            if (tau >> sq_id[v]) & 1:
-                pa[v] = t_part[v]
-            else:
-                pa[v] = e_part[v]
-        # inline component walk + doubled sigma
-        for i in range(n):
-            seen[i] = 0
-        score = 0
-        pcap = kcap - 2
-        for v in range(n):
-            if seen[v]:
-                continue
-            a = pa[v]
-            b = d_part[v]
-            if a >= 0 and b >= 0:
-                continue
-            seen[v] = 1
-            if a < 0 and b < 0:
-                score += 1
-                continue
-            length = 0
-            cur = v
-            use_a = a >= 0
-            while True:
-                nxt = pa[cur] if use_a else d_part[cur]
-                if nxt < 0:
-                    break
-                length += 1
-                cur = nxt
-                seen[cur] = 1
-                use_a = not use_a
-            if length % 2 == 0 and (kcap < 0 or length <= pcap):
-                score += 1
-        for v in range(n):
-            if seen[v]:
-                continue
-            length = 0
-            cur = v
-            use_a = True
-            while True:
-                seen[cur] = 1
-                cur = pa[cur] if use_a else d_part[cur]
-                length += 1
-                use_a = not use_a
-                if cur == v and use_a:
-                    break
-            if kcap < 0 or length <= kcap:
-                score += 2
+            pa[v] = t_part[v] if (tau >> sq_id[v]) & 1 else e_part[v]
+        score = sigma2x_from_lengths(*walk_components(pa, d_part), kcap)
         if score > best:
             best = score
             best_tau = tau

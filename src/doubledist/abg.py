@@ -193,9 +193,6 @@ class Candidate(NamedTuple):
     choices: tuple  # sorted ((square, bit), ...)
     weight2: int
 
-    def conflicts_with(self, other: "Candidate") -> bool:
-        return conflict(self, other)
-
 
 def conflict(c1: Candidate, c2: Candidate) -> bool:
     """True iff the two candidates cannot coexist: shared vertex or
@@ -224,12 +221,6 @@ class CandidateSet:
 
     def __len__(self):
         return len(self.candidates)
-
-    def cycles(self):
-        return [c for c in self.candidates if c.kind == "cycle"]
-
-    def paths(self):
-        return [c for c in self.candidates if c.kind == "path"]
 
 
 def enumerate_candidates(abg: AmbiguousBreakpointGraph, k: int) -> CandidateSet:
@@ -302,7 +293,6 @@ def to_dot(abg: AmbiguousBreakpointGraph, tau=None) -> str:
 
 def bp_to_dot(bg) -> str:
     """DOT export of a plain breakpoint graph (same color conventions)."""
-    t1 = {e for e, tag in _bp_telomere_tags(bg)}
     lines = ["graph bg {", "  node [shape=circle fontsize=10];"]
     tags = dict(_bp_telomere_tags(bg))
     for e in bg.vertices:

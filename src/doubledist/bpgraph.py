@@ -200,8 +200,6 @@ def distance(s1: Genome, s2: Genome, k) -> Fraction:
 
 # -- DCJ BFS oracle --------------------------------------------------------
 
-_NEIGHBOR_CACHE = {}
-
 
 def _state(genome: Genome):
     return (
@@ -210,8 +208,8 @@ def _state(genome: Genome):
     )
 
 
-def _neighbors(state):
-    cached = _NEIGHBOR_CACHE.get(state)
+def _neighbors(state, cache):
+    cached = cache.get(state)
     if cached is not None:
         return cached
     adjs, telos = state
@@ -239,7 +237,7 @@ def _neighbors(state):
             na = adjs | {tuple(sorted((t, u)))}
             out.add((frozenset(na), frozenset(telos - {t, u})))
     result = tuple(out)
-    _NEIGHBOR_CACHE[state] = result
+    cache[state] = result
     return result
 
 
@@ -263,6 +261,7 @@ def dcj_distance_bfs_oracle(s1: Genome, s2: Genome, budget: int = 500_000) -> in
     level_a = level_b = 0
     best = None
     popped = 0
+    neighbor_cache = {}
     while frontier_a and frontier_b:
         if best is not None and level_a + level_b + 2 > best:
             return best
@@ -275,7 +274,7 @@ def dcj_distance_bfs_oracle(s1: Genome, s2: Genome, budget: int = 500_000) -> in
             popped += 1
             if popped > budget:
                 raise BudgetExceeded("DCJ BFS oracle budget exceeded")
-            for nb in _neighbors(st):
+            for nb in _neighbors(st, neighbor_cache):
                 hit = other.get(nb)
                 if hit is not None:
                     cand = level + 1 + hit

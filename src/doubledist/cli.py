@@ -91,13 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="sigma_k genome distances, double distance solvers and "
         "the SAT-hardness construction",
     )
-    ap.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="reserved; engines currently run single-threaded (results are "
-        "deterministic regardless)",
-    )
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dist", help="sigma_k distance of a canonical pair")
@@ -300,10 +293,7 @@ _COMMANDS = {
 
 
 def run(argv=None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
-    if args.threads < 1:
-        ap.error("--threads must be >= 1")
+    args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (GenomeError, SatError, BudgetExceeded, ValueError, OSError) as exc:

@@ -74,7 +74,12 @@ def ss_naive(
     stats = SolveStats(nodes=explored, candidates=0,
                        wall_ms=(time.monotonic() - t0) * 1000.0)
     result = _result(abg, tau, k, "naive", True, stats)
-    assert result.score == Fraction(best2x, 2)
+    claimed = Fraction(best2x, 2)
+    if result.score != claimed:
+        raise RuntimeError(
+            "ss_naive witness re-scores to %s, the sweep reported %s"
+            % (result.score, claimed)
+        )
     return result
 
 
@@ -218,8 +223,12 @@ def ss_mis(
         wall_ms=(time.monotonic() - t0) * 1000.0,
     )
     result = _result(abg, tau, k, "mis", closed, stats)
-    if closed:
-        assert result.score == Fraction(best2x + cset.isolated_count, 2)
+    claimed = Fraction(best2x + cset.isolated_count, 2)
+    if closed and result.score != claimed:
+        raise RuntimeError(
+            "ss_mis witness re-scores to %s, the search reported %s"
+            % (result.score, claimed)
+        )
     return result
 
 

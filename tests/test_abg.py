@@ -113,7 +113,7 @@ def test_candidates_worked_example():
     g = trio_graph()
     cs = enumerate_candidates(g, 8)
     assert cs.isolated_count == 2
-    two_cycles = [c for c in cs.cycles() if c.length == 2]
+    two_cycles = [c for c in cs if c.kind == "cycle" and c.length == 2]
     assert len(two_cycles) == 1
     c = two_cycles[0]
     assert sorted(str(g.labels[v]) for v in c.vertices) == ["1ah", "2at"]
@@ -147,7 +147,7 @@ def test_candidates_parallel_square():
 def test_candidates_paths():
     g = trio_graph()
     cs = enumerate_candidates(g, 8)
-    paths = cs.paths()
+    paths = [c for c in cs if c.kind == "path"]
     assert paths and all(c.length % 2 == 0 and c.length <= 6 for c in paths)
     assert all(
         g.sq_id[c.vertices[0]] < 0 and g.d_part[c.vertices[-1]] < 0 for c in paths

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from doubledist import bpgraph
 from doubledist.bpgraph import (
     INFINITY,
     BudgetExceeded,
@@ -135,6 +136,19 @@ def test_oracle_matches_formula_small_random():
     for seed in range(25):
         s1, s2 = random_cognate_pair(4, wgd=False, ops=3, seed=seed)
         assert dcj_distance_bfs_oracle(s1, s2) == distance(s1, s2, INFINITY)
+
+
+def test_oracle_leaves_no_module_state():
+    def sizes():
+        return {
+            name: len(value)
+            for name, value in vars(bpgraph).items()
+            if isinstance(value, (dict, list, set))
+        }
+
+    before = sizes()
+    dcj_distance_bfs_oracle(S2, S1)
+    assert sizes() == before
 
 
 def test_oracle_budget():

@@ -1,6 +1,16 @@
-"""Differential tests: compiled speedups against the pure reference."""
+"""Differential tests: compiled speedups against the pure reference.
 
+The compiled module is built from the shipped `_speedups.c` into a temporary
+directory, so the tests exercise it even when the package was installed
+without it; they skip only when no module could be built (no C compiler).
+"""
+
+import importlib.util
 import random
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +20,25 @@ from doubledist.abg import build_abg
 from doubledist.genomes import random_cognate_pair, singularize
 from doubledist.reduction import build_closed_flower, build_reduction, normalize, parse_cnf
 
-fast = pytest.importorskip("doubledist._kernels._speedups")
+ROOT = Path(__file__).resolve().parents[1]
+KERNELS = ROOT / "src" / "doubledist" / "_kernels"
+
+
+@pytest.fixture(scope="module")
+def fast(tmp_path_factory):
+    out = tmp_path_factory.mktemp("speedups")
+    subprocess.run(
+        [sys.executable, "setup.py", "-q", "build_ext",
+         "--build-lib", str(out / "lib"), "--build-temp", str(out / "tmp")],
+        cwd=ROOT, capture_output=True,
+    )
+    built = sorted((out / "lib").glob("doubledist/_kernels/_speedups*"))
+    if not built:
+        pytest.skip("no C compiler: the speedup extension could not be built")
+    spec = importlib.util.spec_from_file_location("doubledist._kernels._speedups", built[0])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def graphs():
@@ -29,7 +57,7 @@ def test_backend_reports():
     assert _kernels.BACKEND in ("pure", "compiled")
 
 
-def test_walk_components_equivalent():
+def test_walk_components_equivalent(fast):
     rng = random.Random(1)
     for g in graphs():
         for _ in range(4):
@@ -44,7 +72,7 @@ def test_walk_components_equivalent():
             assert a == b
 
 
-def test_best_resolution_equivalent():
+def test_best_resolution_equivalent(fast):
     for g in graphs():
         if g.a_star > 16:
             continue
@@ -55,7 +83,7 @@ def test_best_resolution_equivalent():
             )
 
 
-def test_enumeration_equivalent():
+def test_enumeration_equivalent(fast):
     for g in graphs():
         args = (g.sq_id, g.e_part, g.t_part, g.d_part)
         for k in (2, 4, 6, 8, 10):
@@ -67,7 +95,7 @@ def test_enumeration_equivalent():
             )
 
 
-def test_budget_stops_early():
+def test_budget_stops_early(fast):
     g = build_closed_flower(6)
     best, tau, explored = fast.best_resolution(
         g.sq_id, g.e_part, g.t_part, g.d_part, g.a_star, 12, 10
@@ -77,3 +105,32 @@ def test_budget_stops_early():
         g.sq_id, g.e_part, g.t_part, g.d_part, g.a_star, 12, 10
     )
     assert (best, tau, explored) == (best_p, tau_p, explored_p)
+
+
+def _embedded_source(c_text):
+    """The .pyx lines Cython quotes in ` * ` comments of the generated C."""
+    marker = re.compile(r"\s+# <{14}$")
+    return {
+        marker.sub("", line[3:]).rstrip()
+        for line in c_text.splitlines()
+        if line.startswith(" * ")
+    }
+
+
+def test_pyx_matches_generated_c():
+    """The shipped C cannot be regenerated without Cython, so any edit to the
+    .pyx must show up here instead of silently diverging from the build.
+    Cython quotes every line except cimports and cdef class attributes."""
+    embedded = _embedded_source((KERNELS / "_speedups.c").read_text())
+    in_class = False
+    missing = []
+    for lineno, line in enumerate((KERNELS / "_speedups.pyx").read_text().splitlines(), 1):
+        if line and not line[0].isspace():
+            in_class = line.startswith("cdef class ")
+        if " cimport " in line:
+            continue
+        if in_class and re.fullmatch(r"    cdef [\w* ]+", line):
+            continue
+        if line.rstrip() not in embedded:
+            missing.append((lineno, line))
+    assert not missing, "_speedups.pyx differs from the source of _speedups.c: %r" % missing

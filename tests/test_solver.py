@@ -10,6 +10,7 @@ from doubledist.genomes import (
     random_cognate_pair,
     singularize,
 )
+from doubledist import solver
 from doubledist.reduction import build_closed_flower
 from doubledist.solver import (
     dd,
@@ -53,6 +54,31 @@ def test_naive_budget():
     g = trio_graph()
     with pytest.raises(BudgetExceeded):
         ss_naive(g, 8, budget_nodes=2)
+
+
+def test_naive_witness_mismatch_raises(monkeypatch):
+    # a self-check, not an assert: it must survive python -O
+    real = solver._kernels.best_resolution
+
+    def overstated(*args):
+        best, tau, explored = real(*args)
+        return best + 1, tau, explored
+
+    monkeypatch.setattr(solver._kernels, "best_resolution", overstated)
+    with pytest.raises(RuntimeError, match="re-scores"):
+        ss_naive(trio_graph(), 8)
+
+
+def test_mis_witness_mismatch_raises(monkeypatch):
+    real = solver._max_weight_independent_set
+
+    def overstated(*args):
+        best, mask, closed = real(*args)
+        return best + 1, mask, closed
+
+    monkeypatch.setattr(solver, "_max_weight_independent_set", overstated)
+    with pytest.raises(RuntimeError, match="re-scores"):
+        ss_mis(trio_graph(), 8)
 
 
 def test_mis_matches_naive_on_examples():
