@@ -10,7 +10,7 @@ complementary pair.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from . import _kernels
 from .bpgraph import ComponentCensus, check_k, sigma
@@ -32,14 +32,6 @@ class Square(NamedTuple):
     v: int
     uhat: int
     vhat: int
-    source: Optional[tuple] = None  # S-adjacency for genome-built squares
-
-    def partner(self, vertex: int, bit: int) -> int:
-        if bit:
-            pairs = {self.u: self.vhat, self.vhat: self.u, self.uhat: self.v, self.v: self.uhat}
-        else:
-            pairs = {self.u: self.v, self.v: self.u, self.uhat: self.vhat, self.vhat: self.uhat}
-        return pairs[vertex]
 
     def edges(self, bit: int):
         if bit:
@@ -78,9 +70,10 @@ class AmbiguousBreakpointGraph:
                 sq_id[v] = sq.index
             if len({sq.u, sq.v, sq.uhat, sq.vhat}) != 4:
                 raise GenomeError("square %d vertices not distinct" % sq.index)
-            for v in (sq.u, sq.v, sq.uhat, sq.vhat):
-                e_part[v] = sq.partner(v, 0)
-                t_part[v] = sq.partner(v, 1)
+            for bit, part in ((0, e_part), (1, t_part)):
+                for x, y in sq.edges(bit):
+                    part[x] = y
+                    part[y] = x
         for x, y in d_edges:
             if x == y:
                 raise GenomeError("fixed-edge loop at vertex %d" % x)
@@ -135,7 +128,7 @@ def build_abg(s: Genome, d_check: Genome) -> AmbiguousBreakpointGraph:
     singularization of its duplicated cognate."""
     if not d_check.is_indexed():
         raise GenomeError("second genome must carry a/b copy indices")
-    if classify_pair(s, d_check.erase_indices()) != PairClass.ONE_TWO_COGNATE:
+    if classify_pair(s, d_check) != PairClass.ONE_TWO_COGNATE:
         raise GenomeError("genomes do not form a [1.2]-cognate pair")
 
     labels = []
@@ -154,7 +147,6 @@ def build_abg(s: Genome, d_check: Genome) -> AmbiguousBreakpointGraph:
                 v=index[Extremity(gamma.gid, gamma.end, "a")],
                 uhat=index[Extremity(beta.gid, beta.end, "b")],
                 vhat=index[Extremity(gamma.gid, gamma.end, "b")],
-                source=(beta, gamma),
             )
         )
     d_edges = [(index[x], index[y]) for x, y in sorted(d_check.adjacencies)]

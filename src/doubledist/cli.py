@@ -268,9 +268,7 @@ def _cmd_gen(args) -> int:
 def _cmd_export_dot(args) -> int:
     g1 = _load_genome(args.genome1)
     g2 = _load_genome(args.genome2)
-    if g2.is_indexed() and g1.is_singular():
-        text = to_dot(build_abg(g1, g2))
-    elif classify_pair(g1, g2) == PairClass.ONE_TWO_COGNATE:
+    if classify_pair(g1, g2) == PairClass.ONE_TWO_COGNATE:
         text = to_dot(build_abg(g1, singularize(g2)))
     else:
         text = bp_to_dot(build_breakpoint_graph(g1, g2))

@@ -97,19 +97,26 @@ def _revcomp(genes):
     return tuple(g.reverse() for g in reversed(genes))
 
 
+def _seq_key(genes):
+    return [_gene_sort_key(g) for g in genes]
+
+
 def _canonical_genes(shape, genes):
-    if shape == LINEAR:
-        rc = _revcomp(genes)
-        return min(genes, rc, key=lambda s: [_gene_sort_key(g) for g in s])
-    best = None
-    best_key = None
-    for seq in (genes, _revcomp(genes)):
-        for i in range(len(seq)):
-            rot = seq[i:] + seq[:i]
-            key = [_gene_sort_key(g) for g in rot]
-            if best_key is None or key < best_key:
-                best, best_key = rot, key
-    return best
+    """Least candidate by `_seq_key`: the sequence or its reverse complement
+    if linear; if circular, the rotations of either orientation that start
+    at the least gene key, where the least rotation must start (a valid
+    genome holds each key at most twice, so there are at most four)."""
+    candidates = (genes, _revcomp(genes))
+    if shape == CIRCULAR:
+        keys = [_seq_key(seq) for seq in candidates]
+        least = min(min(key) for key in keys)
+        candidates = [
+            seq[i:] + seq[:i]
+            for seq, key in zip(candidates, keys)
+            for i, x in enumerate(key)
+            if x == least
+        ]
+    return min(candidates, key=_seq_key)
 
 
 class Chromosome:
@@ -130,7 +137,7 @@ class Chromosome:
         raise AttributeError("Chromosome is immutable")
 
     def sort_key(self):
-        return (self.shape, [_gene_sort_key(g) for g in self.genes])
+        return (self.shape, _seq_key(self.genes))
 
     def __eq__(self, other):
         return (
@@ -695,16 +702,15 @@ def random_cognate_pair(n: int, wgd: bool, ops: int, seed):
         a2, t2, _ = double(s)
         adjs = []
         for (b, g), cnt in sorted(a2.items()):
-            assert cnt == 2
-            if rng.random() < 0.5:
-                adjs.append((Extremity(b.gid, b.end, "a"), Extremity(g.gid, g.end, "a")))
-                adjs.append((Extremity(b.gid, b.end, "b"), Extremity(g.gid, g.end, "b")))
-            else:
-                adjs.append((Extremity(b.gid, b.end, "a"), Extremity(g.gid, g.end, "b")))
-                adjs.append((Extremity(b.gid, b.end, "b"), Extremity(g.gid, g.end, "a")))
+            if cnt != 2:
+                raise RuntimeError("doubled adjacency %s-%s occurs %d times, not 2" % (b, g, cnt))
+            other = "ab" if rng.random() < 0.5 else "ba"
+            for c1, c2 in zip("ab", other):
+                adjs.append((Extremity(b.gid, b.end, c1), Extremity(g.gid, g.end, c2)))
         telos = []
         for t, cnt in sorted(t2.items()):
-            assert cnt == 2
+            if cnt != 2:
+                raise RuntimeError("doubled telomere %s occurs %d times, not 2" % (t, cnt))
             telos.append(Extremity(t.gid, t.end, "a"))
             telos.append(Extremity(t.gid, t.end, "b"))
         d = genome_from_adjacencies(adjs, telos).erase_indices()

@@ -834,13 +834,12 @@ def verify_structure(r: ReductionOutput) -> StructureReport:
     bookkeeping."""
     inst = r.instance
     violations = []
-    below = enumerate_candidates(r.graph, r.k - 2)
-    min_cycle_ok = len(below.candidates) == 0
-    if not min_cycle_ok:
-        violations.append(
-            "found %d components shorter than k" % len(below.candidates)
-        )
     at_k = enumerate_candidates(r.graph, r.k)
+    # cycles shorter than k and paths shorter than k - 2 (k and lengths are even)
+    below = [c for c in at_k if c.length < (r.k if c.kind == "cycle" else r.k - 2)]
+    min_cycle_ok = not below
+    if not min_cycle_ok:
+        violations.append("found %d components shorter than k" % len(below))
     registry = r.registry_cycles()
     reg_map = {}
     for name, pattern in registry:
@@ -967,5 +966,8 @@ def extract_genomes(r: ReductionOutput):
         s = Genome(chroms)
         d_adjs = [(vertex_ext[x], vertex_ext[y]) for x, y in graph.d_edges]
         d_check = genome_from_adjacencies(d_adjs, telos)
-        assert len(s.identities) == n_star
+        if len(s.identities) != n_star:
+            raise RuntimeError(
+                "linear extraction built %d genes, not %d" % (len(s.identities), n_star)
+            )
     return s, d_check.erase_indices(), d_check

@@ -60,9 +60,14 @@ def ss_naive(
     check_k(k)
     t0 = time.monotonic()
     total = 1 << abg.a_star
-    if abg.a_star > 25 or total > budget_nodes:
+    if abg.a_star > 25:
         raise BudgetExceeded(
-            "ss_naive needs 2^%d resolutions, over the budget" % abg.a_star
+            "ss_naive is capped at 25 squares, the graph has %d" % abg.a_star
+        )
+    if total > budget_nodes:
+        raise BudgetExceeded(
+            "ss_naive needs 2^%d resolutions, over the budget of %d nodes"
+            % (abg.a_star, budget_nodes)
         )
     kcap = -1 if isinstance(k, _Infinity) else k
     best2x, tau_int, explored = _kernels.best_resolution(
@@ -233,6 +238,14 @@ def ss_mis(
 
 
 _ENGINES = {"naive": ss_naive, "mis": ss_mis}
+# the budgets each engine honours; greedy2 and oracle run to completion
+_BUDGETS = {"naive": ("budget_nodes",), "mis": ("budget_nodes", "budget_ms"),
+            "greedy2": (), "oracle": ()}
+
+
+def _require_cognate(s: Genome, d: Genome, who: str) -> None:
+    if classify_pair(s, d) != PairClass.ONE_TWO_COGNATE or not s.is_singular():
+        raise GenomeError("%s needs a singular genome and its duplicated cognate" % who)
 
 
 def dd(
@@ -243,51 +256,37 @@ def dd(
     budget_nodes: Optional[int] = None,
     budget_ms: Optional[float] = None,
 ) -> SolveResult:
-    """Double distance of a [1.2]-cognate pair via the requested engine."""
+    """Double distance of a [1.2]-cognate pair via the requested engine.
+    A budget the engine does not honour raises ValueError."""
     check_k(k)
-    if classify_pair(s, d) != PairClass.ONE_TWO_COGNATE or not s.is_singular():
-        raise GenomeError("dd() needs a singular genome and its duplicated cognate")
-    if engine == "greedy2":
-        if k != 2:
-            raise ValueError("greedy2 engine only computes k=2")
-        value = dd_greedy_2(s, d)
-        return SolveResult(
-            score=2 * len(s.identities) - value,
-            dd=value,
-            tau=None,
-            optimal=True,
-            engine="greedy2",
-            stats=SolveStats(),
-        )
-    if engine == "oracle":
-        value = dd_definition_oracle(s, d, k)
-        return SolveResult(
-            score=2 * len(s.identities) - value,
-            dd=value,
-            tau=None,
-            optimal=True,
-            engine="oracle",
-            stats=SolveStats(),
-        )
-    try:
-        solve = _ENGINES[engine]
-    except KeyError:
+    if engine not in _BUDGETS:
         raise ValueError("unknown engine %r" % (engine,))
-    abg = build_abg(s, singularize(d))
-    kwargs = {}
-    if budget_nodes is not None:
-        kwargs["budget_nodes"] = budget_nodes
-    if engine == "mis" and budget_ms is not None:
-        kwargs["budget_ms"] = budget_ms
-    return solve(abg, k, **kwargs)
+    budgets = {"budget_nodes": budget_nodes, "budget_ms": budget_ms}
+    budgets = {name: value for name, value in budgets.items() if value is not None}
+    for name in budgets:
+        if name not in _BUDGETS[engine]:
+            raise ValueError("engine %r does not honour %s" % (engine, name))
+    if engine == "greedy2" and k != 2:
+        raise ValueError("greedy2 engine only computes k=2")
+    if engine in _ENGINES:
+        _require_cognate(s, d, "dd()")
+        return _ENGINES[engine](build_abg(s, singularize(d)), k, **budgets)
+    value = dd_greedy_2(s, d) if engine == "greedy2" else dd_definition_oracle(s, d, k)
+    return SolveResult(
+        score=2 * len(s.identities) - value,
+        dd=value,
+        tau=None,
+        optimal=True,
+        engine=engine,
+        stats=SolveStats(),
+    )
 
 
 def dd_definition_oracle(s: Genome, d: Genome, k) -> Fraction:
     """Definitional double distance: minimize d_k over all resolved
     doublings of s against a fixed singularization of d."""
     check_k(k)
-    if classify_pair(s, d) != PairClass.ONE_TWO_COGNATE or not s.is_singular():
-        raise GenomeError("oracle needs a singular genome and its duplicated cognate")
+    _require_cognate(s, d, "oracle")
     if s.n_star > 8:
         raise BudgetExceeded("dd_definition_oracle limited to n_star <= 8")
     d_check = singularize(d)
@@ -297,8 +296,7 @@ def dd_definition_oracle(s: Genome, d: Genome, k) -> Fraction:
 def dd_greedy_2(s: Genome, d: Genome) -> Fraction:
     """Linear-time breakpoint double distance from multiset intersections:
     2n - |A(2S) ^ A(D)| - |T(2S) ^ T(D)|/2."""
-    if classify_pair(s, d) != PairClass.ONE_TWO_COGNATE or not s.is_singular():
-        raise GenomeError("dd_greedy_2 needs a singular genome and its duplicated cognate")
+    _require_cognate(s, d, "dd_greedy_2")
     a2 = s.adjacencies + s.adjacencies
     t2 = s.telomeres + s.telomeres
     common_a = sum((a2 & d.adjacencies).values())

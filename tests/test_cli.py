@@ -55,6 +55,12 @@ def test_dd_golden(files, capsys):
     assert capsys.readouterr().out == "3\n"
 
 
+def test_dd_refuses_unhonoured_budget(files, capsys):
+    argv = ["dd", "--k", "8", "--engine", "naive", "--budget-ms", "5"]
+    assert run(argv + [files["S.genome"], files["D.genome"]]) == 1
+    assert "budget_ms" in capsys.readouterr().err
+
+
 def test_reduce_golden(files, tmp_path, capsys):
     out_dir = str(tmp_path / "bundle")
     assert run(["reduce", "--k", "8", "--shape", "circular", files["formula.cnf"], "--out", out_dir]) == 0

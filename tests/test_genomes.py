@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from doubledist import genomes as genomes_module
 from doubledist.genomes import (
     CIRCULAR,
     LINEAR,
@@ -101,6 +104,36 @@ def test_roundtrip_examples():
     for text in ("(1 -3 2)\n(4)\n[5 -6]", "(1 2 -3 1)\n[3 -2]", "[1]"):
         g = parse_genome(text)
         assert parse_genome(format_genome(g)) == g
+
+
+def _all_rotations_canonical(shape, genes):
+    """Reference rule: the least key sequence over both orientations and,
+    if circular, all of their rotations."""
+    seqs = (genes, tuple(g.reverse() for g in reversed(genes)))
+    if shape == CIRCULAR:
+        seqs = [seq[i:] + seq[:i] for seq in seqs for i in range(len(seq))]
+    return min(seqs, key=lambda seq: [(g.gid, g.copy, g.rev) for g in seq])
+
+
+def test_canonical_form_matches_all_rotations():
+    rng = random.Random(20261018)
+    for trial in range(6000):
+        length = rng.randint(1, 9)
+        ids = list(range(1, rng.randint(1, length) + 1))
+        genes = [
+            Gene(rng.choice(ids), rng.random() < 0.5, rng.choice(("", "a", "b")))
+            for _ in range(length)
+        ]
+        if trial % 3 == 0 and length >= 2:
+            # the least gene twice: a plain pair or an a/b pair
+            copies = rng.choice((("", ""), ("a", "b")))
+            i, j = rng.sample(range(length), 2)
+            genes[i] = Gene(ids[0], rng.random() < 0.5, copies[0])
+            genes[j] = Gene(ids[0], rng.random() < 0.5, copies[1])
+        genes = tuple(genes)
+        for shape in (LINEAR, CIRCULAR):
+            got = Chromosome(shape, genes).genes
+            assert got == _all_rotations_canonical(shape, genes), (shape, genes)
 
 
 # === classification ===
@@ -308,6 +341,16 @@ def test_random_cognate_pair_wgd():
 
 def test_random_cognate_pair_deterministic():
     assert random_cognate_pair(4, True, 3, seed=5) == random_cognate_pair(4, True, 3, seed=5)
+
+
+def test_random_cognate_pair_self_check_raises(monkeypatch):
+    # a self-check, not an assert: it must survive python -O
+    def undoubled(s):
+        return s.adjacencies, s.telomeres + s.telomeres, 2 ** s.o
+
+    monkeypatch.setattr(genomes_module, "double", undoubled)
+    with pytest.raises(RuntimeError, match="not 2"):
+        random_cognate_pair(4, wgd=True, ops=0, seed=1)
 
 
 def test_random_cognate_pair_canonical():

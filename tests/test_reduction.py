@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -211,6 +212,15 @@ def test_verify_structure_linear():
     r = build_reduction(demo_instance(), k=8, shape="linear")
     rep = verify_structure(r)
     assert rep.ok, rep.violations
+
+
+def test_verify_structure_reports_short_candidates():
+    # a k=8 graph checked as if built for k=10: its 8-cycles are too short
+    r = dataclasses.replace(build_reduction(demo_instance(), k=8), k=10)
+    rep = verify_structure(r)
+    below = enumerate_candidates(r.graph, 8)
+    assert len(below) == 41 and not rep.min_cycle_ok
+    assert "found 41 components shorter than k" in rep.violations
 
 
 def test_gadget_local_conflicts():

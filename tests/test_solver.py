@@ -56,6 +56,11 @@ def test_naive_budget():
         ss_naive(g, 8, budget_nodes=2)
 
 
+def test_naive_refuses_more_than_25_squares():
+    with pytest.raises(BudgetExceeded, match="capped at 25 squares"):
+        ss_naive(build_closed_flower(26), 8)
+
+
 def test_naive_witness_mismatch_raises(monkeypatch):
     # a self-check, not an assert: it must survive python -O
     real = solver._kernels.best_resolution
@@ -160,6 +165,28 @@ def test_dd_rejects_bad_pairs():
         dd(TRIO_S, TRIO_D, 4, engine="greedy2")
     with pytest.raises(ValueError):
         dd(TRIO_S, TRIO_D, 4, engine="nope")
+
+
+@pytest.mark.parametrize(
+    "engine, budget",
+    [
+        ("naive", {"budget_ms": 5}),
+        ("greedy2", {"budget_ms": 5}),
+        ("oracle", {"budget_ms": 5}),
+        ("greedy2", {"budget_nodes": 10}),
+        ("oracle", {"budget_nodes": 10}),
+    ],
+)
+def test_dd_refuses_budgets_the_engine_cannot_honour(engine, budget):
+    with pytest.raises(ValueError, match="engine '%s'" % engine):
+        dd(TRIO_S, TRIO_D, 2, engine=engine, **budget)
+
+
+def test_dd_passes_honoured_budgets_on():
+    with pytest.raises(BudgetExceeded):
+        dd(TRIO_S, TRIO_D, 8, engine="naive", budget_nodes=2)
+    assert not dd(TRIO_S, TRIO_D, 8, engine="mis", budget_nodes=1).optimal
+    assert dd(TRIO_S, TRIO_D, 8, engine="mis", budget_ms=60000).dd == 3
 
 
 def test_engine_and_oracle_agreement_seeded():
