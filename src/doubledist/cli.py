@@ -7,11 +7,13 @@ Domain errors exit 1, usage errors exit 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 from fractions import Fraction
 
+from ._kernels import BACKEND as KERNEL_BACKEND
 from .abg import build_abg, bp_to_dot, score, to_dot
 from .bpgraph import (
     INFINITY,
@@ -106,6 +108,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--budget-nodes", type=int, default=None)
     p.add_argument("--budget-ms", type=float, default=None)
+    p.add_argument(
+        "--stats", action="store_true",
+        help="print the search statistics and kernel backend as JSON on stderr",
+    )
     p.add_argument("genome_s")
     p.add_argument("genome_d")
 
@@ -167,6 +173,9 @@ def _cmd_dd(args) -> int:
         print("tau %s" % "".join(str(b) for b in result.tau))
         if not result.optimal:
             print("optimal false")
+    if args.stats:
+        record = dict(dataclasses.asdict(result.stats), backend=KERNEL_BACKEND)
+        print(json.dumps(record, sort_keys=True), file=sys.stderr)
     return 0
 
 

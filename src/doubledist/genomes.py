@@ -655,20 +655,30 @@ def random_genome(
     return Genome(chroms)
 
 
+def _nth_move(elems, adjs, r):
+    """Move r of the list that holds every pair (elems[i], elems[j]), i < j,
+    in row-major order, then every split (("adjacency", a), None) of an
+    adjacency a, without building that list."""
+    last = len(elems) - 1  # row i holds the last - i pairs (elems[i], elems[j > i])
+    i = 0
+    while i < last and r >= last - i:
+        r -= last - i
+        i += 1
+    if i < last:
+        return elems[i], elems[i + 1 + r]
+    return ("adjacency", adjs[r]), None  # split into two telomeres
+
+
 def _random_dcj(g: Genome, rng: random.Random) -> Genome:
     work = g if g.is_identity_singular() else singularize(g)
     adjs = sorted(work.adjacencies)
     telos = sorted(work.telomeres)
     elems = [("adjacency", a) for a in adjs] + [("telomere", t) for t in telos]
-    moves = []
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            moves.append((elems[i], elems[j]))
-    for a in adjs:
-        moves.append((("adjacency", a), None))  # split into two telomeres
-    if not moves:
+    m = len(elems)
+    n_moves = m * (m - 1) // 2 + len(adjs)
+    if not n_moves:
         return g
-    first, second = moves[rng.randrange(len(moves))]
+    first, second = _nth_move(elems, adjs, rng.randrange(n_moves))
     aset = set(adjs)
     tset = set(telos)
     kind1, v1 = first

@@ -2,7 +2,8 @@
 
 Two independent routes: `ss_naive` sweeps all 2^a_star resolutions;
 `ss_mis` enumerates short candidate components and solves a maximum-weight
-independent set on their conflict graph by branch and bound.  Both return
+independent set on their conflict graph by branch and bound, one connected
+component of that graph at a time.  Both return
 the same scores; `dd_definition_oracle` re-derives the double distance from
 its definition without touching the ambiguous-graph machinery at all.
 """
@@ -29,9 +30,14 @@ from .genomes import (
 
 @dataclass
 class SolveStats:
+    """Search record: nodes visited, candidates, wall time, and for `mis`
+    the conflict-graph components searched one by one and the candidates in
+    the largest of them."""
     nodes: int = 0
     candidates: int = 0
     wall_ms: float = 0.0
+    components: int = 0
+    largest_component: int = 0
 
 
 @dataclass
@@ -89,22 +95,79 @@ def ss_naive(
 
 
 class _SearchBudget:
+    """Node and wall-clock allowance shared by every component of one search.
+    The clock is read on every node; budget_ms=0 stops at the first node."""
+
     def __init__(self, nodes, ms):
         self.nodes_left = nodes
-        self.deadline = time.monotonic() + ms / 1000.0 if ms else None
+        self.deadline = None if ms is None else time.monotonic() + ms / 1000.0
         self.spent = 0
+        self.components = 0
+        self.largest = 0
 
     def tick(self) -> bool:
         self.spent += 1
         self.nodes_left -= 1
         if self.nodes_left < 0:
             return False
-        if self.deadline is not None and self.spent % 4096 == 0:
-            return time.monotonic() < self.deadline
-        return True
+        return self.deadline is None or time.monotonic() < self.deadline
+
+
+def _bits(mask):
+    """Indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _conflict_components(neighbor_masks):
+    """Connected components of the conflict graph, as vertex bitmasks in
+    order of their lowest vertex."""
+    unseen = (1 << len(neighbor_masks)) - 1
+    comps = []
+    while unseen:
+        comp = frontier = unseen & -unseen
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = neighbor_masks[low.bit_length() - 1] & ~comp
+            comp |= new
+            frontier |= new
+        unseen &= ~comp
+        comps.append(comp)
+    return comps
 
 
 def _max_weight_independent_set(weights, neighbor_masks, budget):
+    """MWIS of a conflict graph given as bitmasks, one connected component
+    at a time: the maximum of a disjoint union is the sum of the maxima.
+
+    Vertices must be pre-sorted by descending weight; each component keeps
+    that order under its own indices.  All components share one budget; when
+    it runs out the best set found so far is returned, not closed.
+    Returns (best_weight, best_mask, closed)."""
+    comps = _conflict_components(neighbor_masks)
+    budget.components = len(comps)
+    budget.largest = max((c.bit_count() for c in comps), default=0)
+    best = 0
+    best_mask = 0
+    for comp in comps:
+        verts = _bits(comp)
+        local = {v: i for i, v in enumerate(verts)}
+        masks = [sum(1 << local[u] for u in _bits(neighbor_masks[v])) for v in verts]
+        part, part_mask, closed = _mwis_connected([weights[v] for v in verts], masks, budget)
+        best += part
+        for i in _bits(part_mask):
+            best_mask |= 1 << verts[i]
+        if not closed:
+            return best, best_mask, False
+    return best, best_mask, True
+
+
+def _mwis_connected(weights, neighbor_masks, budget):
     """Branch and bound MWIS over a conflict graph given as bitmasks.
 
     Vertices must be pre-sorted by descending weight.  Conflict-free
@@ -179,6 +242,12 @@ def _max_weight_independent_set(weights, neighbor_masks, budget):
     return best, best_mask, closed
 
 
+def _check_budgets(**budgets) -> None:
+    for name, value in budgets.items():
+        if value is not None and value < 0:
+            raise ValueError("%s must not be negative, got %r" % (name, value))
+
+
 def ss_mis(
     abg: AmbiguousBreakpointGraph,
     k: int,
@@ -186,10 +255,13 @@ def ss_mis(
     budget_ms: Optional[float] = None,
 ) -> SolveResult:
     """Exact k-score maximum via maximum-weight independent set over the
-    candidate components; finite k only."""
+    candidate components; finite k only.  budget_nodes caps the search nodes
+    and budget_ms the wall time, read at every node; a search that either
+    budget stops returns its best witness so far with optimal=False."""
     k = check_k(k)
     if not isinstance(k, int):
         raise ValueError("ss_mis needs finite k")
+    _check_budgets(budget_nodes=budget_nodes, budget_ms=budget_ms)
     t0 = time.monotonic()
     cset = enumerate_candidates(abg, k)
     cands = sorted(cset.candidates, key=lambda c: (-c.weight2, c.vertices))
@@ -226,6 +298,8 @@ def ss_mis(
         nodes=budget.spent,
         candidates=n,
         wall_ms=(time.monotonic() - t0) * 1000.0,
+        components=budget.components,
+        largest_component=budget.largest,
     )
     result = _result(abg, tau, k, "mis", closed, stats)
     claimed = Fraction(best2x + cset.isolated_count, 2)
@@ -266,6 +340,7 @@ def dd(
     for name in budgets:
         if name not in _BUDGETS[engine]:
             raise ValueError("engine %r does not honour %s" % (engine, name))
+    _check_budgets(**budgets)
     if engine == "greedy2" and k != 2:
         raise ValueError("greedy2 engine only computes k=2")
     if engine in _ENGINES:

@@ -61,6 +61,27 @@ def test_dd_refuses_unhonoured_budget(files, capsys):
     assert "budget_ms" in capsys.readouterr().err
 
 
+def test_dd_stats_on_stderr(files, capsys):
+    argv = ["dd", "--k", "8", "--engine", "mis", files["S.genome"], files["D.genome"]]
+    assert run(argv + ["--stats"]) == 0
+    out, err = capsys.readouterr()
+    assert out == "3\ntau 01\n"
+    record = json.loads(err)
+    assert record["backend"] in ("compiled", "pure")
+    assert record["candidates"] >= record["largest_component"] >= 1
+    assert record["components"] >= 1 and record["nodes"] >= record["components"]
+    assert set(record) == {"nodes", "candidates", "wall_ms", "components",
+                           "largest_component", "backend"}
+    assert run(argv) == 0
+    assert capsys.readouterr() == (out, "")
+
+
+def test_dd_rejects_negative_budget(files, capsys):
+    argv = ["dd", "--k", "8", "--engine", "mis", "--budget-nodes", "-1"]
+    assert run(argv + [files["S.genome"], files["D.genome"]]) == 1
+    assert "budget_nodes must not be negative" in capsys.readouterr().err
+
+
 def test_reduce_golden(files, tmp_path, capsys):
     out_dir = str(tmp_path / "bundle")
     assert run(["reduce", "--k", "8", "--shape", "circular", files["formula.cnf"], "--out", out_dir]) == 0

@@ -343,6 +343,18 @@ def test_random_cognate_pair_deterministic():
     assert random_cognate_pair(4, True, 3, seed=5) == random_cognate_pair(4, True, 3, seed=5)
 
 
+def test_nth_move_matches_the_move_list():
+    # the list _random_dcj used to build and index with rng.randrange
+    for m in range(41):
+        for n_adjs in sorted({0, m // 2, m}):
+            elems = [("adjacency", i) if i < n_adjs else ("telomere", i) for i in range(m)]
+            adjs = list(range(n_adjs))
+            moves = [(elems[i], elems[j]) for i in range(m) for j in range(i + 1, m)]
+            moves += [(("adjacency", a), None) for a in adjs]
+            for r, move in enumerate(moves):
+                assert genomes_module._nth_move(elems, adjs, r) == move, (m, n_adjs, r)
+
+
 def test_random_cognate_pair_self_check_raises(monkeypatch):
     # a self-check, not an assert: it must survive python -O
     def undoubled(s):

@@ -1,6 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doubledist.abg import build_abg, score
 from doubledist.bpgraph import INFINITY, BudgetExceeded
@@ -247,3 +250,110 @@ def test_engine_agreement_two_hundred_pairs():
         g = build_abg(s, singularize(d))
         for k in (2, 4, 6, 8, 10):
             assert ss_naive(g, k).score == ss_mis(g, k).score, (seed, k)
+
+
+def _random_conflict_graph(rng, n):
+    """Bitmask conflict graph on n vertices (sorted by descending weight)
+    made of several random clusters whose vertices interleave."""
+    order = list(range(n))
+    rng.shuffle(order)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(1, min(5, n - 1))))
+    masks = [0] * n
+    for lo, hi in zip([0] + cuts, cuts + [n]):
+        cluster = order[lo:hi]
+        for a in cluster:
+            for b in cluster:
+                if a < b and rng.random() < 0.4:
+                    masks[a] |= 1 << b
+                    masks[b] |= 1 << a
+    weights = sorted((rng.randint(1, 4) for _ in range(n)), reverse=True)
+    return weights, masks
+
+
+def test_split_search_matches_whole_graph_search():
+    rng = random.Random(2024)
+    for _ in range(300):
+        n = rng.randint(2, 40)
+        weights, masks = _random_conflict_graph(rng, n)
+        budget = solver._SearchBudget(1 << 22, None)
+        best, mask, closed = solver._max_weight_independent_set(weights, masks, budget)
+        whole = solver._mwis_connected(weights, masks, solver._SearchBudget(1 << 22, None))
+        assert closed and whole[2]
+        assert best == whole[0]
+        chosen = [v for v in range(n) if (mask >> v) & 1]
+        assert all(masks[v] & mask == 0 for v in chosen)
+        assert sum(weights[v] for v in chosen) == best
+        assert budget.components >= 1 and budget.largest <= n
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 14),
+    ops=st.integers(0, 14),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.sampled_from([2, 4, 6, 8, 10, 12]),
+)
+def test_mis_equals_naive_on_wgd_pairs(n, ops, seed, k):
+    s, d = random_cognate_pair(n, wgd=True, ops=ops, seed=seed)
+    g = build_abg(s, singularize(d))
+    assert g.a_star <= 14
+    mis = ss_mis(g, k)
+    assert mis.optimal and mis.score == ss_naive(g, k).score
+
+
+def test_split_search_stopped_in_a_later_component():
+    s, d = random_cognate_pair(40, wgd=True, ops=20, seed=0)
+    g = build_abg(s, singularize(d))
+    full = ss_mis(g, 8)
+    assert full.optimal and full.stats.components >= 2
+    # the last node visited lies in the last component searched
+    r = ss_mis(g, 8, budget_nodes=full.stats.nodes - 1)
+    assert not r.optimal
+    assert r.stats.components == full.stats.components
+    assert score(g, r.tau, 8) == r.score <= full.score
+
+
+class _FakeClock:
+    """time.monotonic stand-in that advances one second per reading."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        self.now += 1.0
+        return self.now
+
+
+def test_mis_budget_ms_reads_the_clock_every_node(monkeypatch):
+    s, d = random_cognate_pair(12, wgd=True, ops=4, seed=0)
+    g = build_abg(s, singularize(d))
+    assert ss_mis(g, 8).stats.nodes > 5
+    monkeypatch.setattr(solver.time, "monotonic", _FakeClock())
+    # the deadline falls 5 readings after the budget starts: 4 nodes pass
+    r = ss_mis(g, 8, budget_ms=5000)
+    assert not r.optimal and r.stats.nodes == 5
+    assert score(g, r.tau, 8) == r.score
+    r = ss_mis(g, 8, budget_ms=0)
+    assert not r.optimal and r.stats.nodes == 1
+    assert score(g, r.tau, 8) == r.score
+
+
+def test_negative_budgets_raise():
+    g = trio_graph()
+    for budget in ({"budget_nodes": -1}, {"budget_ms": -0.5}):
+        with pytest.raises(ValueError, match="must not be negative"):
+            ss_mis(g, 8, **budget)
+        with pytest.raises(ValueError, match="must not be negative"):
+            dd(TRIO_S, TRIO_D, 8, engine="mis", **budget)
+    with pytest.raises(ValueError, match="must not be negative"):
+        dd(TRIO_S, TRIO_D, 8, engine="naive", budget_nodes=-1)
+
+
+def test_mis_node_count_on_a_split_graph():
+    # 174 conflict components, the largest of 7 candidates; searched as one
+    # graph this pair took 26,511 nodes
+    s, d = random_cognate_pair(200, wgd=True, ops=50, seed=7)
+    r = dd(s, d, 8, engine="mis")
+    assert r.dd == 53 and r.optimal
+    assert r.stats.nodes <= 2 * r.stats.candidates
+    assert r.stats.components > 1
