@@ -12,7 +12,9 @@ A resolved graph is described by two partner arrays ``pa``/``pb`` where
 every vertex has at most one edge of each tag; components then are
 alternating cycles and paths.
 
-The compiled twin in ``_speedups`` implements the same signatures.
+The compiled twin in ``_speedups`` implements the same signatures and
+returns the same results; its cycle search does not prune, so it also serves
+as an independent check of the pruned one here.
 """
 
 from __future__ import annotations
@@ -114,23 +116,32 @@ def best_resolution(sq_id, e_part, t_part, d_part, a_star, kcap, node_budget):
 def alternating_cycles(sq_id, e_part, t_part, d_part, kcap):
     """All alternating cycles of length <= kcap.
 
-    Yields (vertices, choices) with vertices in traversal order starting at
-    the cycle's minimum vertex with its square edge, and choices as a sorted
-    tuple of (square, bit).  Each cycle is produced exactly once.
+    Returns a list of (vertices, choices) with vertices in traversal order
+    starting at the cycle's minimum vertex with its square edge, and choices
+    as a sorted tuple of (square, bit).  Each cycle is listed exactly once.
     """
     n = len(sq_id)
     out = []
     half = kcap // 2
     for s in range(n):
-        if sq_id[s] < 0 or d_part[s] < 0:
+        if sq_id[s] < 0:
             continue
+        # The cycle closes through the last square edge into sd = d_part[s],
+        # and no vertex below s is ever visited: skip starts that cannot close.
+        sd = d_part[s]
+        if sd <= s or sq_id[sd] < 0:
+            continue
+        last_sq = sq_id[sd]
         # DFS over (path, choices); steps alternate square edge then d-edge.
+        # Only states with a square edge left and, when just one is left, at
+        # a vertex of sd's square are pushed: no other state can close.
         stack = [(s, (), {}, 0)]  # vertex, path-so-far, choices, sq-edges used
         while stack:
             cur, path, choices, used = stack.pop()
-            sq = sq_id[cur]
-            if sq < 0 or used == half:
+            if used == half:
                 continue
+            sq = sq_id[cur]
+            left = half - used - 1  # square edges left after this step
             forced = choices.get(sq)
             for bit in (0, 1) if forced is None else (forced,):
                 partner = t_part[cur] if bit else e_part[cur]
@@ -143,14 +154,16 @@ def alternating_cycles(sq_id, e_part, t_part, d_part, kcap):
                 npath = path + (cur, partner)
                 if d == s:
                     out.append((npath, tuple(sorted(nchoices.items()))))
-                elif d > s and d not in npath:
+                elif (d > s and left
+                      and (sq_id[d] == last_sq if left == 1 else sq_id[d] >= 0)
+                      and d not in npath):
                     stack.append((d, npath, nchoices, used + 1))
     return out
 
 
 def alternating_even_paths(sq_id, e_part, t_part, d_part, kcap):
     """All alternating even paths of length <= kcap, walked from the
-    endpoint that lies in no square.  Yields (vertices, choices)."""
+    endpoint that lies in no square.  Returns a list of (vertices, choices)."""
     n = len(sq_id)
     out = []
     if kcap < 2:

@@ -216,8 +216,13 @@ class CandidateSet:
 
 
 def enumerate_candidates(abg: AmbiguousBreakpointGraph, k: int) -> CandidateSet:
-    """Exhaustive bounded enumeration; the walk branches twice per square
-    step, so the cost is O(V * 2^(k/2))."""
+    """Exhaustive bounded enumeration.  In the pure kernel a cycle walk
+    starts only at a square vertex whose fixed-edge partner is a larger
+    square vertex, the one it must close through, and is extended only while
+    it can still close: with one square edge left it must stand in that
+    partner's square (the compiled kernel walks every branch).  A walk still
+    branches up to twice per square step, so the worst case stays
+    O(V * 2^(k/2)) walks; the pruning cuts the walks that cannot close."""
     k = check_k(k)
     if not isinstance(k, int):
         raise ValueError("candidate enumeration needs finite k")

@@ -110,7 +110,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget-ms", type=float, default=None)
     p.add_argument(
         "--stats", action="store_true",
-        help="print the search statistics and kernel backend as JSON on stderr",
+        help="print the search statistics and kernel backend as JSON on stderr; "
+        "upper_bound is the bound on the score of a search a budget stopped",
     )
     p.add_argument("genome_s")
     p.add_argument("genome_d")
@@ -175,6 +176,8 @@ def _cmd_dd(args) -> int:
             print("optimal false")
     if args.stats:
         record = dict(dataclasses.asdict(result.stats), backend=KERNEL_BACKEND)
+        if result.stats.upper_bound is not None:
+            record["upper_bound"] = fmt_half(result.stats.upper_bound)
         print(json.dumps(record, sort_keys=True), file=sys.stderr)
     return 0
 

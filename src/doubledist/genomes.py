@@ -704,6 +704,10 @@ def random_cognate_pair(n: int, wgd: bool, ops: int, seed):
     """Seeded (S, D) pair: canonical when wgd is false, [1·2]-cognate when
     true (D starts as a resolved doubling of S with indices erased), then
     scramble D with the requested number of random DCJs."""
+    if n < 1:
+        raise GenomeError("random_cognate_pair needs n >= 1, got n=%r" % (n,))
+    if ops < 0:
+        raise GenomeError("random_cognate_pair needs ops >= 0, got ops=%r" % (ops,))
     rng = random.Random(seed)
     parts = rng.randint(1, min(3, n))
     circ = rng.randint(0, parts)

@@ -32,12 +32,15 @@ from .genomes import (
 class SolveStats:
     """Search record: nodes visited, candidates, wall time, and for `mis`
     the conflict-graph components searched one by one and the candidates in
-    the largest of them."""
+    the largest of them.  When a budget stops the `mis` search, upper_bound
+    bounds the optimal score: the scores of the components it closed plus
+    the root clique-cover bound of the rest; it stays None otherwise."""
     nodes: int = 0
     candidates: int = 0
     wall_ms: float = 0.0
     components: int = 0
     largest_component: int = 0
+    upper_bound: Optional[Fraction] = None
 
 
 @dataclass
@@ -104,6 +107,7 @@ class _SearchBudget:
         self.spent = 0
         self.components = 0
         self.largest = 0
+        self.upper = None  # doubled-weight bound, set when the search stops early
 
     def tick(self) -> bool:
         self.spent += 1
@@ -148,13 +152,14 @@ def _max_weight_independent_set(weights, neighbor_masks, budget):
     Vertices must be pre-sorted by descending weight; each component keeps
     that order under its own indices.  All components share one budget; when
     it runs out the best set found so far is returned, not closed.
-    Returns (best_weight, best_mask, closed)."""
+    Returns (best_weight, best_mask, closed); a search that stops early
+    also leaves its upper bound on the best weight in budget.upper."""
     comps = _conflict_components(neighbor_masks)
     budget.components = len(comps)
     budget.largest = max((c.bit_count() for c in comps), default=0)
     best = 0
     best_mask = 0
-    for comp in comps:
+    for pos, comp in enumerate(comps):
         verts = _bits(comp)
         local = {v: i for i, v in enumerate(verts)}
         masks = [sum(1 << local[u] for u in _bits(neighbor_masks[v])) for v in verts]
@@ -163,8 +168,31 @@ def _max_weight_independent_set(weights, neighbor_masks, budget):
         for i in _bits(part_mask):
             best_mask |= 1 << verts[i]
         if not closed:
+            rest = 0  # the stopped component and those not reached
+            for c in comps[pos:]:
+                rest |= c
+            budget.upper = best - part + _clique_cover_bound(weights, neighbor_masks, rest)
             return best, best_mask, False
     return best, best_mask, True
+
+
+def _clique_cover_bound(weights, neighbor_masks, avail):
+    """Upper bound on any independent set inside avail: cover avail greedily
+    with cliques, each contributing its heaviest member.  Vertices must be
+    pre-sorted by descending weight."""
+    ub = 0
+    rem = avail
+    while rem:
+        v = (rem & -rem).bit_length() - 1
+        ub += weights[v]
+        clique = 1 << v
+        common = neighbor_masks[v] & rem
+        while common:
+            u = (common & -common).bit_length() - 1
+            clique |= 1 << u
+            common &= neighbor_masks[u]
+        rem &= ~clique
+    return ub
 
 
 def _mwis_connected(weights, neighbor_masks, budget):
@@ -179,22 +207,6 @@ def _mwis_connected(weights, neighbor_masks, budget):
     best = 0
     best_mask = 0
     full = (1 << n) - 1
-
-    def upper(avail):
-        ub = 0
-        rem = avail
-        while rem:
-            v = (rem & -rem).bit_length() - 1
-            ub += weights[v]
-            clique = 1 << v
-            common = neighbor_masks[v] & rem
-            while common:
-                u = (common & -common).bit_length() - 1
-                clique |= 1 << u
-                common &= neighbor_masks[u]
-            rem &= ~clique
-        return ub
-
     closed = True
     stack = [(full, 0, 0)]
     while stack:
@@ -222,7 +234,7 @@ def _mwis_connected(weights, neighbor_masks, budget):
             best_mask = chosen
         if not avail:
             continue
-        if cur + upper(avail) <= best:
+        if cur + _clique_cover_bound(weights, neighbor_masks, avail) <= best:
             continue
         # branch on the most conflicted available vertex
         rem = avail
@@ -257,7 +269,8 @@ def ss_mis(
     """Exact k-score maximum via maximum-weight independent set over the
     candidate components; finite k only.  budget_nodes caps the search nodes
     and budget_ms the wall time, read at every node; a search that either
-    budget stops returns its best witness so far with optimal=False."""
+    budget stops returns its best witness so far with optimal=False and an
+    upper bound on the optimum in stats.upper_bound."""
     k = check_k(k)
     if not isinstance(k, int):
         raise ValueError("ss_mis needs finite k")
@@ -301,6 +314,8 @@ def ss_mis(
         components=budget.components,
         largest_component=budget.largest,
     )
+    if not closed:
+        stats.upper_bound = Fraction(budget.upper + cset.isolated_count, 2)
     result = _result(abg, tau, k, "mis", closed, stats)
     claimed = Fraction(best2x + cset.isolated_count, 2)
     if closed and result.score != claimed:

@@ -1,8 +1,11 @@
 import json
+from fractions import Fraction
 
 import pytest
 
+from doubledist.abg import build_abg
 from doubledist.cli import fmt_half, run
+from doubledist.genomes import parse_genome, singularize
 
 MIXED_A = "(1 2)\n[3 -4]\n"
 MIXED_B = "(1 -3 2)\n[4]\n"
@@ -71,9 +74,22 @@ def test_dd_stats_on_stderr(files, capsys):
     assert record["candidates"] >= record["largest_component"] >= 1
     assert record["components"] >= 1 and record["nodes"] >= record["components"]
     assert set(record) == {"nodes", "candidates", "wall_ms", "components",
-                           "largest_component", "backend"}
+                           "largest_component", "upper_bound", "backend"}
+    assert record["upper_bound"] is None
     assert run(argv) == 0
     assert capsys.readouterr() == (out, "")
+
+
+def test_dd_stats_bound_of_a_stopped_search(files, capsys):
+    argv = ["dd", "--k", "8", "--engine", "mis", files["S.genome"], files["D.genome"]]
+    n2 = build_abg(parse_genome(TRIO_S), singularize(parse_genome(TRIO_D))).n_star_doubled
+    assert run(argv) == 0
+    optimum = n2 - Fraction(capsys.readouterr().out.split()[0])  # score = n*_2 - dd
+    assert run(argv + ["--stats", "--budget-nodes", "0"]) == 0
+    out, err = capsys.readouterr()
+    assert out.endswith("optimal false\n")
+    score = n2 - Fraction(out.split()[0])
+    assert score <= optimum <= Fraction(json.loads(err)["upper_bound"])
 
 
 def test_dd_rejects_negative_budget(files, capsys):
@@ -134,6 +150,13 @@ def test_gen_golden(capsys):
 
     g = parse_genome(out)
     assert g.n_star == 3 and g.chi == 1 and g.o == 1
+
+
+def test_gen_rejects_bad_pair_arguments(capsys):
+    assert run(["gen", "--n", "-2", "--pair", "--wgd"]) == 1
+    assert capsys.readouterr().err == "error: random_cognate_pair needs n >= 1, got n=-2\n"
+    assert run(["gen", "--n", "4", "--pair", "--ops", "-1"]) == 1
+    assert capsys.readouterr().err == "error: random_cognate_pair needs ops >= 0, got ops=-1\n"
 
 
 def test_export_dot_pair(files, capsys):

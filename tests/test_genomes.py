@@ -339,6 +339,15 @@ def test_random_cognate_pair_wgd():
     assert d.is_doubled()
 
 
+@pytest.mark.parametrize("wgd", [True, False])
+def test_random_cognate_pair_rejects_bad_arguments(wgd):
+    for n in (0, -2):
+        with pytest.raises(GenomeError, match="n >= 1, got n=%d" % n):
+            random_cognate_pair(n, wgd, 1, seed=1)
+    with pytest.raises(GenomeError, match="ops >= 0, got ops=-1"):
+        random_cognate_pair(4, wgd, -1, seed=1)
+
+
 def test_random_cognate_pair_deterministic():
     assert random_cognate_pair(4, True, 3, seed=5) == random_cognate_pair(4, True, 3, seed=5)
 

@@ -1,4 +1,5 @@
-"""Differential tests: compiled speedups against the pure reference.
+"""Differential tests: compiled speedups against the pure reference, and the
+pruned pure cycle search against the unpruned one it replaced.
 
 The compiled module is built from the shipped `_speedups.c` into a temporary
 directory, so the tests exercise it even when the package was installed
@@ -48,8 +49,8 @@ def graphs():
         out.append(build_abg(s, singularize(d)))
     out.append(build_closed_flower(4))
     inst = normalize(parse_cnf("p cnf 2 2\n1 2 0\n-1 -2 0\n"))
-    out.append(build_reduction(inst, k=8).graph)
-    out.append(build_reduction(inst, k=10).graph)
+    for k in (8, 10, 12):
+        out.append(build_reduction(inst, k=k).graph)
     return out
 
 
@@ -86,13 +87,72 @@ def test_best_resolution_equivalent(fast):
 def test_enumeration_equivalent(fast):
     for g in graphs():
         args = (g.sq_id, g.e_part, g.t_part, g.d_part)
-        for k in (2, 4, 6, 8, 10):
+        for k in (2, 4, 6, 8, 10, 12, 14):
             assert sorted(pure.alternating_cycles(*args, k)) == sorted(
                 fast.alternating_cycles(*args, k)
             )
             assert sorted(pure.alternating_even_paths(*args, k)) == sorted(
                 fast.alternating_even_paths(*args, k)
             )
+
+
+def _unpruned_alternating_cycles(sq_id, e_part, t_part, d_part, kcap):
+    """The cycle DFS before it was pruned, kept verbatim as the reference:
+    it starts at every square vertex and expands every open walk."""
+    n = len(sq_id)
+    out = []
+    half = kcap // 2
+    for s in range(n):
+        if sq_id[s] < 0 or d_part[s] < 0:
+            continue
+        # DFS over (path, choices); steps alternate square edge then d-edge.
+        stack = [(s, (), {}, 0)]  # vertex, path-so-far, choices, sq-edges used
+        while stack:
+            cur, path, choices, used = stack.pop()
+            sq = sq_id[cur]
+            if sq < 0 or used == half:
+                continue
+            forced = choices.get(sq)
+            for bit in (0, 1) if forced is None else (forced,):
+                partner = t_part[cur] if bit else e_part[cur]
+                if partner <= s or partner in path:
+                    continue
+                nchoices = choices if forced is not None else {**choices, sq: bit}
+                d = d_part[partner]
+                if d < 0:
+                    continue
+                npath = path + (cur, partner)
+                if d == s:
+                    out.append((npath, tuple(sorted(nchoices.items()))))
+                elif d > s and d not in npath:
+                    stack.append((d, npath, nchoices, used + 1))
+    return out
+
+
+def _same_cycles(g, k):
+    args = (g.sq_id, g.e_part, g.t_part, g.d_part, k)
+    want = _unpruned_alternating_cycles(*args)
+    assert pure.alternating_cycles(*args) == want  # same list, same order
+    return len(want)
+
+
+def test_pruned_cycles_match_unpruned_on_wgd_pairs():
+    rng = random.Random(5)
+    found = 0
+    for seed in range(60):
+        n = 3 + seed * 2  # 3..121
+        s, d = random_cognate_pair(n, True, rng.randint(0, n // 4 + 1), seed)
+        g = build_abg(s, singularize(d))
+        for k in range(0, 15):  # odd and k < 2 included: the kernel floors kcap / 2
+            found += _same_cycles(g, k)
+    assert found > 100000
+
+
+def test_pruned_cycles_match_unpruned_on_reductions():
+    inst = normalize(parse_cnf("p cnf 4 5\n1 2 0\n1 3 0\n-1 -2 4 0\n2 3 0\n-3 -4 0\n"))
+    for k in (8, 10, 12):
+        assert _same_cycles(build_reduction(inst, k=k).graph, k) > 0
+    assert _same_cycles(build_reduction(inst, k=8, shape="linear").graph, 8) > 0
 
 
 def test_budget_stops_early(fast):

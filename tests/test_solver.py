@@ -286,6 +286,38 @@ def test_split_search_matches_whole_graph_search():
         assert budget.components >= 1 and budget.largest <= n
 
 
+def test_stopped_split_search_bounds_the_optimum():
+    rng = random.Random(7)
+    stopped = 0
+    for _ in range(300):
+        n = rng.randint(2, 40)
+        weights, masks = _random_conflict_graph(rng, n)
+        opt = solver._mwis_connected(weights, masks, solver._SearchBudget(1 << 22, None))[0]
+        budget = solver._SearchBudget(rng.randint(0, 6), None)
+        best, mask, closed = solver._max_weight_independent_set(weights, masks, budget)
+        if closed:
+            assert best == opt and budget.upper is None
+        else:
+            stopped += 1
+            assert best <= opt <= budget.upper
+    assert stopped > 100
+
+
+def test_mis_upper_bound_when_a_budget_stops_the_search():
+    s, d = random_cognate_pair(40, wgd=True, ops=20, seed=0)
+    g = build_abg(s, singularize(d))
+    full = ss_mis(g, 8)
+    assert full.optimal and full.stats.components >= 2
+    assert full.stats.upper_bound is None
+    for nodes in (0, 1, full.stats.nodes // 2, full.stats.nodes - 1):
+        r = ss_mis(g, 8, budget_nodes=nodes)
+        assert not r.optimal
+        assert r.score <= full.score <= r.stats.upper_bound, nodes
+    # a bound over the whole graph is no tighter than one that keeps the
+    # components closed before the stop
+    assert ss_mis(g, 8, budget_nodes=0).stats.upper_bound >= r.stats.upper_bound
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(2, 14),
