@@ -1,4 +1,4 @@
-"""Pure-Python reference kernels for the hot graph loops.
+"""Kernels for the hot graph loops.
 
 All functions work on flat integer lists describing a (possibly ambiguous)
 breakpoint graph:
@@ -11,10 +11,6 @@ breakpoint graph:
 A resolved graph is described by two partner arrays ``pa``/``pb`` where
 every vertex has at most one edge of each tag; components then are
 alternating cycles and paths.
-
-The compiled twin in ``_speedups`` implements the same signatures and
-returns the same results; its cycle search does not prune, so it also serves
-as an independent check of the pruned one here.
 """
 
 from __future__ import annotations

@@ -216,11 +216,10 @@ class CandidateSet:
 
 
 def enumerate_candidates(abg: AmbiguousBreakpointGraph, k: int) -> CandidateSet:
-    """Exhaustive bounded enumeration.  In the pure kernel a cycle walk
-    starts only at a square vertex whose fixed-edge partner is a larger
-    square vertex, the one it must close through, and is extended only while
-    it can still close: with one square edge left it must stand in that
-    partner's square (the compiled kernel walks every branch).  A walk still
+    """Exhaustive bounded enumeration.  A cycle walk starts only at a square
+    vertex whose fixed-edge partner is a larger square vertex, the one it
+    must close through, and is extended only while it can still close: with
+    one square edge left it must stand in that partner's square.  A walk still
     branches up to twice per square step, so the worst case stays
     O(V * 2^(k/2)) walks; the pruning cuts the walks that cannot close."""
     k = check_k(k)

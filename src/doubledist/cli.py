@@ -13,7 +13,6 @@ import os
 import sys
 from fractions import Fraction
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .abg import build_abg, bp_to_dot, score, to_dot
 from .bpgraph import (
     INFINITY,
@@ -110,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget-ms", type=float, default=None)
     p.add_argument(
         "--stats", action="store_true",
-        help="print the search statistics and kernel backend as JSON on stderr; "
+        help="print the search statistics as JSON on stderr; "
         "upper_bound is the bound on the score of a search a budget stopped",
     )
     p.add_argument("genome_s")
@@ -175,7 +174,7 @@ def _cmd_dd(args) -> int:
         if not result.optimal:
             print("optimal false")
     if args.stats:
-        record = dict(dataclasses.asdict(result.stats), backend=KERNEL_BACKEND)
+        record = dataclasses.asdict(result.stats)
         if result.stats.upper_bound is not None:
             record["upper_bound"] = fmt_half(result.stats.upper_bound)
         print(json.dumps(record, sort_keys=True), file=sys.stderr)

@@ -640,6 +640,14 @@ def random_genome(
     rng: Optional[random.Random] = None,
 ) -> Genome:
     """Seeded random singular genome with the requested chromosome counts."""
+    if linear_count < 0:
+        raise GenomeError(
+            "random_genome needs linear_count >= 0, got linear_count=%r" % (linear_count,)
+        )
+    if circular_count < 0:
+        raise GenomeError(
+            "random_genome needs circular_count >= 0, got circular_count=%r" % (circular_count,)
+        )
     parts = linear_count + circular_count
     if not (n >= parts >= 1):
         raise GenomeError("need n >= linear_count + circular_count >= 1")

@@ -67,6 +67,7 @@ def ss_naive(
     """Exact k-score maximum by exhausting all resolutions; ties keep the
     lowest bit pattern."""
     check_k(k)
+    _check_budgets(budget_nodes=budget_nodes)
     t0 = time.monotonic()
     total = 1 << abg.a_star
     if abg.a_star > 25:

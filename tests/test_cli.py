@@ -70,11 +70,10 @@ def test_dd_stats_on_stderr(files, capsys):
     out, err = capsys.readouterr()
     assert out == "3\ntau 01\n"
     record = json.loads(err)
-    assert record["backend"] in ("compiled", "pure")
     assert record["candidates"] >= record["largest_component"] >= 1
     assert record["components"] >= 1 and record["nodes"] >= record["components"]
     assert set(record) == {"nodes", "candidates", "wall_ms", "components",
-                           "largest_component", "upper_bound", "backend"}
+                           "largest_component", "upper_bound"}
     assert record["upper_bound"] is None
     assert run(argv) == 0
     assert capsys.readouterr() == (out, "")
@@ -157,6 +156,17 @@ def test_gen_rejects_bad_pair_arguments(capsys):
     assert capsys.readouterr().err == "error: random_cognate_pair needs n >= 1, got n=-2\n"
     assert run(["gen", "--n", "4", "--pair", "--ops", "-1"]) == 1
     assert capsys.readouterr().err == "error: random_cognate_pair needs ops >= 0, got ops=-1\n"
+
+
+def test_gen_rejects_negative_counts(capsys):
+    assert run(["gen", "--n", "3", "--linear", "-1", "--circular", "2"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: random_genome needs linear_count >= 0, got linear_count=-1\n"
+    )
+    assert run(["gen", "--n", "3", "--linear", "2", "--circular", "-1"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: random_genome needs circular_count >= 0, got circular_count=-1\n"
+    )
 
 
 def test_export_dot_pair(files, capsys):

@@ -331,6 +331,12 @@ def test_random_genome_shape():
 def test_random_genome_bad_params():
     with pytest.raises(GenomeError):
         random_genome(2, 2, 1, seed=0)
+    rng = random.Random(3)
+    state = rng.getstate()
+    for counts, name in (((-1, 2), "linear_count"), ((2, -1), "circular_count")):
+        with pytest.raises(GenomeError, match="%s >= 0, got %s=-1" % (name, name)):
+            random_genome(3, *counts, seed=None, rng=rng)
+    assert rng.getstate() == state  # refused before any draw
 
 
 def test_random_cognate_pair_wgd():

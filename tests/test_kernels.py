@@ -1,45 +1,15 @@
-"""Differential tests: compiled speedups against the pure reference, and the
-pruned pure cycle search against the unpruned one it replaced.
+"""Reference tests for the kernels: each kernel against its definition,
+computed here by brute force over every resolution, and the pruned cycle
+search against the unpruned one it replaced."""
 
-The compiled module is built from the shipped `_speedups.c` into a temporary
-directory, so the tests exercise it even when the package was installed
-without it; they skip only when no module could be built (no C compiler).
-"""
-
-import importlib.util
 import random
-import re
-import subprocess
-import sys
-from pathlib import Path
+from fractions import Fraction
 
-import pytest
-
-from doubledist import _kernels
 from doubledist._kernels import py as pure
-from doubledist.abg import build_abg
+from doubledist.abg import build_abg, enumerate_candidates, score
+from doubledist.bpgraph import INFINITY
 from doubledist.genomes import random_cognate_pair, singularize
 from doubledist.reduction import build_closed_flower, build_reduction, normalize, parse_cnf
-
-ROOT = Path(__file__).resolve().parents[1]
-KERNELS = ROOT / "src" / "doubledist" / "_kernels"
-
-
-@pytest.fixture(scope="module")
-def fast(tmp_path_factory):
-    out = tmp_path_factory.mktemp("speedups")
-    subprocess.run(
-        [sys.executable, "setup.py", "-q", "build_ext",
-         "--build-lib", str(out / "lib"), "--build-temp", str(out / "tmp")],
-        cwd=ROOT, capture_output=True,
-    )
-    built = sorted((out / "lib").glob("doubledist/_kernels/_speedups*"))
-    if not built:
-        pytest.skip("no C compiler: the speedup extension could not be built")
-    spec = importlib.util.spec_from_file_location("doubledist._kernels._speedups", built[0])
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def graphs():
@@ -54,46 +24,132 @@ def graphs():
     return out
 
 
-def test_backend_reports():
-    assert _kernels.BACKEND in ("pure", "compiled")
+def small_graphs(max_a_star):
+    """Seeded WGD pairs and closed flowers small enough to resolve every way."""
+    out = [build_closed_flower(4), build_closed_flower(6)]
+    rng = random.Random(3)
+    for seed in range(60):
+        n = rng.randint(3, 14)
+        s, d = random_cognate_pair(n, True, rng.randint(0, n), seed)
+        out.append(build_abg(s, singularize(d)))
+    return [g for g in out if g.a_star <= max_a_star]
 
 
-def test_walk_components_equivalent(fast):
+def _resolution(g, tau):
+    """Square-edge partners of the resolution tau (a bit per square)."""
+    return [(g.t_part[v] if tau[sq] else g.e_part[v]) if sq >= 0 else -1
+            for v, sq in enumerate(g.sq_id)]
+
+
+def _taus(g, count):
+    return (tuple((t >> i) & 1 for i in range(g.a_star)) for t in range(count))
+
+
+def _components(pa, pb):
+    """(kind, length, vertex set) of each connected component of the graph
+    with edges {v, pa[v]} and {v, pb[v]}: a cycle when every vertex has both
+    edges, else a path; the length is the number of edges."""
+    seen = [False] * len(pa)
+    out = []
+    for v in range(len(pa)):
+        if seen[v]:
+            continue
+        seen[v] = True
+        comp = [v]
+        for u in comp:  # comp grows while it is read: a breadth-first search
+            for w in (pa[u], pb[u]):
+                if w >= 0 and not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+        ends = sum((pa[u] >= 0) + (pb[u] >= 0) for u in comp)
+        out.append(("cycle" if ends == 2 * len(comp) else "path", ends // 2, frozenset(comp)))
+    return out
+
+
+def _matching(rng, n):
+    order = list(range(n))
+    rng.shuffle(order)
+    part = [-1] * n
+    for a, b in zip(order[0::2], order[1::2]):
+        if rng.random() < 0.8:
+            part[a], part[b] = b, a
+    return part
+
+
+def _same_walk(pa, pb):
+    cycles, paths = pure.walk_components(pa, pb)
+    want = _components(pa, pb)
+    assert sorted(cycles) == sorted(length for kind, length, _ in want if kind == "cycle")
+    assert sorted(paths) == sorted(length for kind, length, _ in want if kind == "path")
+
+
+def test_walk_components_equivalent():
     rng = random.Random(1)
     for g in graphs():
         for _ in range(4):
             tau = [rng.randint(0, 1) for _ in range(g.a_star)]
-            pa = [-1] * g.n_vertices
-            for v in range(g.n_vertices):
-                sq = g.sq_id[v]
-                if sq >= 0:
-                    pa[v] = g.t_part[v] if tau[sq] else g.e_part[v]
-            a = tuple(sorted(map(tuple, map(sorted, pure.walk_components(pa, g.d_part)))))
-            b = tuple(sorted(map(tuple, map(sorted, fast.walk_components(pa, g.d_part)))))
-            assert a == b
+            _same_walk(_resolution(g, tau), g.d_part)
+    for n in range(40):  # two partial matchings: 2-cycles and lone vertices too
+        _same_walk(_matching(rng, n), _matching(rng, n))
 
 
-def test_best_resolution_equivalent(fast):
-    for g in graphs():
-        if g.a_star > 16:
-            continue
+def _brute_best(g, k, count):
+    """The highest score(g, tau, k) over the first count taus, in the order
+    of tau read as an integer (bit i is square i), the lowest tau on ties."""
+    best = None
+    for t, tau in enumerate(_taus(g, count)):
+        value = score(g, tau, k)
+        if best is None or value > best[0]:
+            best = (value, t)
+    return best
+
+
+def test_best_resolution_equivalent():
+    for g in small_graphs(8):
         args = (g.sq_id, g.e_part, g.t_part, g.d_part, g.a_star)
-        for kcap in (2, 6, 8, -1):
-            assert pure.best_resolution(*args, kcap, 1 << 20) == fast.best_resolution(
-                *args, kcap, 1 << 20
-            )
+        for k in (2, 6, 8, INFINITY):
+            best2x, tau, explored = pure.best_resolution(*args, -1 if k is INFINITY else k, 1 << 20)
+            assert (Fraction(best2x, 2), tau) == _brute_best(g, k, 1 << g.a_star)
+            assert explored == 1 << g.a_star
 
 
-def test_enumeration_equivalent(fast):
-    for g in graphs():
-        args = (g.sq_id, g.e_part, g.t_part, g.d_part)
-        for k in (2, 4, 6, 8, 10, 12, 14):
-            assert sorted(pure.alternating_cycles(*args, k)) == sorted(
-                fast.alternating_cycles(*args, k)
-            )
-            assert sorted(pure.alternating_even_paths(*args, k)) == sorted(
-                fast.alternating_even_paths(*args, k)
-            )
+def test_budget_stops_early():
+    g = build_closed_flower(6)
+    best2x, tau, explored = pure.best_resolution(
+        g.sq_id, g.e_part, g.t_part, g.d_part, g.a_star, 12, 10
+    )
+    assert explored == 10 < 1 << g.a_star
+    assert (Fraction(best2x, 2), tau) == _brute_best(g, 12, 10)
+
+
+def _resolved_components(g):
+    """Every component of every resolution, as (kind, length, vertex set,
+    choices), where choices are the (square, bit) of its square vertices."""
+    found = set()
+    for tau in _taus(g, 1 << g.a_star):
+        for kind, length, verts in _components(_resolution(g, tau), g.d_part):
+            choices = {(g.sq_id[v], tau[g.sq_id[v]]) for v in verts if g.sq_id[v] >= 0}
+            found.add((kind, length, verts, tuple(sorted(choices))))
+    return found
+
+
+def test_enumeration_equivalent():
+    """The candidates are the short components over all resolutions: cycles
+    of length <= k (weight 2) and even paths of length 2..k-2 (weight 1)."""
+    checked = 0
+    for g in small_graphs(11):
+        everything = _resolved_components(g)
+        for k in range(2, 13, 2):
+            want = {(kind, length, verts, choices, 2 if kind == "cycle" else 1)
+                    for kind, length, verts, choices in everything
+                    if (length <= k if kind == "cycle"
+                        else length % 2 == 0 and 2 <= length <= k - 2)}
+            got = [(c.kind, c.length, frozenset(c.vertices), c.choices, c.weight2)
+                   for c in enumerate_candidates(g, k)]
+            assert len(set(got)) == len(got)  # each listed once
+            assert set(got) == want
+            checked += len(want)
+    assert checked > 1000
 
 
 def _unpruned_alternating_cycles(sq_id, e_part, t_part, d_part, kcap):
@@ -153,44 +209,3 @@ def test_pruned_cycles_match_unpruned_on_reductions():
     for k in (8, 10, 12):
         assert _same_cycles(build_reduction(inst, k=k).graph, k) > 0
     assert _same_cycles(build_reduction(inst, k=8, shape="linear").graph, 8) > 0
-
-
-def test_budget_stops_early(fast):
-    g = build_closed_flower(6)
-    best, tau, explored = fast.best_resolution(
-        g.sq_id, g.e_part, g.t_part, g.d_part, g.a_star, 12, 10
-    )
-    assert explored == 10
-    best_p, tau_p, explored_p = pure.best_resolution(
-        g.sq_id, g.e_part, g.t_part, g.d_part, g.a_star, 12, 10
-    )
-    assert (best, tau, explored) == (best_p, tau_p, explored_p)
-
-
-def _embedded_source(c_text):
-    """The .pyx lines Cython quotes in ` * ` comments of the generated C."""
-    marker = re.compile(r"\s+# <{14}$")
-    return {
-        marker.sub("", line[3:]).rstrip()
-        for line in c_text.splitlines()
-        if line.startswith(" * ")
-    }
-
-
-def test_pyx_matches_generated_c():
-    """The shipped C cannot be regenerated without Cython, so any edit to the
-    .pyx must show up here instead of silently diverging from the build.
-    Cython quotes every line except cimports and cdef class attributes."""
-    embedded = _embedded_source((KERNELS / "_speedups.c").read_text())
-    in_class = False
-    missing = []
-    for lineno, line in enumerate((KERNELS / "_speedups.pyx").read_text().splitlines(), 1):
-        if line and not line[0].isspace():
-            in_class = line.startswith("cdef class ")
-        if " cimport " in line:
-            continue
-        if in_class and re.fullmatch(r"    cdef [\w* ]+", line):
-            continue
-        if line.rstrip() not in embedded:
-            missing.append((lineno, line))
-    assert not missing, "_speedups.pyx differs from the source of _speedups.c: %r" % missing

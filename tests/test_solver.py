@@ -378,6 +378,8 @@ def test_negative_budgets_raise():
         with pytest.raises(ValueError, match="must not be negative"):
             dd(TRIO_S, TRIO_D, 8, engine="mis", **budget)
     with pytest.raises(ValueError, match="must not be negative"):
+        ss_naive(g, 8, budget_nodes=-1)
+    with pytest.raises(ValueError, match="must not be negative"):
         dd(TRIO_S, TRIO_D, 8, engine="naive", budget_nodes=-1)
 
 
