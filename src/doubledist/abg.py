@@ -136,17 +136,18 @@ def build_abg(s: Genome, d_check: Genome) -> AmbiguousBreakpointGraph:
         for end in ("h", "t"):
             for copy in ("a", "b"):
                 labels.append(Extremity(gid, end, copy))
+    # keyed by Extremity; plain (gid, end, copy) tuples hash and compare equal
     index = {e: i for i, e in enumerate(labels)}
 
     squares = []
-    for i, (beta, gamma) in enumerate(sorted(s.adjacencies)):
+    for i, ((bgid, bend, _), (ggid, gend, _)) in enumerate(sorted(s.adjacencies)):
         squares.append(
             Square(
                 index=i,
-                u=index[Extremity(beta.gid, beta.end, "a")],
-                v=index[Extremity(gamma.gid, gamma.end, "a")],
-                uhat=index[Extremity(beta.gid, beta.end, "b")],
-                vhat=index[Extremity(gamma.gid, gamma.end, "b")],
+                u=index[bgid, bend, "a"],
+                v=index[ggid, gend, "a"],
+                uhat=index[bgid, bend, "b"],
+                vhat=index[ggid, gend, "b"],
             )
         )
     d_edges = [(index[x], index[y]) for x, y in sorted(d_check.adjacencies)]

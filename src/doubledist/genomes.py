@@ -12,7 +12,8 @@ from __future__ import annotations
 import random
 from collections import Counter
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 HEAD = "h"
@@ -34,17 +35,21 @@ class ParseError(GenomeError):
 
 
 class Gene(NamedTuple):
-    """One gene occurrence: id, orientation and copy index ('' if none)."""
+    """One gene occurrence: id, copy index ('' if none) and orientation.
+
+    The field order is the canonical gene order: genes compare by id, then
+    copy index, then forward before reversed, so plain tuple comparison
+    orders genes and gene sequences canonically."""
 
     gid: int
-    rev: bool = False
     copy: str = ""
+    rev: bool = False
 
     def reverse(self) -> "Gene":
-        return Gene(self.gid, not self.rev, self.copy)
+        return Gene(self.gid, self.copy, not self.rev)
 
     def erased(self) -> "Gene":
-        return Gene(self.gid, self.rev, "")
+        return Gene(self.gid, "", self.rev)
 
     def __str__(self) -> str:
         s = ("-" if self.rev else "") + str(self.gid)
@@ -89,34 +94,43 @@ def tail(gid: int, copy: str = "") -> Extremity:
     return Extremity(gid, TAIL, copy)
 
 
-def _gene_sort_key(g: Gene):
-    return (g.gid, g.copy, g.rev)
+_GID = itemgetter(0)
+_IDENTITY = itemgetter(0, 1)  # (gid, copy) of a Gene
 
 
 def _revcomp(genes):
-    return tuple(g.reverse() for g in reversed(genes))
-
-
-def _seq_key(genes):
-    return [_gene_sort_key(g) for g in genes]
+    return tuple(map(Gene.reverse, reversed(genes)))
 
 
 def _canonical_genes(shape, genes):
-    """Least candidate by `_seq_key`: the sequence or its reverse complement
-    if linear; if circular, the rotations of either orientation that start
-    at the least gene key, where the least rotation must start (a valid
-    genome holds each key at most twice, so there are at most four)."""
-    candidates = (genes, _revcomp(genes))
-    if shape == CIRCULAR:
-        keys = [_seq_key(seq) for seq in candidates]
-        least = min(min(key) for key in keys)
-        candidates = [
-            seq[i:] + seq[:i]
-            for seq, key in zip(candidates, keys)
-            for i, x in enumerate(key)
-            if x == least
-        ]
-    return min(candidates, key=_seq_key)
+    """The least of the sequence and its reverse complement if linear; if
+    circular, the least of their rotations.  That rotation starts with the
+    least gene id and copy read forward, so it starts at an occurrence of
+    the least (gid, copy) pair, read in the orientation that shows it
+    forward: one candidate per occurrence, and only ties need a ``min``."""
+    if shape == LINEAR:
+        first = _IDENTITY(genes[0])
+        last = _IDENTITY(genes[-1])
+        if first != last:  # the ends decide
+            return genes if first < last else _revcomp(genes)
+        rc = _revcomp(genes)
+        return genes if genes <= rc else rc
+    least = min(genes)
+    flipped = least.reverse()
+    if genes.count(least) + genes.count(flipped) == 1:
+        return _rotation(genes, genes.index(least), least.rev)
+    return min(
+        _rotation(genes, i, g.rev)
+        for i, g in enumerate(genes)
+        if g == least or g == flipped
+    )
+
+
+def _rotation(genes, i, backward):
+    """The circular sequence read from position i, forward or backward."""
+    if backward:
+        return _revcomp(genes[i + 1 :] + genes[: i + 1])
+    return genes[i:] + genes[:i]
 
 
 class Chromosome:
@@ -137,7 +151,7 @@ class Chromosome:
         raise AttributeError("Chromosome is immutable")
 
     def sort_key(self):
-        return (self.shape, _seq_key(self.genes))
+        return (self.shape, self.genes)
 
     def __eq__(self, other):
         return (
@@ -170,15 +184,10 @@ class Chromosome:
     def adjacencies(self):
         out = []
         genes = self.genes
-        for i in range(len(genes) - 1):
-            a = genes[i]
-            b = genes[i + 1]
-            out.append(
-                adjacency(
-                    Extremity(a.gid, TAIL if a.rev else HEAD, a.copy),
-                    Extremity(b.gid, HEAD if b.rev else TAIL, b.copy),
-                )
-            )
+        for a, b in zip(genes, genes[1:]):
+            x = Extremity(a.gid, TAIL if a.rev else HEAD, a.copy)
+            y = Extremity(b.gid, HEAD if b.rev else TAIL, b.copy)
+            out.append((x, y) if x <= y else (y, x))
         if self.shape == CIRCULAR:
             out.append(adjacency(self.right_extremity(), self.left_extremity()))
         return out
@@ -196,7 +205,7 @@ def _as_gene(g) -> Gene:
     if isinstance(g, Gene):
         return g
     if isinstance(g, int):
-        return Gene(abs(g), g < 0) if g != 0 else _bad_gene()
+        return Gene(abs(g), rev=g < 0) if g != 0 else _bad_gene()
     raise GenomeError("cannot interpret %r as a gene" % (g,))
 
 
@@ -220,17 +229,23 @@ class Genome:
         raise AttributeError("Genome is immutable")
 
     def _validate(self):
-        copies = {}
-        for ch in self.chromosomes:
-            for g in ch.genes:
-                if g.gid <= 0:
-                    raise GenomeError("gene ids must be positive, got %d" % g.gid)
-                if g.copy not in ("", "a", "b"):
-                    raise GenomeError("bad copy index %r" % (g.copy,))
-                copies.setdefault(g.gid, []).append(g.copy)
-        for gid, cs in copies.items():
-            cs.sort()
-            if cs not in ([""], ["", ""], ["a", "b"]):
+        identities = self.identities
+        for gid, copy in identities:
+            if gid <= 0:
+                raise GenomeError("gene ids must be positive, got %d" % gid)
+            if copy not in ("", "a", "b"):
+                raise GenomeError("bad copy index %r" % (copy,))
+        # each id occurs once or twice plain, or once as a and once as b
+        for (gid, copy), n in identities.items():
+            if copy:
+                other = "b" if copy == "a" else "a"
+                valid = n == 1 and identities.get((gid, other)) == 1
+                valid = valid and (gid, "") not in identities
+            else:
+                valid = n <= 2 and (gid, "a") not in identities
+                valid = valid and (gid, "b") not in identities
+            if not valid:
+                cs = sorted(c for (i, c), m in identities.items() if i == gid for _ in range(m))
                 raise GenomeError(
                     "gene %d occurs with copies %r; expected one plain occurrence, "
                     "two plain occurrences, or an a/b pair" % (gid, cs)
@@ -249,29 +264,29 @@ class Genome:
 
     # -- derived data ---------------------------------------------------
 
+    def _genes(self):
+        return chain.from_iterable(ch.genes for ch in self.chromosomes)
+
     @cached_property
     def ids(self) -> Counter:
-        return Counter(g.gid for ch in self.chromosomes for g in ch.genes)
+        return Counter(map(_GID, self._genes()))
 
     @cached_property
     def identities(self) -> Counter:
-        return Counter((g.gid, g.copy) for ch in self.chromosomes for g in ch.genes)
+        return Counter(map(_IDENTITY, self._genes()))
 
     @cached_property
     def adjacencies(self) -> Counter:
-        out = Counter()
-        for ch in self.chromosomes:
-            out.update(ch.adjacencies())
-        return out
+        return Counter(chain.from_iterable(ch.adjacencies() for ch in self.chromosomes))
 
     @cached_property
     def telomeres(self) -> Counter:
-        out = Counter()
-        for ch in self.chromosomes:
-            if ch.shape == LINEAR:
-                out[ch.left_extremity()] += 1
-                out[ch.right_extremity()] += 1
-        return out
+        return Counter(
+            e
+            for ch in self.chromosomes
+            if ch.shape == LINEAR
+            for e in (ch.left_extremity(), ch.right_extremity())
+        )
 
     @property
     def n_star(self) -> int:
@@ -412,9 +427,9 @@ def _parse_gene_token(token: str, line: int, col: int) -> Gene:
         body, _, copy = body.partition(".")
         if copy not in ("a", "b"):
             raise ParseError("bad copy suffix in %r" % token, line, col)
-    if not body.isdigit() or int(body) == 0:
+    if not (body.isascii() and body.isdigit()) or int(body) == 0:
         raise ParseError("bad gene token %r" % token, line, col)
-    return Gene(int(body), rev, copy)
+    return Gene(int(body), copy, rev)
 
 
 def format_genome(g: Genome) -> str:
@@ -449,7 +464,7 @@ def singularize(d: Genome) -> Genome:
         for g in ch.genes:
             copy = "b" if g.gid in seen else "a"
             seen.add(g.gid)
-            genes.append(Gene(g.gid, g.rev, copy))
+            genes.append(Gene(g.gid, copy, g.rev))
         chroms.append(Chromosome(ch.shape, genes))
     return Genome(chroms)
 
@@ -459,53 +474,48 @@ def genome_from_adjacencies(adjs, telos) -> Genome:
     that are unique per (id, copy)."""
     partner = {}
     for x, y in adjs:
-        for e in (x, y):
-            if e in partner:
-                raise GenomeError("extremity %s used twice" % (e,))
+        if x in partner:
+            raise GenomeError("extremity %s used twice" % (x,))
         partner[x] = y
+        if y in partner:  # also catches x == y
+            raise GenomeError("extremity %s used twice" % (y,))
         partner[y] = x
-    telos = list(telos)
+    telomeres = set()
     for e in telos:
         if e in partner:
             raise GenomeError("extremity %s is both adjacent and telomeric" % (e,))
-    identities = set()
-    for e in list(partner) + telos:
-        identities.add((e.gid, e.copy))
+        if e in telomeres:
+            raise GenomeError("telomere %s listed twice" % (e,))
+        telomeres.add(e)
+    # Plain (gid, end, copy) tuples hash and compare equal to Extremity.
+    identities = {(gid, copy) for gid, _, copy in chain(partner, telomeres)}
     for gid, copy in identities:
         for end in (HEAD, TAIL):
-            e = Extremity(gid, end, copy)
-            if e not in partner and e not in telos:
-                raise GenomeError("extremity %s missing" % (e,))
+            if (gid, end, copy) not in partner and (gid, end, copy) not in telomeres:
+                raise GenomeError("extremity %s missing" % (Extremity(gid, end, copy),))
 
     used = set()
 
-    def walk(start: Extremity):
+    def walk(start):
         genes = []
-        cur = start
+        gid, end, copy = start
         while True:
-            gid, end, copy = cur
             used.add((gid, copy))
-            genes.append(Gene(gid, rev=(end == HEAD), copy=copy))
-            exit_end = HEAD if end == TAIL else TAIL
-            out = Extremity(gid, exit_end, copy)
-            nxt = partner.get(out)
+            genes.append(Gene(gid, copy, end == HEAD))
+            nxt = partner.get((gid, HEAD if end == TAIL else TAIL, copy))
             if nxt is None:
-                return genes, out
-            if (nxt.gid, nxt.copy) in used:
-                return genes, out
-            cur = nxt
+                return genes
+            gid, end, copy = nxt
+            if (gid, copy) in used:
+                return genes
 
     chroms = []
-    for t in sorted(telos):
-        if (t.gid, t.copy) in used:
-            continue
-        genes, last = walk(t)
-        chroms.append(Chromosome(LINEAR, genes))
+    for t in sorted(telomeres):
+        if (t.gid, t.copy) not in used:
+            chroms.append(Chromosome(LINEAR, walk(t)))
     for gid, copy in sorted(identities - used):
-        if (gid, copy) in used:
-            continue
-        genes, last = walk(Extremity(gid, TAIL, copy))
-        chroms.append(Chromosome(CIRCULAR, genes))
+        if (gid, copy) not in used:
+            chroms.append(Chromosome(CIRCULAR, walk((gid, TAIL, copy))))
     return Genome(chroms)
 
 
@@ -544,7 +554,7 @@ def enumerate_resolved_doublings(s: Genome):
                     else:
                         copy = first[g.gid]
                         seen.add(g.gid)
-                    labeled.append(Gene(g.gid, g.rev, copy))
+                    labeled.append(Gene(g.gid, copy, g.rev))
                 chroms.append(Chromosome(shape, labeled))
             out.add(Genome(chroms))
     return sorted(out, key=lambda g: [c.sort_key() for c in g.chromosomes])
@@ -652,7 +662,7 @@ def random_genome(
     if not (n >= parts >= 1):
         raise GenomeError("need n >= linear_count + circular_count >= 1")
     rng = rng or random.Random(seed)
-    genes = [Gene(gid, rng.random() < 0.5) for gid in range(1, n + 1)]
+    genes = [Gene(gid, rev=rng.random() < 0.5) for gid in range(1, n + 1)]
     rng.shuffle(genes)
     cuts = sorted(rng.sample(range(1, n), parts - 1)) if parts > 1 else []
     bounds = [0] + cuts + [n]

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -86,6 +87,54 @@ def test_parse_errors():
         parse_genome("[1.a 1.a]")
     with pytest.raises(GenomeError):
         parse_genome("[1.a 1.a 1.b]")
+    # only ASCII digits are gene ids: no bare ValueError, no '١٢' read as 12
+    for text, token, line, column in (
+        ("[1 \u00b2]", "\u00b2", 1, 4),
+        ("[1 \u0661\u0662]", "\u0661\u0662", 1, 4),
+        ("[1\n  -\u0663.a]", "-\u0663.a", 2, 3),
+    ):
+        with pytest.raises(ParseError, match="bad gene token") as err:
+            parse_genome(text)
+        assert (err.value.line, err.value.column) == (line, column)
+        assert repr(token) in str(err.value)
+
+
+def _copy_list_error(genes):
+    """Reference rule: each gene id's sorted copy list is one of three."""
+    copies = {}
+    for g in genes:
+        copies.setdefault(g.gid, []).append(g.copy)
+    for gid, cs in copies.items():
+        cs.sort()
+        if cs not in ([""], ["", ""], ["a", "b"]):
+            return "gene %d occurs with copies %r" % (gid, cs)
+    return None
+
+
+def test_validation_matches_the_copy_list_rule():
+    rng = random.Random(11)
+    valid = 0
+    for _ in range(3000):
+        chroms = [
+            Chromosome(
+                rng.choice((LINEAR, CIRCULAR)),
+                [
+                    Gene(rng.randint(1, 3), copy=rng.choice(("", "", "a", "b")), rev=rng.random() < 0.5)
+                    for _ in range(rng.randint(1, 3))
+                ],
+            )
+            for _ in range(rng.randint(1, 3))
+        ]
+        genes = [g for ch in sorted(chroms, key=Chromosome.sort_key) for g in ch.genes]
+        expected = _copy_list_error(genes)
+        if expected is None:
+            valid += 1
+            assert Genome(chroms).chromosomes
+        else:
+            with pytest.raises(GenomeError) as err:
+                Genome(chroms)
+            assert str(err.value).startswith(expected + ";"), (expected, err.value)
+    assert 100 < valid < 2900
 
 
 def test_format_identity():
@@ -118,22 +167,66 @@ def _all_rotations_canonical(shape, genes):
 def test_canonical_form_matches_all_rotations():
     rng = random.Random(20261018)
     for trial in range(6000):
-        length = rng.randint(1, 9)
+        length = rng.randint(1, 9 if trial % 2 else 30)
         ids = list(range(1, rng.randint(1, length) + 1))
         genes = [
-            Gene(rng.choice(ids), rng.random() < 0.5, rng.choice(("", "a", "b")))
+            Gene(rng.choice(ids), rev=rng.random() < 0.5, copy=rng.choice(("", "a", "b")))
             for _ in range(length)
         ]
         if trial % 3 == 0 and length >= 2:
             # the least gene twice: a plain pair or an a/b pair
             copies = rng.choice((("", ""), ("a", "b")))
             i, j = rng.sample(range(length), 2)
-            genes[i] = Gene(ids[0], rng.random() < 0.5, copies[0])
-            genes[j] = Gene(ids[0], rng.random() < 0.5, copies[1])
+            genes[i] = Gene(ids[0], rev=rng.random() < 0.5, copy=copies[0])
+            genes[j] = Gene(ids[0], rev=rng.random() < 0.5, copy=copies[1])
+        elif trial % 3 == 1 and length >= 3:
+            # the least (gid, copy) three or more times: the tie branch
+            for i in rng.sample(range(length), rng.randint(3, min(length, 6))):
+                genes[i] = Gene(ids[0], rev=rng.random() < 0.5)
         genes = tuple(genes)
         for shape in (LINEAR, CIRCULAR):
             got = Chromosome(shape, genes).genes
             assert got == _all_rotations_canonical(shape, genes), (shape, genes)
+
+
+def test_gene_field_order_is_the_canonical_order():
+    assert Gene._fields == ("gid", "copy", "rev")
+    assert Gene(3, "a", True) == (3, "a", True)
+    assert Gene(2, rev=True) == (2, "", True)
+    genes = [Gene(2), Gene(1, "b"), Gene(1, "a", True), Gene(1, "a"), Gene(1, rev=True)]
+    assert sorted(genes) == sorted(genes, key=lambda g: (g.gid, g.copy, g.rev))
+
+
+def _old_chromosome_key(ch):
+    return (ch.shape, [(g.gid, g.copy, g.rev) for g in ch.genes])
+
+
+def test_chromosome_order_matches_the_gene_key_order():
+    rng = random.Random(7)
+    checked = 0
+    for seed in range(60):
+        n = rng.randint(2, 40)
+        s, d = random_cognate_pair(n, True, rng.randint(0, n), seed=seed)
+        for g in (s, d, singularize(d)):
+            chroms = list(g.chromosomes)
+            rng.shuffle(chroms)
+            got = Genome(chroms).chromosomes
+            assert list(got) == sorted(chroms, key=_old_chromosome_key)
+            checked += len(got) > 1
+    assert checked > 60
+
+
+def test_seeded_pairs_are_frozen():
+    # sha256 over the formatted outputs, frozen before Gene took its
+    # canonical field order; any change to the canonical form or to the
+    # generator's random stream moves it
+    h = hashlib.sha256()
+    for n in range(1, 61):
+        for wgd in (False, True):
+            for ops in sorted({0, n // 4, n}):
+                for g in random_cognate_pair(n, wgd, ops, seed=1000 * n + ops):
+                    h.update(format_genome(g).encode() + b"\0")
+    assert h.hexdigest() == "038f1a01d26cf5d4ca3ff7de35716bf525c011d82cb226a78b8330b7f24aecc6"
 
 
 # === classification ===
@@ -318,6 +411,19 @@ def test_genome_from_adjacencies_roundtrip():
     for text in ("(1 2)\n[3 -4]", "[1 -3 2]", "(1)\n(2)\n[3]"):
         g = parse_genome(text)
         assert genome_from_adjacencies(list(g.adjacencies), list(g.telomeres)) == g
+
+
+def test_genome_from_adjacencies_rejects_repeats():
+    with pytest.raises(GenomeError, match="telomere 1t listed twice"):
+        genome_from_adjacencies([(head(1), tail(2))], [tail(1), tail(1), head(2)])
+    with pytest.raises(GenomeError, match="extremity 2t used twice"):
+        genome_from_adjacencies([(head(1), tail(2)), (head(2), tail(2))], [tail(1)])
+    with pytest.raises(GenomeError, match="extremity 1h used twice"):
+        genome_from_adjacencies([(head(1), head(1))], [tail(1)])
+    with pytest.raises(GenomeError, match="both adjacent and telomeric"):
+        genome_from_adjacencies([(head(1), tail(2))], [tail(1), tail(2), head(2)])
+    with pytest.raises(GenomeError, match="extremity 2h missing"):
+        genome_from_adjacencies([(head(1), tail(2))], [tail(1)])
 
 
 # === random generation ===

@@ -1,11 +1,12 @@
 import dataclasses
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from doubledist.abg import build_abg, enumerate_candidates, conflict, score
 from doubledist.bpgraph import ComponentCensus
-from doubledist.genomes import PairClass, classify_pair
+from doubledist.genomes import PairClass, classify_pair, format_genome
 from doubledist.reduction import (
     Assignment,
     SatError,
@@ -371,6 +372,19 @@ def test_extract_linear():
     assert g.a_star == r.graph.a_star
     assert len(g.d_edges) == len(r.graph.d_edges)
     assert len(g.isolated) == len(r.graph.isolated) == 944
+
+
+def test_extracted_genomes_are_frozen():
+    # sha256 over the formatted (S, D, indexed D) of circular and linear
+    # reductions, frozen before Gene took its canonical field order
+    h = hashlib.sha256()
+    for n_vars, seed in ((3, 11), (4, 12), (5, 13)):
+        inst = random_normalized_instance(n_vars, seed)
+        for k in (8, 12):
+            for shape in ("circular", "linear"):
+                for g in extract_genomes(build_reduction(inst, k=k, shape=shape)):
+                    h.update(format_genome(g).encode() + b"\0")
+    assert h.hexdigest() == "87a9e87fea6e61087ec9c52343fbd093d1181b74efc66f3f6d300ef2a5df754b"
 
 
 def test_extract_linear_rejects_unpadded():
