@@ -73,6 +73,12 @@ def _load_genome(path: str) -> Genome:
         return parse_genome(fh.read())
 
 
+def _load_reduction(args):
+    with open(args.cnf, "r", encoding="utf-8") as fh:
+        inst = normalize(parse_cnf(fh.read()))
+    return build_reduction(inst, k=args.k, shape=args.shape)
+
+
 def _parse_assignment(text: str) -> dict:
     values = {}
     for i, tok in enumerate(text.split(","), start=1):
@@ -96,7 +102,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dist", help="sigma_k distance of a canonical pair")
     p.add_argument("--k", type=_parse_k, default=INFINITY)
-    p.add_argument("--engine", choices=["formula", "bfs"], default="formula")
+    p.add_argument(
+        "--engine", choices=["formula", "bfs"], default="formula",
+        help="bfs: the DCJ distance by breadth-first search, k=inf only",
+    )
     p.add_argument("genome1")
     p.add_argument("genome2")
 
@@ -118,7 +127,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="build the SAT-hardness instance")
     p.add_argument("--k", type=_parse_k, default=8)
     p.add_argument("--shape", choices=["circular", "linear"], default="circular")
-    p.add_argument("--assignment", default=None, help="comma list like T,F,T")
+    p.add_argument(
+        "--assignment", default=None,
+        help="values of the formula's own variables 1, 2, ..., as a comma list like T,F,T",
+    )
     p.add_argument("--out", default=None, help="directory for the output bundle")
     p.add_argument("cnf")
 
@@ -148,6 +160,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_dist(args) -> int:
+    if args.engine == "bfs" and args.k is not INFINITY:
+        raise ValueError(
+            "--engine bfs computes the DCJ distance (k=inf) only, got k=%d" % args.k
+        )
     g1 = _load_genome(args.genome1)
     g2 = _load_genome(args.genome2)
     if args.engine == "bfs":
@@ -182,9 +198,8 @@ def _cmd_dd(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    with open(args.cnf, "r", encoding="utf-8") as fh:
-        inst = normalize(parse_cnf(fh.read()))
-    r = build_reduction(inst, k=args.k, shape=args.shape)
+    r = _load_reduction(args)
+    inst = r.instance
     meta = {
         "k": r.k,
         "shape": r.shape,
@@ -216,7 +231,7 @@ def _cmd_reduce(args) -> int:
         },
     }
     if args.assignment:
-        values = _parse_assignment(args.assignment)
+        values = inst.normalized_assignment(_parse_assignment(args.assignment))
         tau = assignment_to_solution(r, Assignment(values))
         meta["assignment_score"] = fmt_half(score(r.graph, tau, args.k))
     if args.out:
@@ -243,10 +258,7 @@ def _cmd_verify(args) -> int:
             % (report.p, report.resolutions, len(report.violations))
         )
         return 0 if report.ok else 1
-    with open(args.cnf, "r", encoding="utf-8") as fh:
-        inst = normalize(parse_cnf(fh.read()))
-    r = build_reduction(inst, k=args.k, shape=args.shape)
-    report = verify_structure(r)
+    report = verify_structure(_load_reduction(args))
     print(
         "reduction k=%d shape=%s min_cycle_ok=%s candidates=%d/%d degree_ok=%s"
         % (

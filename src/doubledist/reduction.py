@@ -40,11 +40,10 @@ class SatError(ValueError):
 
 @dataclass(frozen=True)
 class SatInstance:
-    """A CNF formula; `normalized` marks the restricted 2/3-occurrence form."""
+    """A CNF formula, with the renaming that `normalize` applied to it."""
 
     var_count: int
     clauses: tuple
-    normalized: bool = False
     flipped: frozenset = frozenset()  # original ids with inverted polarity
     eliminated: tuple = ()  # ((original id, value), ...) fixed by pure literals
     var_map: tuple = ()  # new id (position 0 = id 1) -> original id
@@ -61,11 +60,15 @@ class SatInstance:
                     out.append((ci, pos, lit > 0))
         return out
 
+    def _vars_occurring(self, times):
+        counts = _polarity(self.clauses)
+        return [v for v in range(1, self.var_count + 1) if sum(counts.get(v, (0, 0))) == times]
+
     def ttf_vars(self):
-        return [v for v in range(1, self.var_count + 1) if len(self.occurrences(v)) == 3]
+        return self._vars_occurring(3)
 
     def tf_vars(self):
-        return [v for v in range(1, self.var_count + 1) if len(self.occurrences(v)) == 2]
+        return self._vars_occurring(2)
 
     def two_clauses(self):
         return [i for i, c in enumerate(self.clauses) if len(c) == 2]
@@ -81,6 +84,27 @@ class SatInstance:
             out[orig] = (not v) if orig in self.flipped else v
         return out
 
+    def normalized_assignment(self, values: dict) -> dict:
+        """Map an assignment on original ids to the normalized variables,
+        the inverse of `restore_assignment`; eliminated ids are ignored."""
+        missing = [orig for orig in self.var_map if orig not in values]
+        if missing:
+            raise SatError("assignment incomplete: missing variables %r" % missing)
+        return {
+            new_id: bool(values[orig]) != (orig in self.flipped)
+            for new_id, orig in enumerate(self.var_map, start=1)
+        }
+
+
+def _polarity(clauses) -> dict:
+    """variable -> (positive, negative) occurrence counts over the clauses."""
+    counts = {}
+    for clause in clauses:
+        for lit in clause:
+            pos, neg = counts.get(abs(lit), (0, 0))
+            counts[abs(lit)] = (pos + 1, neg) if lit > 0 else (pos, neg + 1)
+    return counts
+
 
 def parse_cnf(text: str) -> SatInstance:
     """Parse the DIMACS CNF subset: `c` comments, one `p cnf V C` header,
@@ -95,10 +119,14 @@ def parse_cnf(text: str) -> SatInstance:
             continue
         if line.startswith("p"):
             parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf" or var_count is not None:
+            try:
+                counts = [int(t) for t in parts[2:]]
+            except ValueError:
+                counts = []
+            if (len(parts) != 4 or parts[1] != "cnf" or var_count is not None
+                    or not counts or min(counts) < 0):
                 raise SatError("line %d: bad problem header %r" % (lineno, line))
-            var_count = int(parts[2])
-            clause_count = int(parts[3])
+            var_count, clause_count = counts
             continue
         if var_count is None:
             raise SatError("line %d: clause before `p cnf` header" % lineno)
@@ -118,7 +146,7 @@ def parse_cnf(text: str) -> SatInstance:
         raise SatError("trailing clause without terminating 0")
     if var_count is None:
         raise SatError("missing `p cnf` header")
-    if clause_count is not None and clause_count != len(clauses):
+    if clause_count != len(clauses):
         raise SatError(
             "header announces %d clauses, found %d" % (clause_count, len(clauses))
         )
@@ -131,94 +159,47 @@ def normalize(inst: SatInstance) -> SatInstance:
     and record the renaming so assignments translate back."""
     clauses = [tuple(c) for c in inst.clauses]
     for c in clauses:
-        seen = set()
-        for lit in c:
-            if abs(lit) in seen:
-                raise SatError(
-                    "clause %r has duplicate or contradictory literals" % (c,)
-                )
-            seen.add(abs(lit))
+        if len({abs(lit) for lit in c}) != len(c):
+            raise SatError("clause %r has duplicate or contradictory literals" % (c,))
         if len(c) not in (2, 3):
             raise SatError("clause %r has size %d, need 2 or 3" % (c, len(c)))
 
     eliminated = {}
-    active = list(range(len(clauses)))
+    active = clauses
     while True:
-        polarity = {}
-        for ci in active:
-            for lit in clauses[ci]:
-                pos, neg = polarity.get(abs(lit), (0, 0))
-                if lit > 0:
-                    polarity[abs(lit)] = (pos + 1, neg)
-                else:
-                    polarity[abs(lit)] = (pos, neg + 1)
-        pure = {
-            v: pos > 0
-            for v, (pos, neg) in polarity.items()
-            if pos == 0 or neg == 0
-        }
+        polarity = _polarity(active)
+        pure = {v: pos > 0 for v, (pos, neg) in polarity.items() if pos == 0 or neg == 0}
         if not pure:
             break
         eliminated.update(pure)
-        active = [
-            ci
-            for ci in active
-            if not any(abs(lit) in pure for lit in clauses[ci])
-        ]
+        active = [c for c in active if not any(abs(lit) in pure for lit in c)]
     for v in range(1, inst.var_count + 1):
-        if v not in eliminated and not any(
-            abs(lit) == v for ci in active for lit in clauses[ci]
-        ):
+        if v not in eliminated and v not in polarity:
             eliminated[v] = True  # unused variable, value arbitrary
 
-    flipped = set()
-    counts = {}
-    for ci in active:
-        for lit in clauses[ci]:
-            pos, neg = counts.get(abs(lit), (0, 0))
-            counts[abs(lit)] = (pos + (lit > 0), neg + (lit < 0))
-    for v, (pos, neg) in counts.items():
-        total = pos + neg
-        if total > 3:
+    # every variable left occurs with both signs, so a total of at most 3
+    # means the profile (1, 1), (2, 1) or (1, 2); the last one is flipped
+    for v, (pos, neg) in polarity.items():
+        if pos + neg > 3:
             raise SatError(
                 "instance outside (2,3)-SAT fragment: variable %d occurs %d times"
-                % (v, total)
+                % (v, pos + neg)
             )
-        if total == 1:
-            raise SatError(
-                "instance outside (2,3)-SAT fragment: variable %d occurs once "
-                "after elimination" % v
-            )
-        if total == 3 and neg == 2:
-            flipped.add(v)
-        elif (total == 3 and not (pos == 2 and neg == 1) and neg != 2) or (
-            total == 2 and pos != 1
-        ):
-            raise SatError(
-                "instance outside (2,3)-SAT fragment: variable %d has "
-                "polarity profile %r" % (v, (pos, neg))
-            )
+    flipped = {v for v, (pos, neg) in polarity.items() if neg == 2}
 
-    remaining = sorted(counts)
-    var_map = tuple(remaining)
+    remaining = sorted(polarity)
     renumber = {orig: i + 1 for i, orig in enumerate(remaining)}
-    new_clauses = []
-    for ci in active:
-        new_clause = []
-        for lit in clauses[ci]:
-            v = renumber[abs(lit)]
-            positive = lit > 0
-            if abs(lit) in flipped:
-                positive = not positive
-            new_clause.append(v if positive else -v)
-        new_clauses.append(tuple(new_clause))
+
+    def rename(lit):
+        v = renumber[abs(lit)]
+        return v if (lit > 0) != (abs(lit) in flipped) else -v
+
     return SatInstance(
         var_count=len(remaining),
-        clauses=tuple(new_clauses),
-        normalized=True,
+        clauses=tuple(tuple(map(rename, c)) for c in active),
         flipped=frozenset(flipped),
         eliminated=tuple(sorted(eliminated.items())),
-        var_map=var_map,
+        var_map=tuple(remaining),
     )
 
 
@@ -228,14 +209,13 @@ def check_normalized(inst: SatInstance):
             raise SatError("clause %r has size %d" % (clause, len(clause)))
         if len({abs(l) for l in clause}) != len(clause):
             raise SatError("clause %r repeats a variable" % (clause,))
+    counts = _polarity(inst.clauses)
     for v in range(1, inst.var_count + 1):
-        occ = inst.occurrences(v)
-        pos = sum(1 for _, _, s in occ if s)
-        neg = len(occ) - pos
-        if (pos, neg) not in ((2, 1), (1, 1)):
+        profile = counts.get(v, (0, 0))
+        if profile not in ((2, 1), (1, 1)):
             raise SatError(
                 "variable %d has polarity profile %r; instance not normalized"
-                % (v, (pos, neg))
+                % (v, profile)
             )
 
 
@@ -363,10 +343,14 @@ class ReductionOutput:
 
 
 class _Builder:
-    def __init__(self):
+    def __init__(self, ell=0, p=0):
         self.labels = []
         self.squares = []
         self.d_edges = []
+        self.ell = ell  # squares per extension chain
+        self.p = p  # squares per open flower
+        self.flowers = []
+        self.extensions = []
 
     def vertex(self, label) -> int:
         self.labels.append(label)
@@ -388,7 +372,8 @@ class _Builder:
     def edge(self, a, b):
         self.d_edges.append((a, b))
 
-    def open_flower(self, host, p, attach_a, attach_b, flowers):
+    def open_flower(self, host, attach_a, attach_b):
+        p = self.p
         squares = []
         corners = []
         for i in range(p):
@@ -402,30 +387,30 @@ class _Builder:
         self.edge(corners[p - 1][1], corners[0][0])  # closing plain edge
         self.edge(corners[p - 1][3], attach_a)  # the opened hatted edge
         self.edge(corners[0][2], attach_b)
-        flowers.append(Flower(host, p, squares, (attach_a, attach_b)))
+        self.flowers.append(Flower(host, p, squares, (attach_a, attach_b)))
 
-    def chain(self, host, u, v, ell, p, flowers, extensions):
+    def chain(self, host, u, v):
         """Connect u..v through ell pass-through squares, each with its own
         open flower; ell == 0 is a plain edge."""
-        if ell == 0:
+        if self.ell == 0:
             self.edge(u, v)
             return []
         squares = []
         prev = u
-        for i in range(ell):
+        for i in range(self.ell):
             idx, c = self.square("%s.ext%d" % (host, i), solid="12")
             squares.append(idx)
             self.edge(prev, c[3])  # in corner v4
             prev = c[2]  # out corner v3
-            self.open_flower("%s.ext%d" % (host, i), p, c[0], c[1], flowers)
+            self.open_flower("%s.ext%d" % (host, i), c[0], c[1])
         self.edge(prev, v)
-        extensions.append(ExtChain(host, squares))
+        self.extensions.append(ExtChain(host, squares))
         return squares
 
 
 def _six_square_block(b, name, solids):
     """The shared 2x3 block of variable and clause gadgets; returns square
-    ids and corners, with the 6 non-middle connecting edges added."""
+    ids, corners and the middle chain, with all 7 connecting edges added."""
     sq = []
     corners = []
     for j in range(6):
@@ -439,12 +424,49 @@ def _six_square_block(b, name, solids):
     b.edge(q[2][0], q[5][2])  # Q3.v1 - Q6.v3
     b.edge(q[3][1], q[4][3])  # Q4.v2 - Q5.v4
     b.edge(q[4][1], q[5][3])  # Q5.v2 - Q6.v4
-    # middle edge Q2.v1 - Q5.v3 is a chain, added by the caller
-    return sq, corners
+    chain = b.chain(name + ".mid", q[1][0], q[4][2])  # middle edge Q2.v1 - Q5.v3
+    return sq, corners, chain
 
 
 def _chain_bits(chain):
     return {c: 0 for c in chain}
+
+
+@dataclass(frozen=True)
+class _Sizes:
+    """What the construction builds for an instance at a given k, derived
+    from the formula alone."""
+
+    ell: int  # squares per extension chain
+    p: int  # squares per flower
+    m: int  # connecting edges that chains stretch when ell > 0
+    flowers: int  # chain flowers included
+    squares: int
+    candidates: int  # registered k-cycles
+    base_bound: int  # |X| + |Y| + size
+
+
+def _size_model(inst: SatInstance, k: int) -> _Sizes:
+    ell = (k - 8) // 2
+    p = k // 2 + 1
+    n_two, n_three = len(inst.two_clauses()), len(inst.three_clauses())
+    # a chain per variable, clause and literal gadget, and per 3-clause theta_3
+    m = inst.var_count + inst.size + len(inst.clauses) + n_three
+    # three per TF variable and 2-clause, two per TTF variable, one per
+    # literal gadget and one per chain square
+    flowers = 2 * len(inst.ttf_vars()) + 3 * len(inst.tf_vars()) + 3 * n_two + inst.size + ell * m
+    # six per variable or clause block, two per literal gadget, p per flower
+    # and ell per chain
+    squares = 6 * inst.var_count + 6 * len(inst.clauses) + 2 * inst.size + p * flowers + ell * m
+    return _Sizes(
+        ell=ell,
+        p=p,
+        m=m,
+        flowers=flowers,
+        squares=squares,
+        candidates=2 * inst.var_count + 2 * n_two + 3 * n_three + 2 * inst.size,
+        base_bound=inst.var_count + len(inst.clauses) + inst.size,
+    )
 
 
 def build_reduction(inst: SatInstance, k: int = 8, shape: str = CIRCULAR) -> ReductionOutput:
@@ -456,27 +478,20 @@ def build_reduction(inst: SatInstance, k: int = 8, shape: str = CIRCULAR) -> Red
         raise ValueError("shape must be circular or linear")
     if not inst.clauses:
         raise SatError("instance has no clauses after normalization")
-    ell = (k - 8) // 2
-    p = k // 2 + 1
-
-    b = _Builder()
-    flowers = []
-    extensions = []
+    sizes = _size_model(inst, k)
+    b = _Builder(sizes.ell, sizes.p)
 
     var_gadgets = {}
+    ttf = set(inst.ttf_vars())
     for var in range(1, inst.var_count + 1):
-        occ = inst.occurrences(var)
-        kind = "TTF" if len(occ) == 3 else "TF"
+        kind = "TTF" if var in ttf else "TF"
         name = "x%d" % var
         solids = ("14", "12", "14", "12", "14", "12")
-        sq, q = _six_square_block(b, name, solids)
-        chain = b.chain(name + ".mid", q[1][0], q[4][2], ell, p, flowers, extensions)
+        sq, q, chain = _six_square_block(b, name, solids)
         mid = _chain_bits(chain)
         theta_t = {sq[1]: 0, sq[2]: 0, sq[4]: 0, sq[5]: 0, **mid}
         theta_f = {sq[0]: 1, sq[1]: 1, sq[3]: 1, sq[4]: 1, **mid}
-        connectors = {
-            "F": ([q[2][1], q[5][1]], {sq[2]: 1, sq[5]: 1}),
-        }
+        connectors = {"F": ([q[2][1], q[5][1]], {sq[2]: 1, sq[5]: 1})}
         if kind == "TTF":
             connectors["T1"] = ([q[0][2], q[1][2]], {sq[0]: 0, sq[1]: 0})
             connectors["T2"] = ([q[3][0], q[4][0]], {sq[3]: 0, sq[4]: 0})
@@ -489,17 +504,14 @@ def build_reduction(inst: SatInstance, k: int = 8, shape: str = CIRCULAR) -> Red
                 (q[3][0], q[4][0]),
             ]
         for i, (ga, gb) in enumerate(attach_pairs):
-            b.open_flower("%s.f%d" % (name, i), p, ga, gb, flowers)
+            b.open_flower("%s.f%d" % (name, i), ga, gb)
         var_gadgets[var] = VarGadget(
             var=var,
             kind=kind,
             squares=sq,
             theta={"T": theta_t, "F": theta_f},
             connectors=connectors,
-            value_bits={
-                True: {s: 0 for s in sq},
-                False: {s: 1 for s in sq},
-            },
+            value_bits={True: {s: 0 for s in sq}, False: {s: 1 for s in sq}},
         )
 
     clause_gadgets = []
@@ -507,8 +519,7 @@ def build_reduction(inst: SatInstance, k: int = 8, shape: str = CIRCULAR) -> Red
         name = "y%d" % (ci + 1)
         if len(clause) == 2:
             solids = ("12", "14", "12", "14", "12", "14")
-            sq, q = _six_square_block(b, name, solids)
-            chain = b.chain(name + ".mid", q[1][0], q[4][2], ell, p, flowers, extensions)
+            sq, q, chain = _six_square_block(b, name, solids)
             mid = _chain_bits(chain)
             theta = {
                 1: {sq[0]: 0, sq[1]: 0, sq[3]: 0, sq[4]: 0, **mid},
@@ -519,20 +530,16 @@ def build_reduction(inst: SatInstance, k: int = 8, shape: str = CIRCULAR) -> Red
                 2: {sq[4]: 0, sq[5]: 0},
             }
             w_stubs = {1: [q[0][3], q[3][3]], 2: [q[4][0], q[5][0]]}
-            witness_bits = {
-                1: {s: 0 for s in sq},
-                2: {s: 1 for s in sq},
-            }
+            witness_bits = {1: {s: 0 for s in sq}, 2: {s: 1 for s in sq}}
             for i, (ga, gb) in enumerate(
                 [(q[0][2], q[1][2]), (q[2][1], q[5][1]), (q[2][2], q[3][0])]
             ):
-                b.open_flower("%s.f%d" % (name, i), p, ga, gb, flowers)
+                b.open_flower("%s.f%d" % (name, i), ga, gb)
             extra = []
         else:
             solids = ("12", "14", "14", "14", "12", "12")
-            sq, q = _six_square_block(b, name, solids)
-            chain = b.chain(name + ".mid", q[1][0], q[4][2], ell, p, flowers, extensions)
-            extra = b.chain(name + ".t3", q[0][3], q[5][1], ell, p, flowers, extensions)
+            sq, q, chain = _six_square_block(b, name, solids)
+            extra = b.chain(name + ".t3", q[0][3], q[5][1])
             b.edge(q[2][1], q[3][3])  # the second long edge Q3.v2 - Q4.v4
             mid = _chain_bits(chain)
             ext3 = _chain_bits(extra)
@@ -580,8 +587,8 @@ def build_reduction(inst: SatInstance, k: int = 8, shape: str = CIRCULAR) -> Red
             name = "y%d.w%d" % (ci + 1, pos)
             sq1, c1 = b.square(name + ".Q1", solid="14")
             sq2, c2 = b.square(name + ".Q2", solid="14")
-            chain = b.chain(name + ".mid", c1[3], c2[0], ell, p, flowers, extensions)
-            b.open_flower(name + ".f0", p, c1[1], c2[2], flowers)
+            chain = b.chain(name + ".mid", c1[3], c2[0])
+            b.open_flower(name + ".f0", c1[1], c2[2])
             x_stubs = [c1[0], c2[3]]
             y_stubs = [c1[2], c2[1]]
             if lit < 0:
@@ -614,65 +621,37 @@ def build_reduction(inst: SatInstance, k: int = 8, shape: str = CIRCULAR) -> Red
             )
 
     nu = len(b.labels)
-    if shape == LINEAR:
-        for i in range(nu):
-            b.vertex("iso.%d" % i)
-        isolated_count = nu
-    else:
-        isolated_count = 0
-
-    graph = AmbiguousBreakpointGraph(b.labels, b.squares, b.d_edges)
-    m = (
-        inst.var_count
-        + inst.size
-        + len(inst.clauses)
-        + len(inst.three_clauses())
-    )
-    bound = Fraction(inst.var_count + len(inst.clauses) + inst.size)
-    if shape == LINEAR:
-        bound += Fraction(isolated_count, 2)
+    isolated_count = nu if shape == LINEAR else 0
+    for i in range(isolated_count):
+        b.vertex("iso.%d" % i)
     return ReductionOutput(
-        graph=graph,
+        graph=AmbiguousBreakpointGraph(b.labels, b.squares, b.d_edges),
         instance=inst,
         k=k,
         shape=shape,
         var_gadgets=[var_gadgets[v] for v in sorted(var_gadgets)],
         w_gadgets=w_gadgets,
         clause_gadgets=clause_gadgets,
-        flowers=flowers,
-        extensions=extensions,
+        flowers=b.flowers,
+        extensions=b.extensions,
         nu=nu,
         isolated_count=isolated_count,
-        ell=ell,
-        p=p,
-        m=m,
-        bound=bound,
+        ell=sizes.ell,
+        p=sizes.p,
+        m=sizes.m,
+        bound=Fraction(sizes.base_bound) + Fraction(isolated_count, 2),
     )
 
 
 def score_bound(inst: SatInstance, shape: str = CIRCULAR, k: int = 8) -> Fraction:
     """The score reached exactly by the encodings of satisfying assignments:
-    |X| + |Y| + size, plus half the padding vertices for linear shape."""
+    |X| + |Y| + size, plus half the padding vertices (4 per square) for
+    linear shape."""
     check_normalized(inst)
-    bound = Fraction(inst.var_count + len(inst.clauses) + inst.size)
+    sizes = _size_model(inst, k)
+    bound = Fraction(sizes.base_bound)
     if shape == LINEAR:
-        ell = (k - 8) // 2
-        p = k // 2 + 1
-        n_flowers = (
-            2 * len(inst.ttf_vars())
-            + 3 * len(inst.tf_vars())
-            + 3 * len(inst.two_clauses())
-            + inst.size
-        )
-        m = inst.var_count + inst.size + len(inst.clauses) + len(inst.three_clauses())
-        squares = (
-            6 * inst.var_count
-            + 6 * len(inst.clauses)
-            + 2 * inst.size
-            + p * (n_flowers + ell * m)
-            + ell * m
-        )
-        bound += Fraction(4 * squares, 2)
+        bound += 2 * sizes.squares
     return bound
 
 
@@ -863,18 +842,6 @@ def verify_structure(r: ReductionOutput) -> StructureReport:
             "only %d of %d registered cycles realized as candidates"
             % (len(matched), len(registry))
         )
-    expected_candidates = (
-        2 * inst.var_count
-        + 2 * len(inst.two_clauses())
-        + 3 * len(inst.three_clauses())
-        + 2 * inst.size
-    )
-    if len(at_k.candidates) != expected_candidates:
-        violations.append(
-            "candidate count %d != expected %d"
-            % (len(at_k.candidates), expected_candidates)
-        )
-
     if r.shape == CIRCULAR:
         degree_ok = r.graph.degree_sequence_ok()
         if not degree_ok:
@@ -884,20 +851,15 @@ def verify_structure(r: ReductionOutput) -> StructureReport:
         if not degree_ok:
             violations.append("padding does not double the vertex count")
 
-    n_flowers_expected = (
-        2 * len(inst.ttf_vars())
-        + 3 * len(inst.tf_vars())
-        + 3 * len(inst.two_clauses())
-        + inst.size
-        + r.ell * r.m
-    )
+    sizes = _size_model(inst, r.k)
     count_checks = [
         ("variable gadgets", len(r.var_gadgets), inst.var_count),
         ("clause gadgets", len(r.clause_gadgets), len(inst.clauses)),
         ("literal gadgets", len(r.w_gadgets), inst.size),
-        ("flowers", len(r.flowers), n_flowers_expected),
-        ("extension chains", len(r.extensions), r.m if r.ell else 0),
-        ("candidates", len(at_k.candidates), expected_candidates),
+        ("flowers", len(r.flowers), sizes.flowers),
+        ("extension chains", len(r.extensions), sizes.m if sizes.ell else 0),
+        ("squares", r.graph.a_star, sizes.squares),
+        ("candidates", len(at_k.candidates), sizes.candidates),
     ]
     for label, got, expected in count_checks:
         if got != expected:
@@ -907,7 +869,7 @@ def verify_structure(r: ReductionOutput) -> StructureReport:
         shape=r.shape,
         min_cycle_ok=min_cycle_ok,
         candidate_count=len(at_k.candidates),
-        expected_candidates=expected_candidates,
+        expected_candidates=sizes.candidates,
         unmatched_candidates=unmatched,
         degree_ok=degree_ok,
         count_checks=count_checks,
@@ -927,47 +889,36 @@ def extract_genomes(r: ReductionOutput):
     every chromosome is linear."""
     graph = r.graph
     n_sq = graph.a_star
-    if r.shape == CIRCULAR:
-        vertex_ext = {}
-        for i, sq in enumerate(graph.squares):
-            beta = Extremity(i + 1, "h")
-            gamma = Extremity(i + 2 if i + 1 < n_sq else 1, "t")
-            vertex_ext[sq.u] = Extremity(beta.gid, beta.end, "a")
-            vertex_ext[sq.uhat] = Extremity(beta.gid, beta.end, "b")
-            vertex_ext[sq.v] = Extremity(gamma.gid, gamma.end, "a")
-            vertex_ext[sq.vhat] = Extremity(gamma.gid, gamma.end, "b")
+    circular = r.shape == CIRCULAR
+    if not circular and len(graph.isolated) != graph.n_vertices - len(graph.isolated):
+        raise GenomeError("linear extraction needs one padding vertex per graph vertex")
+    vertex_ext = {}
+    for i, sq in enumerate(graph.squares):
+        if circular:
+            beta = (i + 1, "h")
+            gamma = (i + 2 if i + 1 < n_sq else 1, "t")
+        else:
+            beta = (2 * i + 1, "h")
+            gamma = (2 * i + 2, "h")
+        vertex_ext[sq.u] = Extremity(*beta, "a")
+        vertex_ext[sq.uhat] = Extremity(*beta, "b")
+        vertex_ext[sq.v] = Extremity(*gamma, "a")
+        vertex_ext[sq.vhat] = Extremity(*gamma, "b")
+    telos = []
+    if circular:
         s = Genome([Chromosome(CIRCULAR, [Gene(i) for i in range(1, n_sq + 1)])])
-        d_adjs = [(vertex_ext[x], vertex_ext[y]) for x, y in graph.d_edges]
-        d_check = genome_from_adjacencies(d_adjs, [])
     else:
-        if len(graph.isolated) != graph.n_vertices - len(graph.isolated):
-            raise GenomeError(
-                "linear extraction needs one padding vertex per graph vertex"
-            )
-        n_star = 2 * n_sq
-        vertex_ext = {}
-        for i, sq in enumerate(graph.squares):
-            beta = Extremity(2 * i + 1, "h")
-            gamma = Extremity(2 * i + 2, "h")
-            vertex_ext[sq.u] = Extremity(beta.gid, beta.end, "a")
-            vertex_ext[sq.uhat] = Extremity(beta.gid, beta.end, "b")
-            vertex_ext[sq.v] = Extremity(gamma.gid, gamma.end, "a")
-            vertex_ext[sq.vhat] = Extremity(gamma.gid, gamma.end, "b")
-        telos = []
         for j, v in enumerate(graph.isolated):
-            gid = j // 2 + 1
-            copy = "a" if j % 2 == 0 else "b"
-            vertex_ext[v] = Extremity(gid, "t", copy)
+            vertex_ext[v] = Extremity(j // 2 + 1, "t", "a" if j % 2 == 0 else "b")
             telos.append(vertex_ext[v])
-        chroms = [
+        s = Genome([
             Chromosome(LINEAR, [Gene(2 * i + 1), Gene(2 * i + 2, rev=True)])
             for i in range(n_sq)
-        ]
-        s = Genome(chroms)
-        d_adjs = [(vertex_ext[x], vertex_ext[y]) for x, y in graph.d_edges]
-        d_check = genome_from_adjacencies(d_adjs, telos)
-        if len(s.identities) != n_star:
+        ])
+        if len(s.identities) != 2 * n_sq:
             raise RuntimeError(
-                "linear extraction built %d genes, not %d" % (len(s.identities), n_star)
+                "linear extraction built %d genes, not %d" % (len(s.identities), 2 * n_sq)
             )
+    d_adjs = [(vertex_ext[x], vertex_ext[y]) for x, y in graph.d_edges]
+    d_check = genome_from_adjacencies(d_adjs, telos)
     return s, d_check.erase_indices(), d_check

@@ -45,7 +45,7 @@ def random_normalized_instance(n_vars: int, seed: int) -> SatInstance:
         if not ok or pool:
             continue
         rng.shuffle(clauses)
-        inst = SatInstance(n_vars, tuple(clauses), normalized=True)
+        inst = SatInstance(n_vars, tuple(clauses))
         try:
             check_normalized(inst)
         except Exception:
@@ -58,16 +58,10 @@ def unsat_instances():
     """Handcrafted unsatisfiable normalized instances."""
     # Clauses 1-2 force x1 true, clause 3 then needs x3 false, but
     # clauses 4-5 force x3 true.
-    a = SatInstance(
-        4,
-        ((1, 2), (1, -2), (-1, -3), (3, 4), (3, -4)),
-        normalized=True,
-    )
+    a = SatInstance(4, ((1, 2), (1, -2), (-1, -3), (3, 4), (3, -4)))
     # Same idea through a 3-clause: x1 true needs x3 or x4 false, both forced true.
     b = SatInstance(
-        6,
-        ((1, 2), (1, -2), (-1, -3, -4), (3, 5), (3, -5), (4, 6), (4, -6)),
-        normalized=True,
+        6, ((1, 2), (1, -2), (-1, -3, -4), (3, 5), (3, -5), (4, 6), (4, -6))
     )
     for inst in (a, b):
         check_normalized(inst)

@@ -47,6 +47,15 @@ def test_dist_golden(files, capsys):
     assert capsys.readouterr().out == "2\n"
 
 
+def test_dist_bfs_refuses_finite_k(files, capsys):
+    # the BFS oracle computes the DCJ distance; --k 2 with it used to print 2
+    assert run(["dist", "--k", "2", "--engine", "bfs", files["a.genome"], files["b.genome"]]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "k=inf" in err and "k=2" in err
+    assert run(["dist", "--k", "inf", "--engine", "bfs", files["a.genome"], files["b.genome"]]) == 0
+    assert capsys.readouterr().out == "2\n"
+
+
 def test_dd_golden(files, capsys):
     assert run(["dd", "--k", "8", "--engine", "naive", files["S.genome"], files["D.genome"]]) == 0
     assert capsys.readouterr().out == "3\ntau 01\n"
@@ -122,6 +131,20 @@ def test_reduce_linear_with_assignment(files, capsys):
          "--assignment", "T,T,F,T"]
     ) == 0
     assert capsys.readouterr().out == "492\n"
+
+
+def test_reduce_assignment_names_the_formula_variables(tmp_path, capsys):
+    # normalization flips variable 1 (neg-neg-pos); F,F,F satisfies the
+    # formula as written, so its encoding reaches the bound
+    cnf = tmp_path / "flip.cnf"
+    cnf.write_text("p cnf 3 3\n-1 2 0\n-1 3 0\n1 -2 -3 0\n")
+    out_dir = tmp_path / "bundle"
+    assert run(["reduce", str(cnf), "--assignment", "F,F,F", "--out", str(out_dir)]) == 0
+    assert capsys.readouterr().out == "13\n"
+    meta = json.loads((out_dir / "meta.json").read_text())
+    assert meta["bound"] == meta["assignment_score"] == "13"
+    assert run(["reduce", str(cnf), "--assignment", "F,F"]) == 1
+    assert capsys.readouterr().err == "error: assignment incomplete: missing variables [3]\n"
 
 
 def test_verify_flower_golden(capsys):

@@ -1,5 +1,7 @@
+import collections
 import dataclasses
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -59,6 +61,12 @@ def test_parse_cnf_errors():
         parse_cnf("p cnf 2 2\n1 2 0\n")
     with pytest.raises(SatError):
         parse_cnf("p cnf 2 1\n1 2\n")
+    with pytest.raises(SatError, match=r"^line 1: bad problem header 'p cnf x 1'$"):
+        parse_cnf("p cnf x 1\n1 0\n")
+    with pytest.raises(SatError, match=r"^line 2: bad problem header 'p cnf -2 0'$"):
+        parse_cnf("c negative variable count\np cnf -2 0\n")
+    with pytest.raises(SatError, match=r"^line 1: bad problem header 'p cnf 2 -1'$"):
+        parse_cnf("p cnf 2 -1\n")
 
 
 def test_normalize_polarity_flip():
@@ -98,6 +106,157 @@ def test_normalize_rejects_bad_instances():
         normalize(
             parse_cnf("p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n")
         )  # four occurrences
+
+
+def _reference_normalize(inst):
+    """`normalize` as it was before it shared the polarity count, kept
+    verbatim (less the removed `normalized` field) as the reference."""
+    clauses = [tuple(c) for c in inst.clauses]
+    for c in clauses:
+        seen = set()
+        for lit in c:
+            if abs(lit) in seen:
+                raise SatError(
+                    "clause %r has duplicate or contradictory literals" % (c,)
+                )
+            seen.add(abs(lit))
+        if len(c) not in (2, 3):
+            raise SatError("clause %r has size %d, need 2 or 3" % (c, len(c)))
+
+    eliminated = {}
+    active = list(range(len(clauses)))
+    while True:
+        polarity = {}
+        for ci in active:
+            for lit in clauses[ci]:
+                pos, neg = polarity.get(abs(lit), (0, 0))
+                if lit > 0:
+                    polarity[abs(lit)] = (pos + 1, neg)
+                else:
+                    polarity[abs(lit)] = (pos, neg + 1)
+        pure = {
+            v: pos > 0
+            for v, (pos, neg) in polarity.items()
+            if pos == 0 or neg == 0
+        }
+        if not pure:
+            break
+        eliminated.update(pure)
+        active = [
+            ci
+            for ci in active
+            if not any(abs(lit) in pure for lit in clauses[ci])
+        ]
+    for v in range(1, inst.var_count + 1):
+        if v not in eliminated and not any(
+            abs(lit) == v for ci in active for lit in clauses[ci]
+        ):
+            eliminated[v] = True  # unused variable, value arbitrary
+
+    flipped = set()
+    counts = {}
+    for ci in active:
+        for lit in clauses[ci]:
+            pos, neg = counts.get(abs(lit), (0, 0))
+            counts[abs(lit)] = (pos + (lit > 0), neg + (lit < 0))
+    for v, (pos, neg) in counts.items():
+        total = pos + neg
+        if total > 3:
+            raise SatError(
+                "instance outside (2,3)-SAT fragment: variable %d occurs %d times"
+                % (v, total)
+            )
+        if total == 1:
+            raise SatError(
+                "instance outside (2,3)-SAT fragment: variable %d occurs once "
+                "after elimination" % v
+            )
+        if total == 3 and neg == 2:
+            flipped.add(v)
+        elif (total == 3 and not (pos == 2 and neg == 1) and neg != 2) or (
+            total == 2 and pos != 1
+        ):
+            raise SatError(
+                "instance outside (2,3)-SAT fragment: variable %d has "
+                "polarity profile %r" % (v, (pos, neg))
+            )
+
+    remaining = sorted(counts)
+    var_map = tuple(remaining)
+    renumber = {orig: i + 1 for i, orig in enumerate(remaining)}
+    new_clauses = []
+    for ci in active:
+        new_clause = []
+        for lit in clauses[ci]:
+            v = renumber[abs(lit)]
+            positive = lit > 0
+            if abs(lit) in flipped:
+                positive = not positive
+            new_clause.append(v if positive else -v)
+        new_clauses.append(tuple(new_clause))
+    return SatInstance(
+        var_count=len(remaining),
+        clauses=tuple(new_clauses),
+        flipped=frozenset(flipped),
+        eliminated=tuple(sorted(eliminated.items())),
+        var_map=var_map,
+    )
+
+
+# sign profiles per variable: normalized ones, pure ones, unused, too many
+_PROFILES = ((1, 1), (1, 1), (2, 1), (1, 2), (2, 1), (1, 2), (1, 0), (0, 2), (2, 2), (3, 1), (0, 0))
+
+
+def _random_formula(rng):
+    """A small formula, often outside the fragment: clause sizes 1-4,
+    repeated and contradictory literals, variables occurring > 3 times."""
+    n_vars = rng.randint(1, 6)
+    sizes = (1, 2, 3, 4) if rng.random() < 0.2 else (2, 3)
+    if rng.random() < 0.5:
+        lits = [rng.choice((1, -1)) * rng.randint(1, n_vars) for _ in range(rng.randint(0, 20))]
+    else:
+        lits = []
+        for v in range(1, n_vars + 1):
+            pos, neg = rng.choice(_PROFILES)
+            lits += [v] * pos + [-v] * neg
+        rng.shuffle(lits)
+    clauses = []
+    while len(lits) > 1 or (lits and rng.random() < 0.2):
+        size = rng.choice(sizes)
+        if rng.random() < 0.9:  # distinct variables where the literals allow
+            take = []
+            for i, lit in enumerate(lits):
+                if len(take) < size and all(abs(lit) != abs(lits[j]) for j in take):
+                    take.append(i)
+        else:
+            take = range(min(size, len(lits)))
+        clauses.append(tuple(lits[i] for i in take))
+        lits = [lit for i, lit in enumerate(lits) if i not in take]
+    return SatInstance(n_vars, tuple(clauses))
+
+
+def _outcome(fn, inst):
+    try:
+        return fn(inst)
+    except SatError as exc:
+        return str(exc)
+
+
+def test_normalize_matches_reference():
+    rng = random.Random(20261018)
+    seen = collections.Counter()
+    for _ in range(20000):
+        inst = _random_formula(rng)
+        got = _outcome(normalize, inst)
+        assert got == _outcome(_reference_normalize, inst), inst
+        if isinstance(got, str):
+            seen[got.split(" ")[-1]] += 1  # "literals", "3" (size) or "times"
+        else:
+            check_normalized(got)
+            assert got.ttf_vars() == [v for v in range(1, got.var_count + 1)
+                                      if len(got.occurrences(v)) == 3]
+            seen["flipped" if got.flipped else "kept" if got.clauses else "emptied"] += 1
+    assert min(seen[kind] for kind in ("literals", "3", "times", "flipped", "kept", "emptied")) > 500, seen
 
 
 def test_sat_brute_examples():
@@ -222,6 +381,11 @@ def test_verify_structure_reports_short_candidates():
     below = enumerate_candidates(r.graph, 8)
     assert len(below) == 41 and not rep.min_cycle_ok
     assert "found 41 components shorter than k" in rep.violations
+    # each fact once: no repeated string, and the candidate count only as
+    # its count check
+    assert len(set(rep.violations)) == len(rep.violations), rep.violations
+    assert "candidates: 553 != 41" in rep.violations
+    assert not [v for v in rep.violations if v.startswith("candidate count")]
 
 
 def test_gadget_local_conflicts():
