@@ -62,50 +62,118 @@ def walk_components(pa, pb):
     return cycles, paths
 
 
-def sigma2x_from_lengths(cycles, paths, kcap):
-    """Doubled sigma value; kcap is the even cycle-length cap or -1 for unbounded."""
-    total = 0
-    if kcap < 0:
-        for c in cycles:
-            total += 2
-        for p in paths:
-            if p % 2 == 0:
-                total += 1
-    else:
-        for c in cycles:
-            if c <= kcap:
-                total += 2
-        pcap = kcap - 2
-        for p in paths:
-            if p % 2 == 0 and p <= pcap:
-                total += 1
-    return total
-
-
 def best_resolution(sq_id, e_part, t_part, d_part, a_star, kcap, node_budget):
     """Exhaustively maximize doubled sigma over all 2^a_star resolutions.
 
     Returns (best_doubled_sigma, best_tau_int, explored) where bit i of
     best_tau_int is square i's choice.  Ties keep the lowest tau integer.
     explored < 2^a_star signals the node budget ran out.
+
+    A depth-first search decides square a_star - 1 first and square 0 last,
+    bit 0 before bit 1, so it reaches the resolutions in ascending tau order.
+    It keeps the path segments of the edges placed so far: at each segment
+    end, the other end and the segment's length.  A square edge x-y either
+    closes x's segment into a cycle or joins two segments into one path,
+    which is scored once both its ends are final (have no square edge left
+    to place).  Every change is undone on backtrack.
     """
     n = len(sq_id)
-    total = 1 << a_star
+    ccap = n if kcap < 0 else kcap  # no component has more than n edges
+    pcap = n if kcap < 0 else kcap - 2
+    other = list(range(n))  # at a segment end: the segment's other end
+    size = [0] * n  # at a segment end: the segment's length
+    final = bytearray(n)
+    base = 0  # the score of the paths that hold no square vertex
+    verts = [[] for _ in range(a_star)]
+    for v in range(n):
+        w = d_part[v]
+        if w >= 0:
+            other[v] = w
+            size[v] = 1
+        if sq_id[v] >= 0:
+            verts[sq_id[v]].append(v)
+        else:
+            final[v] = 1
+            if w < 0:
+                base += 1  # a lone vertex, an even path of length 0 <= k - 2
+    plans = []  # plans[s][bit]: the two edges (x1, y1, x2, y2) square s places
+    for vs in verts:
+        x1 = vs[0]
+        plan = []
+        for part in (e_part, t_part):
+            y1 = part[x1]
+            x2 = next(v for v in vs if v != x1 and v != y1)
+            plan.append((x1, y1, x2, part[x2]))
+        plans.append(plan)
     best = -1
     best_tau = 0
-    pa = [-1] * n
-    square_verts = [v for v in range(n) if sq_id[v] >= 0]
     explored = 0
-    for tau in range(total):
-        if explored >= node_budget:
-            break
-        explored += 1
-        for v in square_verts:
-            pa[v] = t_part[v] if (tau >> sq_id[v]) & 1 else e_part[v]
-        score = sigma2x_from_lengths(*walk_components(pa, d_part), kcap)
-        if score > best:
-            best = score
-            best_tau = tau
+
+    def visit(s, tau, score):
+        """Try both bits of square s below the choices in tau; False stops."""
+        nonlocal best, best_tau, explored
+        for bit in (0, 1):
+            x1, y1, x2, y2 = plans[s][bit]
+            gain = 0
+            final[x1] = final[y1] = 1
+            a1 = other[x1]
+            if a1 == y1:
+                if size[x1] < ccap:
+                    gain = 2
+            else:
+                b1 = other[y1]
+                la1 = size[a1]
+                lb1 = size[b1]
+                length = la1 + lb1 + 1
+                other[a1] = b1
+                other[b1] = a1
+                size[a1] = size[b1] = length
+                if final[a1] and final[b1] and not length & 1 and length <= pcap:
+                    gain = 1
+            final[x2] = final[y2] = 1
+            a2 = other[x2]
+            if a2 == y2:
+                if size[x2] < ccap:
+                    gain += 2
+            else:
+                b2 = other[y2]
+                la2 = size[a2]
+                lb2 = size[b2]
+                length = la2 + lb2 + 1
+                other[a2] = b2
+                other[b2] = a2
+                size[a2] = size[b2] = length
+                if final[a2] and final[b2] and not length & 1 and length <= pcap:
+                    gain += 1
+            if s:
+                go = visit(s - 1, tau | bit << s, score + gain)
+            else:
+                explored += 1
+                if score + gain > best:
+                    best = score + gain
+                    best_tau = tau | bit
+                go = explored < node_budget
+            # undo the second edge, then the first
+            final[x1] = final[y1] = final[x2] = final[y2] = 0
+            if a2 != y2:
+                other[a2] = x2
+                size[a2] = la2
+                other[b2] = y2
+                size[b2] = lb2
+            if a1 != y1:
+                other[a1] = x1
+                size[a1] = la1
+                other[b1] = y1
+                size[b1] = lb1
+            if not go:
+                return False
+        return True
+
+    if node_budget > 0:
+        if a_star:
+            visit(a_star - 1, 0, base)
+        else:
+            best, explored = base, 1
     return best, best_tau, explored
 
 

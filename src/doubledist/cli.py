@@ -231,7 +231,12 @@ def _cmd_reduce(args) -> int:
         },
     }
     if args.assignment:
-        values = inst.normalized_assignment(_parse_assignment(args.assignment))
+        given = _parse_assignment(args.assignment)
+        own = len(inst.var_map) + len(inst.eliminated)  # the header's variable count
+        if len(given) > own:
+            raise SatError("assignment has %d values, the formula has %d variables"
+                           % (len(given), own))
+        values = inst.normalized_assignment(given)
         tau = assignment_to_solution(r, Assignment(values))
         meta["assignment_score"] = fmt_half(score(r.graph, tau, args.k))
     if args.out:

@@ -147,6 +147,24 @@ def test_reduce_assignment_names_the_formula_variables(tmp_path, capsys):
     assert capsys.readouterr().err == "error: assignment incomplete: missing variables [3]\n"
 
 
+def test_reduce_refuses_extra_assignment_values(tmp_path, capsys):
+    cnf = tmp_path / "flip.cnf"
+    cnf.write_text("p cnf 3 3\n-1 2 0\n-1 3 0\n1 -2 -3 0\n")
+    assert run(["reduce", str(cnf), "--assignment", "F,F,F,T,T,T,T,T,T,T"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: assignment has 10 values, the formula has 3 variables\n"
+    # variables 4 and 5 occur in no clause: normalization eliminates them,
+    # but they are still the formula's own, so a 5-value list scores
+    cnf.write_text("p cnf 5 3\n-1 2 0\n-1 3 0\n1 -2 -3 0\n")
+    out_dir = tmp_path / "bundle"
+    assert run(["reduce", str(cnf), "--assignment", "F,F,F,T,F", "--out", str(out_dir)]) == 0
+    assert capsys.readouterr().out == "13\n"
+    assert json.loads((out_dir / "meta.json").read_text())["assignment_score"] == "13"
+    assert run(["reduce", str(cnf), "--assignment", "F,F,F,T,F,T"]) == 1
+    assert capsys.readouterr().err == "error: assignment has 6 values, the formula has 5 variables\n"
+
+
 def test_verify_flower_golden(capsys):
     assert run(["verify", "flower", "--p", "5"]) == 0
     assert capsys.readouterr().out == "flower p=5 resolutions=32 violations=0\n"

@@ -1,15 +1,18 @@
 """Reference tests for the kernels: each kernel against its definition,
 computed here by brute force over every resolution, and the pruned cycle
-search against the unpruned one it replaced."""
+search and the incremental sweep against the slower code they replaced."""
 
 import random
 from fractions import Fraction
 
+import pytest
+
 from doubledist._kernels import py as pure
 from doubledist.abg import build_abg, enumerate_candidates, score
-from doubledist.bpgraph import INFINITY
+from doubledist.bpgraph import INFINITY, BudgetExceeded
 from doubledist.genomes import random_cognate_pair, singularize
 from doubledist.reduction import build_closed_flower, build_reduction, normalize, parse_cnf
+from doubledist.solver import ss_naive
 
 
 def graphs():
@@ -209,3 +212,85 @@ def test_pruned_cycles_match_unpruned_on_reductions():
     for k in (8, 10, 12):
         assert _same_cycles(build_reduction(inst, k=k).graph, k) > 0
     assert _same_cycles(build_reduction(inst, k=8, shape="linear").graph, 8) > 0
+
+
+def _sigma2x_from_lengths(cycles, paths, kcap):
+    """Doubled sigma value; kcap is the even cycle-length cap or -1 for unbounded."""
+    total = 0
+    if kcap < 0:
+        for c in cycles:
+            total += 2
+        for p in paths:
+            if p % 2 == 0:
+                total += 1
+    else:
+        for c in cycles:
+            if c <= kcap:
+                total += 2
+        pcap = kcap - 2
+        for p in paths:
+            if p % 2 == 0 and p <= pcap:
+                total += 1
+    return total
+
+
+def _sweep_by_walk(sq_id, e_part, t_part, d_part, a_star, kcap, node_budget):
+    """The sweep before the depth-first search, kept verbatim as the
+    reference: it rewrites every square partner and walks the whole graph
+    once per resolution."""
+    n = len(sq_id)
+    total = 1 << a_star
+    best = -1
+    best_tau = 0
+    pa = [-1] * n
+    square_verts = [v for v in range(n) if sq_id[v] >= 0]
+    explored = 0
+    for tau in range(total):
+        if explored >= node_budget:
+            break
+        explored += 1
+        for v in square_verts:
+            pa[v] = t_part[v] if (tau >> sq_id[v]) & 1 else e_part[v]
+        score = _sigma2x_from_lengths(*pure.walk_components(pa, d_part), kcap)
+        if score > best:
+            best = score
+            best_tau = tau
+    return best, best_tau, explored
+
+
+def sweep_graphs():
+    """Seeded WGD pairs with a* <= 12 and ops 0..2n, then closed flowers."""
+    rng = random.Random(9)
+    out = []
+    for seed in range(48):
+        n = rng.randint(1, 12)
+        s, d = random_cognate_pair(n, True, rng.randint(0, 2 * n), seed)
+        out.append(build_abg(s, singularize(d)))
+    return out + [build_closed_flower(p) for p in range(2, 9)]
+
+
+def test_sweep_matches_sweep_by_walk():
+    rng = random.Random(11)
+    graphs = sweep_graphs()
+    # the pairs cover linear and circular genomes, odd paths and lone vertices
+    assert any(min(g.sq_id) < 0 for g in graphs) and any(min(g.sq_id) >= 0 for g in graphs)
+    paths = [p for g in graphs
+             for p in pure.walk_components(_resolution(g, [0] * g.a_star), g.d_part)[1]]
+    assert 0 in paths and any(p % 2 for p in paths)
+    assert max(g.a_star for g in graphs) == 12
+    for g in graphs:
+        total = 1 << g.a_star
+        for kcap in (2, 4, 6, 8, 10, 12, -1):
+            for budget in (0, 1, rng.randint(0, total), total - 1, total):
+                args = (g.sq_id, g.e_part, g.t_part, g.d_part, g.a_star, kcap, budget)
+                want = _sweep_by_walk(*args)
+                assert pure.best_resolution(*args) == want, (g.a_star, kcap, budget)
+
+
+def test_naive_budget_counts_complete_resolutions():
+    for g in (build_closed_flower(5), max(sweep_graphs(), key=lambda g: g.a_star)):
+        total = 1 << g.a_star
+        for k in (8, INFINITY):
+            with pytest.raises(BudgetExceeded):
+                ss_naive(g, k, budget_nodes=total - 1)
+            assert ss_naive(g, k, budget_nodes=total).stats.nodes == total
