@@ -146,11 +146,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="seeded random genomes")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--linear", type=int, default=1)
-    p.add_argument("--circular", type=int, default=0)
+    p.add_argument("--linear", type=int, default=None,
+                   help="linear chromosome count of a single genome (default 1)")
+    p.add_argument("--circular", type=int, default=None,
+                   help="circular chromosome count of a single genome (default 0)")
     p.add_argument("--pair", action="store_true", help="emit a cognate pair")
-    p.add_argument("--wgd", action="store_true", help="pair via doubling")
-    p.add_argument("--ops", type=int, default=0, help="scrambling DCJ count")
+    p.add_argument("--wgd", action="store_true", help="pair via doubling (needs --pair)")
+    p.add_argument("--ops", type=int, default=0, help="scrambling DCJ count (needs --pair)")
 
     p = sub.add_parser("export-dot", help="DOT of a breakpoint graph or ABG")
     p.add_argument("--out", default=None)
@@ -282,13 +284,24 @@ def _cmd_verify(args) -> int:
 
 def _cmd_gen(args) -> int:
     if args.pair:
+        for name in ("linear", "circular"):
+            if getattr(args, name) is not None:
+                raise ValueError(
+                    "--%s sets a single genome's chromosomes; --pair draws its own" % name
+                )
         s, d = random_cognate_pair(args.n, args.wgd, args.ops, args.seed)
         print("# S")
         print(format_genome(s))
         print("# D")
         print(format_genome(d))
     else:
-        g = random_genome(args.n, args.linear, args.circular, args.seed)
+        if args.wgd:
+            raise ValueError("--wgd needs --pair")
+        if args.ops:
+            raise ValueError("--ops needs --pair")
+        linear = 1 if args.linear is None else args.linear
+        circular = 0 if args.circular is None else args.circular
+        g = random_genome(args.n, linear, circular, args.seed)
         print(format_genome(g))
     return 0
 

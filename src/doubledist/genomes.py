@@ -9,6 +9,7 @@ rotations and reverse complements), so equality and hashing are structural.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from functools import cached_property
@@ -493,7 +494,15 @@ def genome_from_adjacencies(adjs, telos) -> Genome:
         for end in (HEAD, TAIL):
             if (gid, end, copy) not in partner and (gid, end, copy) not in telomeres:
                 raise GenomeError("extremity %s missing" % (Extremity(gid, end, copy),))
+    return Genome(
+        Chromosome(shape, genes) for shape, genes in _trace(partner, telomeres, identities)
+    )
 
+
+def _trace(partner, telomeres, identities):
+    """The chromosomes that the extremity map ``partner`` links: a linear
+    one from each telomere not yet reached, least first, then a circular
+    one from the tail of each (gid, copy) left.  Each is (shape, genes)."""
     used = set()
 
     def walk(start):
@@ -511,12 +520,12 @@ def genome_from_adjacencies(adjs, telos) -> Genome:
 
     chroms = []
     for t in sorted(telomeres):
-        if (t.gid, t.copy) not in used:
-            chroms.append(Chromosome(LINEAR, walk(t)))
+        if (t[0], t[2]) not in used:
+            chroms.append((LINEAR, walk(t)))
     for gid, copy in sorted(identities - used):
         if (gid, copy) not in used:
-            chroms.append(Chromosome(CIRCULAR, walk((gid, TAIL, copy))))
-    return Genome(chroms)
+            chroms.append((CIRCULAR, walk((gid, TAIL, copy))))
+    return chroms
 
 
 def enumerate_resolved_doublings(s: Genome):
@@ -677,45 +686,107 @@ def _nth_move(elems, adjs, r):
     """Move r of the list that holds every pair (elems[i], elems[j]), i < j,
     in row-major order, then every split (("adjacency", a), None) of an
     adjacency a, without building that list."""
-    last = len(elems) - 1  # row i holds the last - i pairs (elems[i], elems[j > i])
-    i = 0
-    while i < last and r >= last - i:
-        r -= last - i
-        i += 1
-    if i < last:
-        return elems[i], elems[i + 1 + r]
-    return ("adjacency", adjs[r]), None  # split into two telomeres
+    m = len(elems)
+    pairs = m * (m - 1) // 2
+    if r >= pairs:
+        return ("adjacency", adjs[r - pairs]), None  # split into two telomeres
+    # Read from the end of the list, the rows hold 1, 2, 3, ... pairs, so
+    # the pair q places before the end lies in the row with j + 1 pairs,
+    # for the largest j with j(j + 1)/2 <= q.
+    q = pairs - 1 - r
+    i = m - 2 - (math.isqrt(8 * q + 1) - 1) // 2
+    row_start = i * (m - 1) - i * (i - 1) // 2
+    return elems[i], elems[i + 1 + r - row_start]
 
 
-def _random_dcj(g: Genome, rng: random.Random) -> Genome:
-    work = g if g.is_identity_singular() else singularize(g)
-    adjs = sorted(work.adjacencies)
-    telos = sorted(work.telomeres)
+def _dcj_step(chroms, rng):
+    """One random DCJ on a genome held as its sorted list of (shape,
+    canonical genes) pairs, drawn exactly as on its singularized Genome:
+    copies labeled a/b in canonical order, the move drawn from the sorted
+    adjacencies and telomeres.  Only the chromosomes that own a cut
+    extremity are walked again; the others keep their tuples."""
+    owner = {"a": {}, "b": {}}  # copy -> gid -> index of its chromosome
+    owner_a, owner_b = owner["a"], owner["b"]
+    links = []  # each chromosome's labeled adjacencies and telomeres
+    adjs, telos = [], []
+    for i, (shape, genes) in enumerate(chroms):
+        row = []  # the labeled extremities in reading order
+        for gid, _, rev in genes:
+            if gid in owner_a:
+                owner_b[gid] = i
+                copy = "b"
+            else:
+                owner_a[gid] = i
+                copy = "a"
+            if rev:
+                row += (gid, HEAD, copy), (gid, TAIL, copy)
+            else:
+                row += (gid, TAIL, copy), (gid, HEAD, copy)
+        if shape == LINEAR:
+            tips, inner = (row[0], row[-1]), iter(row[1:-1])
+        else:
+            tips, inner = (), iter(row[1:] + row[:1])
+        pairs = [(x, y) if x <= y else (y, x) for x, y in zip(inner, inner)]
+        links.append((pairs, tips))
+        adjs += pairs
+        telos += tips
+    adjs.sort()
+    telos.sort()
     elems = [("adjacency", a) for a in adjs] + [("telomere", t) for t in telos]
     m = len(elems)
     n_moves = m * (m - 1) // 2 + len(adjs)
     if not n_moves:
-        return g
+        return chroms
     first, second = _nth_move(elems, adjs, rng.randrange(n_moves))
-    aset = set(adjs)
-    tset = set(telos)
     kind1, v1 = first
-    (aset if kind1 == "adjacency" else tset).discard(v1)
     ends = list(v1) if kind1 == "adjacency" else [v1]
+    new_adjs, new_telos = [], []
     if second is not None:
         kind2, v2 = second
-        (aset if kind2 == "adjacency" else tset).discard(v2)
         ends += list(v2) if kind2 == "adjacency" else [v2]
         rng.shuffle(ends)
+        cut = list(ends)
         while ends:
             if len(ends) >= 2 and rng.random() < 0.8:
-                aset.add(adjacency(ends.pop(), ends.pop()))
+                new_adjs.append((ends.pop(), ends.pop()))
             else:
-                tset.add(ends.pop())
+                new_telos.append(ends.pop())
     else:
-        tset.update(ends)
-    res = genome_from_adjacencies(aset, tset)
-    return res if g.is_identity_singular() else res.erase_indices()
+        cut = ends
+        new_telos = ends
+
+    hit = {owner[copy][gid] for gid, _, copy in cut}
+    partner, telomeres = {}, set()
+    for i in hit:
+        pairs, tips = links[i]
+        for x, y in pairs:
+            partner[x] = y
+            partner[y] = x
+        telomeres.update(tips)
+    for e in cut:
+        partner.pop(e, None)
+        telomeres.discard(e)
+    for x, y in new_adjs:
+        partner[x] = y
+        partner[y] = x
+    telomeres.update(new_telos)
+    identities = {(gid, copy) for gid, _, copy in chain(partner, telomeres)}
+
+    rebuilt = [
+        (shape, _canonical_genes(shape, tuple(map(Gene.erased, genes))))
+        for shape, genes in _trace(partner, telomeres, identities)
+    ]
+    replaced = [chroms[i] for i in hit]
+    if _gene_ids(rebuilt) != _gene_ids(replaced):
+        raise RuntimeError(
+            "a DCJ rebuilt chromosomes with other genes than the ones it cut"
+        )
+    kept = [ch for i, ch in enumerate(chroms) if i not in hit]
+    return sorted(kept + rebuilt)
+
+
+def _gene_ids(chroms):
+    return Counter(g.gid for _, genes in chroms for g in genes)
 
 
 def random_cognate_pair(n: int, wgd: bool, ops: int, seed):
@@ -748,6 +819,9 @@ def random_cognate_pair(n: int, wgd: bool, ops: int, seed):
         d = genome_from_adjacencies(adjs, telos).erase_indices()
     else:
         d = s
+    chroms = [(ch.shape, ch.genes) for ch in d.chromosomes]
     for _ in range(ops):
-        d = _random_dcj(d, rng)
-    return s, d
+        chroms = _dcj_step(chroms, rng)
+    if Counter(map(_IDENTITY, chain.from_iterable(g for _, g in chroms))) != d.identities:
+        raise RuntimeError("scrambling D changed its gene content")
+    return s, Genome(Chromosome(shape, genes) for shape, genes in chroms)

@@ -210,6 +210,25 @@ def test_gen_rejects_negative_counts(capsys):
     )
 
 
+def test_gen_refuses_options_it_would_ignore(capsys):
+    for argv, option in (
+        (["--wgd"], "--wgd"),
+        (["--ops", "3"], "--ops"),
+        (["--wgd", "--ops", "3"], "--wgd"),
+        (["--pair", "--circular", "3"], "--circular"),
+        (["--pair", "--linear", "1"], "--linear"),
+        (["--pair", "--wgd", "--ops", "2", "--linear", "0", "--circular", "2"], "--linear"),
+    ):
+        assert run(["gen", "--n", "4"] + argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: %s " % option), (argv, err)
+    # the defaults stay accepted: --ops 0 alone, one linear chromosome
+    assert run(["gen", "--n", "4", "--seed", "2", "--ops", "0"]) == 0
+    assert run(["gen", "--n", "4", "--seed", "2", "--linear", "1", "--circular", "0"]) == 0
+    out = capsys.readouterr().out.split("\n")
+    assert out[0] == out[1] and parse_genome(out[0]).chi == 1
+
+
 def test_export_dot_pair(files, capsys):
     assert run(["export-dot", files["a.genome"], files["b.genome"]]) == 0
     out = capsys.readouterr().out

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from doubledist.genomes import (
     CIRCULAR,
     LINEAR,
     Chromosome,
+    Extremity,
     Gene,
     Genome,
     GenomeError,
@@ -474,6 +476,150 @@ def test_nth_move_matches_the_move_list():
             moves += [(("adjacency", a), None) for a in adjs]
             for r, move in enumerate(moves):
                 assert genomes_module._nth_move(elems, adjs, r) == move, (m, n_adjs, r)
+
+
+def _nth_move_loop(elems, adjs, r):
+    """The row loop _nth_move ran before it found the row with isqrt."""
+    last = len(elems) - 1  # row i holds the last - i pairs (elems[i], elems[j > i])
+    i = 0
+    while i < last and r >= last - i:
+        r -= last - i
+        i += 1
+    if i < last:
+        return elems[i], elems[i + 1 + r]
+    return ("adjacency", adjs[r]), None  # split into two telomeres
+
+
+def test_nth_move_unranks_like_the_row_loop():
+    rng = random.Random(5000)
+    checked = 0
+    for trial in range(10000):
+        m = rng.randint(0, 5000)
+        elems, adjs = range(m), range(rng.randint(0, m))
+        pairs = m * (m - 1) // 2
+        n_moves = pairs + len(adjs)
+        if not n_moves:
+            continue
+        draws = [rng.randrange(n_moves)]
+        if trial % 10 == 0:  # the first and last pair, the first and last split
+            draws += [r for r in (0, pairs - 1, pairs, n_moves - 1) if 0 <= r < n_moves]
+        for r in draws:
+            assert genomes_module._nth_move(elems, adjs, r) == _nth_move_loop(elems, adjs, r), (m, r)
+            checked += 1
+    assert checked > 10000
+
+
+def _random_dcj(g: Genome, rng: random.Random) -> Genome:
+    """The generator's DCJ as it was, verbatim but for the row-loop
+    unranking: one singularized Genome per move, rebuilt whole by
+    genome_from_adjacencies."""
+    work = g if g.is_identity_singular() else singularize(g)
+    adjs = sorted(work.adjacencies)
+    telos = sorted(work.telomeres)
+    elems = [("adjacency", a) for a in adjs] + [("telomere", t) for t in telos]
+    m = len(elems)
+    n_moves = m * (m - 1) // 2 + len(adjs)
+    if not n_moves:
+        return g
+    first, second = _nth_move_loop(elems, adjs, rng.randrange(n_moves))
+    aset = set(adjs)
+    tset = set(telos)
+    kind1, v1 = first
+    (aset if kind1 == "adjacency" else tset).discard(v1)
+    ends = list(v1) if kind1 == "adjacency" else [v1]
+    if second is not None:
+        kind2, v2 = second
+        (aset if kind2 == "adjacency" else tset).discard(v2)
+        ends += list(v2) if kind2 == "adjacency" else [v2]
+        rng.shuffle(ends)
+        while ends:
+            if len(ends) >= 2 and rng.random() < 0.8:
+                aset.add(adjacency(ends.pop(), ends.pop()))
+            else:
+                tset.add(ends.pop())
+    else:
+        tset.update(ends)
+    res = genome_from_adjacencies(aset, tset)
+    return res if g.is_identity_singular() else res.erase_indices()
+
+
+def _per_move_cognate_pair(n, wgd, ops, seed):
+    """random_cognate_pair with D scrambled by _random_dcj, move by move."""
+    rng = random.Random(seed)
+    parts = rng.randint(1, min(3, n))
+    circ = rng.randint(0, parts)
+    s = random_genome(n, parts - circ, circ, None, rng=rng)
+    if wgd:
+        a2, t2, _ = double(s)
+        adjs = []
+        for b, g in sorted(a2):
+            other = "ab" if rng.random() < 0.5 else "ba"
+            for c1, c2 in zip("ab", other):
+                adjs.append((Extremity(b.gid, b.end, c1), Extremity(g.gid, g.end, c2)))
+        telos = []
+        for t in sorted(t2):
+            telos.append(Extremity(t.gid, t.end, "a"))
+            telos.append(Extremity(t.gid, t.end, "b"))
+        d = genome_from_adjacencies(adjs, telos).erase_indices()
+    else:
+        d = s
+    for _ in range(ops):
+        d = _random_dcj(d, rng)
+    return s, d
+
+
+def test_random_cognate_pair_matches_the_per_move_rebuild():
+    rng = random.Random(10)
+    cases = Counter()
+    for seed in range(1500):
+        n = rng.randint(1, 60) if seed % 25 == 0 else rng.randint(1, 8)
+        wgd = seed % 2 == 1
+        ops = rng.randint(0, 2 * n)
+        s, d = random_cognate_pair(n, wgd, ops, seed)
+        assert (s, d) == _per_move_cognate_pair(n, wgd, ops, seed), (n, wgd, ops, seed)
+        cases["n = 1"] += n == 1
+        cases["ops = 0"] += ops == 0
+        cases["ops = 2n"] += ops == 2 * n
+        cases["n > 30"] += n > 30
+        cases["one-gene circular"] += any(
+            ch.shape == CIRCULAR and len(ch) == 1 for ch in d.chromosomes
+        )
+    assert min(cases.values()) >= 10, cases
+
+
+def test_seeded_cognate_stream_is_pinned():
+    # sha256 over the formatted outputs, frozen before the scrambling walk
+    # moved from one Genome per DCJ onto plain tuples
+    rng = random.Random(20261018)
+    triples = []
+    for seed in range(300):
+        n = rng.randint(1, 120)
+        triples.append((n, seed % 2 == 0, rng.randint(0, n), seed))
+    h = hashlib.sha256()
+    for n, wgd, ops, seed in triples + [(400, True, 100, 1), (1000, True, 250, 3)]:
+        for g in random_cognate_pair(n, wgd, ops, seed):
+            h.update(format_genome(g).encode() + b"\0")
+    assert h.hexdigest() == "d5f1f9ff9c5bc3e7468d932a906b98c24df8ce71e1e9e7e2db8c709c952cc439"
+
+
+def test_random_cognate_pair_checks_each_rebuilt_chromosome(monkeypatch):
+    trace = genomes_module._trace
+
+    def gaining_a_gene(*args):
+        chroms = trace(*args)
+        shape, genes = chroms[0]
+        chroms[0] = (shape, genes + genes[:1])
+        return chroms
+
+    monkeypatch.setattr(genomes_module, "_trace", gaining_a_gene)
+    with pytest.raises(RuntimeError, match="other genes than the ones it cut"):
+        random_cognate_pair(4, wgd=False, ops=1, seed=1)
+
+
+def test_random_cognate_pair_checks_the_scrambled_genome(monkeypatch):
+    monkeypatch.setattr(genomes_module, "_dcj_step", lambda chroms, rng: chroms + chroms[:1])
+    with pytest.raises(RuntimeError, match="changed its gene content"):
+        random_cognate_pair(4, wgd=True, ops=1, seed=1)
 
 
 def test_random_cognate_pair_self_check_raises(monkeypatch):
