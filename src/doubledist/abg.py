@@ -40,7 +40,11 @@ class Square(NamedTuple):
 
 
 class AmbiguousBreakpointGraph:
-    """Square edges plus fixed edges; resolving picks one matching per square."""
+    """Square edges plus fixed edges; resolving picks one matching per square.
+
+    Immutable after construction: every array is a tuple and attributes
+    cannot be rebound, so the candidate sets that `enumerate_candidates`
+    memoizes per k in `_candidates` can never go stale."""
 
     __slots__ = (
         "labels",
@@ -53,6 +57,7 @@ class AmbiguousBreakpointGraph:
         "isolated",
         "s_telomeres",
         "d_telomeres",
+        "_candidates",
     )
 
     def __init__(self, labels, squares, d_edges):
@@ -84,16 +89,23 @@ class AmbiguousBreakpointGraph:
                     raise GenomeError("vertex %d has two fixed edges" % v)
             d_part[x] = y
             d_part[y] = x
-        self.labels = list(labels)
-        self.squares = list(squares)
-        self.d_edges = [tuple(e) for e in d_edges]
-        self.sq_id = sq_id
-        self.e_part = e_part
-        self.t_part = t_part
-        self.d_part = d_part
-        self.s_telomeres = {v for v in range(n) if sq_id[v] < 0}
-        self.d_telomeres = {v for v in range(n) if d_part[v] < 0}
-        self.isolated = sorted(self.s_telomeres & self.d_telomeres)
+        s_telomeres = frozenset(v for v in range(n) if sq_id[v] < 0)
+        d_telomeres = frozenset(v for v in range(n) if d_part[v] < 0)
+        init = object.__setattr__
+        init(self, "labels", tuple(labels))
+        init(self, "squares", tuple(squares))
+        init(self, "d_edges", tuple(tuple(e) for e in d_edges))
+        init(self, "sq_id", tuple(sq_id))
+        init(self, "e_part", tuple(e_part))
+        init(self, "t_part", tuple(t_part))
+        init(self, "d_part", tuple(d_part))
+        init(self, "s_telomeres", s_telomeres)
+        init(self, "d_telomeres", d_telomeres)
+        init(self, "isolated", tuple(sorted(s_telomeres & d_telomeres)))
+        init(self, "_candidates", {})  # k -> CandidateSet
+
+    def __setattr__(self, *a):
+        raise AttributeError("AmbiguousBreakpointGraph is immutable")
 
     @property
     def a_star(self) -> int:
@@ -199,15 +211,44 @@ def conflict(c1: Candidate, c2: Candidate) -> bool:
     return False
 
 
+def conflict_masks(candidates) -> list:
+    """The conflict graph as bitmasks: bit j of masks[i] is set iff
+    candidates i and j conflict, i != j (the rule of `conflict`)."""
+    vert_touch = {}
+    choice_touch = {}
+    for i, c in enumerate(candidates):
+        for v in c.vertices:
+            vert_touch.setdefault(v, []).append(i)
+        for choice in c.choices:
+            choice_touch.setdefault(choice, []).append(i)
+    masks = [0] * len(candidates)
+    for group in vert_touch.values():
+        for i in group:
+            for j in group:
+                if i != j:
+                    masks[i] |= 1 << j
+    # a candidate forces one bit per square, so j never equals i here
+    for (sq, bit), group in choice_touch.items():
+        for j in choice_touch.get((sq, 1 - bit), ()):
+            for i in group:
+                masks[i] |= 1 << j
+    return masks
+
+
 class CandidateSet:
-    """All alternating cycles of length <= k and even paths of length <= k-2."""
+    """All alternating cycles of length <= k and even paths of length <= k-2,
+    as a sorted tuple."""
 
     __slots__ = ("k", "candidates", "isolated_count")
 
     def __init__(self, k, candidates, isolated_count):
-        self.k = k
-        self.candidates = candidates
-        self.isolated_count = isolated_count
+        init = object.__setattr__
+        init(self, "k", k)
+        init(self, "candidates", tuple(candidates))
+        init(self, "isolated_count", isolated_count)
+
+    def __setattr__(self, *a):
+        raise AttributeError("CandidateSet is immutable")
 
     def __iter__(self):
         return iter(self.candidates)
@@ -217,7 +258,8 @@ class CandidateSet:
 
 
 def enumerate_candidates(abg: AmbiguousBreakpointGraph, k: int) -> CandidateSet:
-    """Exhaustive bounded enumeration.  A cycle walk starts only at a square
+    """Exhaustive bounded enumeration, done once per (graph, k): later calls
+    return the same CandidateSet.  A cycle walk starts only at a square
     vertex whose fixed-edge partner is a larger square vertex, the one it
     must close through, and is extended only while it can still close: with
     one square edge left it must stand in that partner's square.  A walk still
@@ -226,6 +268,9 @@ def enumerate_candidates(abg: AmbiguousBreakpointGraph, k: int) -> CandidateSet:
     k = check_k(k)
     if not isinstance(k, int):
         raise ValueError("candidate enumeration needs finite k")
+    memo = abg._candidates
+    if k in memo:
+        return memo[k]
     found = []
     raw_cycles = _kernels.alternating_cycles(
         abg.sq_id, abg.e_part, abg.t_part, abg.d_part, k
@@ -238,7 +283,8 @@ def enumerate_candidates(abg: AmbiguousBreakpointGraph, k: int) -> CandidateSet:
     for verts, choices in raw_paths:
         found.append(Candidate("path", len(verts) - 1, verts, choices, 1))
     found.sort()
-    return CandidateSet(k, found, len(abg.isolated))
+    memo[k] = cset = CandidateSet(k, found, len(abg.isolated))
+    return cset
 
 
 # -- DOT export ------------------------------------------------------------

@@ -35,6 +35,11 @@ class ParseError(GenomeError):
         self.column = column
 
 
+# Builds a Gene or Extremity from a field tuple, skipping the named tuple's
+# Python-level __new__ (about half the cost) on the per-occurrence paths.
+_new = tuple.__new__
+
+
 class Gene(NamedTuple):
     """One gene occurrence: id, copy index ('' if none) and orientation.
 
@@ -47,10 +52,10 @@ class Gene(NamedTuple):
     rev: bool = False
 
     def reverse(self) -> "Gene":
-        return Gene(self.gid, self.copy, not self.rev)
+        return _new(Gene, (self[0], self[1], not self[2]))
 
     def erased(self) -> "Gene":
-        return Gene(self.gid, "", self.rev)
+        return _new(Gene, (self[0], "", self[2]))
 
     def __str__(self) -> str:
         s = ("-" if self.rev else "") + str(self.gid)
@@ -70,7 +75,7 @@ class Extremity(NamedTuple):
         return (self.gid, self.copy)
 
     def erased(self) -> "Extremity":
-        return Extremity(self.gid, self.end, "")
+        return _new(Extremity, (self[0], self[1], ""))
 
     def __str__(self) -> str:
         s = str(self.gid)
@@ -108,7 +113,11 @@ def _canonical_genes(shape, genes):
     circular, the least of their rotations.  That rotation starts with the
     least gene id and copy read forward, so it starts at an occurrence of
     the least (gid, copy) pair, read in the orientation that shows it
-    forward: one candidate per occurrence, and only ties need a ``min``."""
+    forward: one candidate per occurrence, and only ties need a ``min``.
+    A one-gene chromosome of either shape is its gene read forward."""
+    if len(genes) == 1:
+        gid, copy, rev = genes[0]
+        return (_new(Gene, (gid, copy, False)),) if rev else genes
     if shape == LINEAR:
         first = _IDENTITY(genes[0])
         last = _IDENTITY(genes[-1])
@@ -175,19 +184,19 @@ class Chromosome:
         return "[%s]" % body if self.shape == LINEAR else "(%s)" % body
 
     def left_extremity(self) -> Extremity:
-        g = self.genes[0]
-        return Extremity(g.gid, HEAD if g.rev else TAIL, g.copy)
+        gid, copy, rev = self.genes[0]
+        return _new(Extremity, (gid, HEAD if rev else TAIL, copy))
 
     def right_extremity(self) -> Extremity:
-        g = self.genes[-1]
-        return Extremity(g.gid, TAIL if g.rev else HEAD, g.copy)
+        gid, copy, rev = self.genes[-1]
+        return _new(Extremity, (gid, TAIL if rev else HEAD, copy))
 
     def adjacencies(self):
         out = []
         genes = self.genes
-        for a, b in zip(genes, genes[1:]):
-            x = Extremity(a.gid, TAIL if a.rev else HEAD, a.copy)
-            y = Extremity(b.gid, HEAD if b.rev else TAIL, b.copy)
+        for (agid, acopy, arev), (bgid, bcopy, brev) in zip(genes, genes[1:]):
+            x = _new(Extremity, (agid, TAIL if arev else HEAD, acopy))
+            y = _new(Extremity, (bgid, HEAD if brev else TAIL, bcopy))
             out.append((x, y) if x <= y else (y, x))
         if self.shape == CIRCULAR:
             out.append(adjacency(self.right_extremity(), self.left_extremity()))
@@ -430,7 +439,7 @@ def _parse_gene_token(token: str, line: int, col: int) -> Gene:
             raise ParseError("bad copy suffix in %r" % token, line, col)
     if not (body.isascii() and body.isdigit()) or int(body) == 0:
         raise ParseError("bad gene token %r" % token, line, col)
-    return Gene(int(body), copy, rev)
+    return _new(Gene, (int(body), copy, rev))
 
 
 def format_genome(g: Genome) -> str:
@@ -462,10 +471,10 @@ def singularize(d: Genome) -> Genome:
     chroms = []
     for ch in d.chromosomes:
         genes = []
-        for g in ch.genes:
-            copy = "b" if g.gid in seen else "a"
-            seen.add(g.gid)
-            genes.append(Gene(g.gid, copy, g.rev))
+        for gid, _, rev in ch.genes:
+            copy = "b" if gid in seen else "a"
+            seen.add(gid)
+            genes.append(_new(Gene, (gid, copy, rev)))
         chroms.append(Chromosome(ch.shape, genes))
     return Genome(chroms)
 
@@ -510,7 +519,7 @@ def _trace(partner, telomeres, identities):
         gid, end, copy = start
         while True:
             used.add((gid, copy))
-            genes.append(Gene(gid, copy, end == HEAD))
+            genes.append(_new(Gene, (gid, copy, end == HEAD)))
             nxt = partner.get((gid, HEAD if end == TAIL else TAIL, copy))
             if nxt is None:
                 return genes

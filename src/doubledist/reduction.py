@@ -52,14 +52,6 @@ class SatInstance:
     def size(self) -> int:
         return sum(len(c) for c in self.clauses)
 
-    def occurrences(self, var: int):
-        out = []
-        for ci, clause in enumerate(self.clauses):
-            for pos, lit in enumerate(clause):
-                if abs(lit) == var:
-                    out.append((ci, pos, lit > 0))
-        return out
-
     def _vars_occurring(self, times):
         counts = _polarity(self.clauses)
         return [v for v in range(1, self.var_count + 1) if sum(counts.get(v, (0, 0))) == times]

@@ -16,7 +16,13 @@ from fractions import Fraction
 from typing import Optional
 
 from . import _kernels
-from .abg import AmbiguousBreakpointGraph, build_abg, enumerate_candidates, score
+from .abg import (
+    AmbiguousBreakpointGraph,
+    build_abg,
+    conflict_masks,
+    enumerate_candidates,
+    score,
+)
 from .bpgraph import BudgetExceeded, _Infinity, check_k, distance
 from .genomes import (
     Genome,
@@ -31,16 +37,19 @@ from .genomes import (
 @dataclass
 class SolveStats:
     """Search record: nodes visited, candidates, wall time, and for `mis`
-    the conflict-graph components searched one by one and the candidates in
-    the largest of them.  When a budget stops the `mis` search, upper_bound
-    bounds the optimal score: the scores of the components it closed plus
-    the root clique-cover bound of the rest; it stays None otherwise."""
+    the conflict-graph components searched one by one, the candidates in
+    the largest of them, and the time spent getting the candidates (about 0
+    when the graph already holds them).  When a budget stops the `mis`
+    search, upper_bound bounds the optimal score: the scores of the
+    components it closed plus the root clique-cover bound of the rest; it
+    stays None otherwise."""
     nodes: int = 0
     candidates: int = 0
     wall_ms: float = 0.0
     components: int = 0
     largest_component: int = 0
     upper_bound: Optional[Fraction] = None
+    enumerate_ms: float = 0.0
 
 
 @dataclass
@@ -278,27 +287,10 @@ def ss_mis(
     _check_budgets(budget_nodes=budget_nodes, budget_ms=budget_ms)
     t0 = time.monotonic()
     cset = enumerate_candidates(abg, k)
+    enumerate_ms = (time.monotonic() - t0) * 1000.0
     cands = sorted(cset.candidates, key=lambda c: (-c.weight2, c.vertices))
     n = len(cands)
-    vert_touch = {}
-    choice_touch = {}
-    for i, c in enumerate(cands):
-        for v in c.vertices:
-            vert_touch.setdefault(v, []).append(i)
-        for sq, bit in c.choices:
-            choice_touch.setdefault((sq, bit), []).append(i)
-    masks = [0] * n
-    for group in vert_touch.values():
-        for i in group:
-            for j in group:
-                if i != j:
-                    masks[i] |= 1 << j
-    for (sq, bit), group in choice_touch.items():
-        other = choice_touch.get((sq, 1 - bit), ())
-        for i in group:
-            for j in other:
-                if i != j:
-                    masks[i] |= 1 << j
+    masks = conflict_masks(cands)
     budget = _SearchBudget(budget_nodes, budget_ms)
     weights = [c.weight2 for c in cands]
     best2x, best_mask, closed = _max_weight_independent_set(weights, masks, budget)
@@ -314,6 +306,7 @@ def ss_mis(
         wall_ms=(time.monotonic() - t0) * 1000.0,
         components=budget.components,
         largest_component=budget.largest,
+        enumerate_ms=enumerate_ms,
     )
     if not closed:
         stats.upper_bound = Fraction(budget.upper + cset.isolated_count, 2)

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from doubledist.abg import (
     bp_to_dot,
     build_abg,
     conflict,
+    conflict_masks,
     enumerate_candidates,
     resolve,
     score,
@@ -20,7 +22,9 @@ from doubledist.genomes import (
     random_cognate_pair,
     singularize,
 )
-from doubledist.reduction import build_closed_flower
+from doubledist.reduction import build_closed_flower, build_reduction
+
+from satgen import random_normalized_instance
 
 TRIO_S = parse_genome("[1 2 3]")
 TRIO_D_CHECK = parse_genome("[1.a 2.a -3.a 1.b]\n[-3.b 2.b]")
@@ -161,6 +165,61 @@ def test_conflict_rules():
     assert conflict(c, c)
     flipped = c._replace(choices=tuple((sq, 1 - bit) for sq, bit in c.choices))
     assert conflict(c, flipped)
+
+
+def _seeded_graphs():
+    """Reduction graphs at k = 8 and 10, and WGD graphs of 6-28 genes."""
+    graphs = []
+    for seed in range(3):
+        inst = random_normalized_instance(3, seed)
+        graphs += [build_reduction(inst, k=k).graph for k in (8, 10)]
+    for seed in range(12):
+        s, d = random_cognate_pair(6 + 2 * seed, wgd=True, ops=3 + seed, seed=seed)
+        graphs.append(build_abg(s, singularize(d)))
+    return graphs
+
+
+def test_conflict_masks_state_the_conflict_rule():
+    seen = Counter()
+    for g in _seeded_graphs():
+        for k in (8, 10):
+            cands = enumerate_candidates(g, k).candidates
+            masks = conflict_masks(cands)
+            for i, c1 in enumerate(cands):
+                for j, c2 in enumerate(cands):
+                    if i != j:
+                        expected = conflict(c1, c2)
+                        assert bool(masks[i] >> j & 1) == expected, (i, j)
+                        seen[expected] += 1
+                assert not masks[i] >> i & 1
+    assert seen[True] > 1000 and seen[False] > 10000, seen
+
+
+def test_candidates_are_enumerated_once_per_graph_and_k():
+    for g in _seeded_graphs():
+        sets = {k: enumerate_candidates(g, k) for k in (4, 8, 10, 12)}
+        for k, cs in sets.items():
+            assert enumerate_candidates(g, k) is cs
+            assert isinstance(cs.candidates, tuple)
+            fresh = enumerate_candidates(
+                AmbiguousBreakpointGraph(g.labels, g.squares, g.d_edges), k
+            )
+            assert (cs.k, cs.candidates, cs.isolated_count) == (
+                fresh.k, fresh.candidates, fresh.isolated_count
+            )
+
+
+def test_graph_is_immutable():
+    g = trio_graph()
+    with pytest.raises(TypeError):
+        g.e_part[0] = 1
+    for name in ("sq_id", "t_part", "d_part", "labels", "squares", "d_edges", "isolated"):
+        assert isinstance(getattr(g, name), tuple), name
+    with pytest.raises(AttributeError):
+        g.sq_id = [-1] * g.n_vertices
+    cs = enumerate_candidates(g, 8)
+    with pytest.raises(AttributeError):
+        cs.candidates = ()
 
 
 def test_candidate_completeness_and_realizability():

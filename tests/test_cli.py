@@ -82,8 +82,9 @@ def test_dd_stats_on_stderr(files, capsys):
     assert record["candidates"] >= record["largest_component"] >= 1
     assert record["components"] >= 1 and record["nodes"] >= record["components"]
     assert set(record) == {"nodes", "candidates", "wall_ms", "components",
-                           "largest_component", "upper_bound"}
+                           "largest_component", "upper_bound", "enumerate_ms"}
     assert record["upper_bound"] is None
+    assert 0 <= record["enumerate_ms"] <= record["wall_ms"]
     assert run(argv) == 0
     assert capsys.readouterr() == (out, "")
 

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -189,6 +190,41 @@ def test_canonical_form_matches_all_rotations():
         for shape in (LINEAR, CIRCULAR):
             got = Chromosome(shape, genes).genes
             assert got == _all_rotations_canonical(shape, genes), (shape, genes)
+
+
+def test_one_gene_chromosomes_are_canonical():
+    for shape, copy, rev in product((LINEAR, CIRCULAR), ("", "a", "b"), (False, True)):
+        gene = Gene(5, copy, rev)
+        got = Chromosome(shape, [gene]).genes
+        assert got == _all_rotations_canonical(shape, (gene,)) == (Gene(5, copy),)
+        assert type(got[0]) is Gene
+
+
+def _assert_exact_genes(genome):
+    for ch in genome.chromosomes:
+        for g in ch.genes:
+            assert type(g) is Gene and type(g.gid) is int, g
+            assert type(g.copy) is str and type(g.rev) is bool, g
+
+
+def _assert_exact_extremities(extremities):
+    for e in extremities:
+        assert type(e) is Extremity and type(e.gid) is int, e
+        assert e.end in ("h", "t") and type(e.copy) is str, e
+
+
+def test_built_genes_and_extremities_are_exact_instances():
+    for seed in range(20):
+        s, d = random_cognate_pair(5 + seed, True, 2 + seed, seed=seed)
+        parsed = parse_genome(format_genome(d))
+        indexed = singularize(parsed)
+        for g in (parsed, indexed, indexed.erase_indices(), parse_genome(format_genome(s))):
+            _assert_exact_genes(g)
+            _assert_exact_extremities(e for a in g.adjacencies for e in a)
+            _assert_exact_extremities(g.telomeres)
+        rebuilt = genome_from_adjacencies(indexed.adjacencies, indexed.telomeres)
+        assert rebuilt == indexed
+        _assert_exact_genes(rebuilt)
 
 
 def test_gene_field_order_is_the_canonical_order():

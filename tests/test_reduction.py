@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from doubledist import _kernels
 from doubledist.abg import build_abg, enumerate_candidates, conflict, score
 from doubledist.bpgraph import ComponentCensus
 from doubledist.genomes import PairClass, classify_pair, format_genome
@@ -74,8 +75,7 @@ def test_normalize_polarity_flip():
     text = "p cnf 4 5\n-1 2 0\n-1 3 0\n1 -2 4 0\n2 3 0\n-3 -4 0\n"
     inst = normalize(parse_cnf(text))
     assert 1 in inst.flipped
-    occ = inst.occurrences(1)
-    assert sum(1 for _, _, s in occ if s) == 2
+    assert sum(lit == 1 for clause in inst.clauses for lit in clause) == 2
     sat, wit = sat_brute(inst)
     assert sat
     restored = inst.restore_assignment(wit.values)
@@ -253,8 +253,9 @@ def test_normalize_matches_reference():
             seen[got.split(" ")[-1]] += 1  # "literals", "3" (size) or "times"
         else:
             check_normalized(got)
+            occurrences = collections.Counter(abs(lit) for clause in got.clauses for lit in clause)
             assert got.ttf_vars() == [v for v in range(1, got.var_count + 1)
-                                      if len(got.occurrences(v)) == 3]
+                                      if occurrences[v] == 3]
             seen["flipped" if got.flipped else "kept" if got.clauses else "emptied"] += 1
     assert min(seen[kind] for kind in ("literals", "3", "times", "flipped", "kept", "emptied")) > 500, seen
 
@@ -483,6 +484,24 @@ def test_mis_closes_paper_formula():
     r = build_reduction(demo_instance(), k=8)
     res = ss_mis(r.graph, 8)
     assert res.optimal and res.score == 20
+
+
+def test_verify_and_solve_share_one_enumeration(monkeypatch):
+    calls = []
+    real = _kernels.alternating_cycles
+
+    def counting(*args):
+        calls.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(_kernels, "alternating_cycles", counting)
+    r = build_reduction(demo_instance(), k=8)
+    rep = verify_structure(r)
+    res = ss_mis(r.graph, 8)
+    assert rep.ok and res.optimal and res.score == 20
+    assert res.stats.candidates == rep.candidate_count
+    assert 0 <= res.stats.enumerate_ms <= res.stats.wall_ms
+    assert calls == [8]
 
 
 def test_unsat_instances_fall_short():
