@@ -62,20 +62,26 @@ def walk_components(pa, pb):
     return cycles, paths
 
 
-def best_resolution(sq_id, e_part, t_part, d_part, a_star, kcap, node_budget):
-    """Exhaustively maximize doubled sigma over all 2^a_star resolutions.
+def best_resolution(sq_id, e_part, t_part, d_part, a_star, kcap, node_budget,
+                    forced=None):
+    """Exhaustively maximize doubled sigma over the resolutions that keep the
+    forced bits: forced[s] is square s's bit, or -1 when s is free (None
+    leaves every square free).  With f free squares there are 2^f of them.
 
     Returns (best_doubled_sigma, best_tau_int, explored) where bit i of
-    best_tau_int is square i's choice.  Ties keep the lowest tau integer.
-    explored < 2^a_star signals the node budget ran out.
+    best_tau_int is square i's choice.  Ties keep the lowest tau integer
+    among the resolutions that keep the forced bits.  explored < 2^f
+    signals the node budget ran out.
 
-    A depth-first search decides square a_star - 1 first and square 0 last,
-    bit 0 before bit 1, so it reaches the resolutions in ascending tau order.
-    It keeps the path segments of the edges placed so far: at each segment
-    end, the other end and the segment's length.  A square edge x-y either
-    closes x's segment into a cycle or joins two segments into one path,
-    which is scored once both its ends are final (have no square edge left
-    to place).  Every change is undone on backtrack.
+    The forced squares' edges are placed once, before the search, and their
+    gain is added to the base score.  A depth-first search then decides the
+    free squares, the highest index first, bit 0 before bit 1, so it reaches
+    the resolutions in ascending tau order.  It keeps the path segments of
+    the edges placed so far: at each segment end, the other end and the
+    segment's length.  A square edge x-y either closes x's segment into a
+    cycle or joins two segments into one path, which is scored once both its
+    ends are final (have no square edge left to place).  Every change the
+    search makes is undone on backtrack.
     """
     n = len(sq_id)
     ccap = n if kcap < 0 else kcap  # no component has more than n edges
@@ -105,13 +111,39 @@ def best_resolution(sq_id, e_part, t_part, d_part, a_star, kcap, node_budget):
             x2 = next(v for v in vs if v != x1 and v != y1)
             plan.append((x1, y1, x2, part[x2]))
         plans.append(plan)
+    if forced is None:
+        forced = (-1,) * a_star
+    free = [s for s in range(a_star) if forced[s] < 0]
+    tau0 = 0
+    for s in range(a_star):
+        bit = forced[s]
+        if bit < 0:
+            continue
+        tau0 |= bit << s
+        x1, y1, x2, y2 = plans[s][bit]
+        for x, y in ((x1, y1), (x2, y2)):
+            final[x] = final[y] = 1
+            a = other[x]
+            if a == y:
+                if size[x] < ccap:
+                    base += 2
+                continue
+            b = other[y]
+            length = size[a] + size[b] + 1
+            other[a] = b
+            other[b] = a
+            size[a] = size[b] = length
+            if final[a] and final[b] and not length & 1 and length <= pcap:
+                base += 1
     best = -1
     best_tau = 0
     explored = 0
 
-    def visit(s, tau, score):
-        """Try both bits of square s below the choices in tau; False stops."""
+    def visit(i, tau, score):
+        """Try both bits of free square free[i] below the choices in tau;
+        False stops."""
         nonlocal best, best_tau, explored
+        s = free[i]
         for bit in (0, 1):
             x1, y1, x2, y2 = plans[s][bit]
             gain = 0
@@ -145,13 +177,13 @@ def best_resolution(sq_id, e_part, t_part, d_part, a_star, kcap, node_budget):
                 size[a2] = size[b2] = length
                 if final[a2] and final[b2] and not length & 1 and length <= pcap:
                     gain += 1
-            if s:
-                go = visit(s - 1, tau | bit << s, score + gain)
+            if i:
+                go = visit(i - 1, tau | bit << s, score + gain)
             else:
                 explored += 1
                 if score + gain > best:
                     best = score + gain
-                    best_tau = tau | bit
+                    best_tau = tau | bit << s
                 go = explored < node_budget
             # undo the second edge, then the first
             final[x1] = final[y1] = final[x2] = final[y2] = 0
@@ -170,10 +202,13 @@ def best_resolution(sq_id, e_part, t_part, d_part, a_star, kcap, node_budget):
         return True
 
     if node_budget > 0:
-        if a_star:
-            visit(a_star - 1, 0, base)
+        if free:
+            visit(len(free) - 1, tau0, base)
         else:
-            best, explored = base, 1
+            best, best_tau, explored = base, tau0, 1
+    # visit reaches itself through its closure; unbinding it lets the search
+    # state go at return instead of waiting for the cycle collector
+    del visit
     return best, best_tau, explored
 
 

@@ -94,7 +94,8 @@ class AmbiguousBreakpointGraph:
         init = object.__setattr__
         init(self, "labels", tuple(labels))
         init(self, "squares", tuple(squares))
-        init(self, "d_edges", tuple(tuple(e) for e in d_edges))
+        # built from lists, as in check_resolution
+        init(self, "d_edges", tuple([tuple(e) for e in d_edges]))
         init(self, "sq_id", tuple(sq_id))
         init(self, "e_part", tuple(e_part))
         init(self, "t_part", tuple(t_part))
@@ -120,7 +121,12 @@ class AmbiguousBreakpointGraph:
         return self.n_vertices // 2
 
     def check_resolution(self, tau):
-        tau = tuple(int(b) for b in tau)
+        # From a list, so the tuple is made at its final size.  tuple() of a
+        # generator starts at a guessed size and resizes; freed, such a tuple
+        # goes to CPython's free list for its final size, not the one it was
+        # taken from, so a solve loop piles up to 2,000 of them per size
+        # between full collections.
+        tau = tuple([int(b) for b in tau])
         if len(tau) != self.a_star or any(b not in (0, 1) for b in tau):
             raise GenomeError(
                 "resolution must be %d bits, got %r" % (self.a_star, tau)
@@ -133,6 +139,38 @@ class AmbiguousBreakpointGraph:
             self.sq_id[v] >= 0 and self.d_part[v] >= 0
             for v in range(self.n_vertices)
         )
+
+
+def forced_choices(abg: AmbiguousBreakpointGraph) -> tuple:
+    """One entry per square: the bit every optimal resolution gives it, or
+    -1 when the square is free.
+
+    A choice is forced when one of its square edges x-y duplicates a fixed
+    edge x-y, so that it closes the 2-cycle x-y.  Proof by exchange: take a
+    resolution with the other choice.  There x takes a square edge to x' and
+    y one to y', the square's other two vertices, so x'-x-y-y' (square edge,
+    fixed edge, square edge) runs through one component C.  Flipping the
+    square closes the 2-cycle x-y and joins x'-y' by the choice's other edge:
+    C keeps its kind (cycle or path) and its parity and is 2 edges shorter,
+    so no cap of sigma_k drops it, and no other component changes.  For
+    every k >= 2 the 2-cycle adds 1, so the flip raises the score: every
+    optimal resolution keeps every forced bit, and the optimum over the
+    resolutions that keep them is the optimum.  At k = 2 this is
+    `dd_greedy_2`'s rule, which keeps every common adjacency.
+
+    No square can have a 2-cycle choice on both bits: an edge of one
+    matching of the square and an edge of the other share a vertex, and no
+    vertex has two fixed edges.  The rule never has to pick between bits."""
+    d_part = abg.d_part
+    out = []
+    for index, u, v, uhat, vhat in abg.squares:
+        solid = d_part[u] == v or d_part[uhat] == vhat  # Square.edges(0)
+        complementary = d_part[u] == vhat or d_part[uhat] == v  # Square.edges(1)
+        if solid and complementary:
+            raise GenomeError(
+                "square %d closes a 2-cycle under both choices" % index)
+        out.append(0 if solid else 1 if complementary else -1)
+    return tuple(out)
 
 
 def build_abg(s: Genome, d_check: Genome) -> AmbiguousBreakpointGraph:

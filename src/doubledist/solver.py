@@ -1,11 +1,12 @@
 """Exact engines for the k-score maximization and the double distance.
 
-Two independent routes: `ss_naive` sweeps all 2^a_star resolutions;
+Two independent routes, both after `abg.forced_choices` fixes the forced
+squares: `ss_naive` sweeps the 2^free resolutions of the free squares;
 `ss_mis` enumerates short candidate components and solves a maximum-weight
 independent set on their conflict graph by branch and bound, one connected
-component of that graph at a time.  Both return
-the same scores; `dd_definition_oracle` re-derives the double distance from
-its definition without touching the ambiguous-graph machinery at all.
+component of that graph at a time.  Both return the same scores;
+`dd_definition_oracle` re-derives the double distance from its definition
+without touching the ambiguous-graph machinery at all.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .abg import (
     build_abg,
     conflict_masks,
     enumerate_candidates,
+    forced_choices,
     score,
 )
 from .bpgraph import BudgetExceeded, _Infinity, check_k, distance
@@ -36,13 +38,14 @@ from .genomes import (
 
 @dataclass
 class SolveStats:
-    """Search record: nodes visited, candidates, wall time, and for `mis`
-    the conflict-graph components searched one by one, the candidates in
-    the largest of them, and the time spent getting the candidates (about 0
-    when the graph already holds them).  When a budget stops the `mis`
+    """Search record: nodes visited, candidates enumerated, wall time, the
+    squares whose bit `forced_choices` fixes before the search, and for
+    `mis` the conflict-graph components searched one by one, the candidates
+    in the largest of them, and the time spent getting the candidates (about
+    0 when the graph already holds them).  When a budget stops the `mis`
     search, upper_bound bounds the optimal score: the scores of the
-    components it closed plus the root clique-cover bound of the rest; it
-    stays None otherwise."""
+    candidates the forced bits settle and of the components it closed, plus
+    the root clique-cover bound of the rest; it stays None otherwise."""
     nodes: int = 0
     candidates: int = 0
     wall_ms: float = 0.0
@@ -50,6 +53,7 @@ class SolveStats:
     largest_component: int = 0
     upper_bound: Optional[Fraction] = None
     enumerate_ms: float = 0.0
+    forced: int = 0
 
 
 @dataclass
@@ -73,30 +77,38 @@ def ss_naive(
     k,
     budget_nodes: int = 1 << 25,
 ) -> SolveResult:
-    """Exact k-score maximum by exhausting all resolutions; ties keep the
-    lowest bit pattern."""
+    """Exact k-score maximum by exhausting the 2^free resolutions that keep
+    the forced squares' bits (`forced_choices`; every optimal resolution
+    keeps them); ties keep the lowest bit pattern.  Both the 25-square cap
+    and budget_nodes count free squares."""
     check_k(k)
     _check_budgets(budget_nodes=budget_nodes)
     t0 = time.monotonic()
-    total = 1 << abg.a_star
-    if abg.a_star > 25:
+    forced = forced_choices(abg)
+    free = forced.count(-1)
+    total = 1 << free
+    if free > 25:
         raise BudgetExceeded(
-            "ss_naive is capped at 25 squares, the graph has %d" % abg.a_star
+            "ss_naive is capped at 25 squares, the graph has %d free squares "
+            "(%d forced)" % (free, abg.a_star - free)
         )
     if total > budget_nodes:
         raise BudgetExceeded(
             "ss_naive needs 2^%d resolutions, over the budget of %d nodes"
-            % (abg.a_star, budget_nodes)
+            % (free, budget_nodes)
         )
     kcap = -1 if isinstance(k, _Infinity) else k
     best2x, tau_int, explored = _kernels.best_resolution(
-        abg.sq_id, abg.e_part, abg.t_part, abg.d_part, abg.a_star, kcap, budget_nodes
+        abg.sq_id, abg.e_part, abg.t_part, abg.d_part, abg.a_star, kcap,
+        budget_nodes, forced,
     )
     if explored < total:
         raise BudgetExceeded("ss_naive budget exhausted after %d nodes" % explored)
-    tau = tuple((tau_int >> i) & 1 for i in range(abg.a_star))
+    # built from lists, as in AmbiguousBreakpointGraph.check_resolution
+    tau = tuple([(tau_int >> i) & 1 for i in range(abg.a_star)])
     stats = SolveStats(nodes=explored, candidates=0,
-                       wall_ms=(time.monotonic() - t0) * 1000.0)
+                       wall_ms=(time.monotonic() - t0) * 1000.0,
+                       forced=abg.a_star - free)
     result = _result(abg, tau, k, "naive", True, stats)
     claimed = Fraction(best2x, 2)
     if result.score != claimed:
@@ -288,30 +300,44 @@ def ss_mis(
     t0 = time.monotonic()
     cset = enumerate_candidates(abg, k)
     enumerate_ms = (time.monotonic() - t0) * 1000.0
-    cands = sorted(cset.candidates, key=lambda c: (-c.weight2, c.vertices))
-    n = len(cands)
+    forced = forced_choices(abg)
+    # Only resolutions that keep the forced bits need searching.  A candidate
+    # whose squares are all forced is a component of every one of them, so
+    # it conflicts with no candidate that keeps the bits: its weight is
+    # settled without a search.
+    settled2x = 0
+    cands = []
+    for c in cset.candidates:
+        if any(forced[sq] == 1 - bit for sq, bit in c.choices):
+            continue
+        if all(forced[sq] >= 0 for sq, _ in c.choices):
+            settled2x += c.weight2
+        else:
+            cands.append(c)
+    cands.sort(key=lambda c: (-c.weight2, c.vertices))
     masks = conflict_masks(cands)
     budget = _SearchBudget(budget_nodes, budget_ms)
     weights = [c.weight2 for c in cands]
     best2x, best_mask, closed = _max_weight_independent_set(weights, masks, budget)
 
     choices = {}
-    for i in range(n):
-        if (best_mask >> i) & 1:
-            choices.update(dict(cands[i].choices))
-    tau = tuple(choices.get(i, 0) for i in range(abg.a_star))
+    for i in _bits(best_mask):
+        choices.update(cands[i].choices)
+    tau = tuple([choices.get(i, max(bit, 0)) for i, bit in enumerate(forced)])
     stats = SolveStats(
         nodes=budget.spent,
-        candidates=n,
+        candidates=len(cset),
         wall_ms=(time.monotonic() - t0) * 1000.0,
         components=budget.components,
         largest_component=budget.largest,
         enumerate_ms=enumerate_ms,
+        forced=abg.a_star - forced.count(-1),
     )
+    fixed2x = settled2x + cset.isolated_count
     if not closed:
-        stats.upper_bound = Fraction(budget.upper + cset.isolated_count, 2)
+        stats.upper_bound = Fraction(budget.upper + fixed2x, 2)
     result = _result(abg, tau, k, "mis", closed, stats)
-    claimed = Fraction(best2x + cset.isolated_count, 2)
+    claimed = Fraction(best2x + fixed2x, 2)
     if closed and result.score != claimed:
         raise RuntimeError(
             "ss_mis witness re-scores to %s, the search reported %s"
@@ -379,7 +405,8 @@ def dd_definition_oracle(s: Genome, d: Genome, k) -> Fraction:
 
 def dd_greedy_2(s: Genome, d: Genome) -> Fraction:
     """Linear-time breakpoint double distance from multiset intersections:
-    2n - |A(2S) ^ A(D)| - |T(2S) ^ T(D)|/2."""
+    2n - |A(2S) ^ A(D)| - |T(2S) ^ T(D)|/2.  Keeping every common adjacency,
+    a 2-cycle, is `abg.forced_choices`'s rule taken at k = 2."""
     _require_cognate(s, d, "dd_greedy_2")
     a2 = s.adjacencies + s.adjacencies
     t2 = s.telomeres + s.telomeres

@@ -11,6 +11,7 @@ from doubledist.abg import (
     conflict,
     conflict_masks,
     enumerate_candidates,
+    forced_choices,
     resolve,
     score,
     to_dot,
@@ -220,6 +221,43 @@ def test_graph_is_immutable():
     cs = enumerate_candidates(g, 8)
     with pytest.raises(AttributeError):
         cs.candidates = ()
+
+
+def test_forced_choices_worked_example():
+    g = trio_graph()
+    # 1h.a-2t.a and 1h.b-2t.b are both square edges and fixed edges
+    assert forced_choices(g) == (0, -1)
+    doubled = build_abg(parse_genome("(1 2 3)"), parse_genome("(1.a 2.a 3.a)\n(1.b 2.b 3.b)"))
+    assert forced_choices(doubled) == (0, 0, 0)
+    assert forced_choices(build_closed_flower(5)) == (-1,) * 5
+
+
+def test_forced_choices_claim_nothing_on_reduction_graphs():
+    # verify_structure forbids cycles shorter than k there, 2-cycles included
+    graphs = 0
+    for n_vars in (3, 4):
+        for seed in range(3):
+            inst = random_normalized_instance(n_vars, seed)
+            for k in (8, 10, 12):
+                for shape in ("circular", "linear"):
+                    g = build_reduction(inst, k=k, shape=shape).graph
+                    assert forced_choices(g) == (-1,) * g.a_star, (n_vars, seed, k, shape)
+                    graphs += 1
+    assert graphs == 36
+
+
+def test_forced_choices_raise_on_a_square_forced_both_ways():
+    g = trio_graph()
+    bad = object.__new__(AmbiguousBreakpointGraph)
+    for name in AmbiguousBreakpointGraph.__slots__:
+        object.__setattr__(bad, name, getattr(g, name))
+    sq = g.squares[0]
+    d_part = list(g.d_part)
+    d_part[sq.u] = sq.v  # repeats the solid edge u-v
+    d_part[sq.uhat] = sq.v  # repeats the complementary edge uhat-v
+    object.__setattr__(bad, "d_part", tuple(d_part))
+    with pytest.raises(GenomeError, match="both choices"):
+        forced_choices(bad)
 
 
 def test_candidate_completeness_and_realizability():

@@ -82,11 +82,24 @@ def test_dd_stats_on_stderr(files, capsys):
     assert record["candidates"] >= record["largest_component"] >= 1
     assert record["components"] >= 1 and record["nodes"] >= record["components"]
     assert set(record) == {"nodes", "candidates", "wall_ms", "components",
-                           "largest_component", "upper_bound", "enumerate_ms"}
+                           "largest_component", "upper_bound", "enumerate_ms", "forced"}
     assert record["upper_bound"] is None
     assert 0 <= record["enumerate_ms"] <= record["wall_ms"]
     assert run(argv) == 0
     assert capsys.readouterr() == (out, "")
+
+
+def test_dd_stats_report_the_forced_squares(files, capsys):
+    # the trio's square 0 repeats a fixed edge under its solid pair
+    for engine in ("naive", "mis"):
+        argv = ["dd", "--k", "8", "--engine", engine, "--stats"]
+        assert run(argv + [files["S.genome"], files["D.genome"]]) == 0
+        out, err = capsys.readouterr()
+        assert out == "3\ntau 01\n"
+        record = json.loads(err)
+        assert record["forced"] == 1, engine
+        if engine == "naive":
+            assert record["nodes"] == 2  # 2^free, one free square
 
 
 def test_dd_stats_bound_of_a_stopped_search(files, capsys):

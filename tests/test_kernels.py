@@ -2,13 +2,16 @@
 computed here by brute force over every resolution, and the pruned cycle
 search and the incremental sweep against the slower code they replaced."""
 
+import gc
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doubledist._kernels import py as pure
-from doubledist.abg import build_abg, enumerate_candidates, score
+from doubledist.abg import build_abg, enumerate_candidates, forced_choices, score
 from doubledist.bpgraph import INFINITY, BudgetExceeded
 from doubledist.genomes import random_cognate_pair, singularize
 from doubledist.reduction import build_closed_flower, build_reduction, normalize, parse_cnf
@@ -287,10 +290,128 @@ def test_sweep_matches_sweep_by_walk():
                 assert pure.best_resolution(*args) == want, (g.a_star, kcap, budget)
 
 
+def _restricted_sweep_by_walk(g, kcap, node_budget, forced):
+    """`_sweep_by_walk` over only the resolutions that keep the forced bits,
+    in the same ascending tau order, with only those counted as explored."""
+    fmask = sum(1 << s for s, bit in enumerate(forced) if bit >= 0)
+    fbits = sum(bit << s for s, bit in enumerate(forced) if bit > 0)
+    pa = [-1] * len(g.sq_id)
+    best = -1
+    best_tau = 0
+    explored = 0
+    for tau in range(1 << g.a_star):
+        if tau & fmask != fbits:
+            continue
+        if explored >= node_budget:
+            break
+        explored += 1
+        for v, sq in enumerate(g.sq_id):
+            if sq >= 0:
+                pa[v] = g.t_part[v] if (tau >> sq) & 1 else g.e_part[v]
+        score = _sigma2x_from_lengths(*pure.walk_components(pa, g.d_part), kcap)
+        if score > best:
+            best = score
+            best_tau = tau
+    return best, best_tau, explored
+
+
+def test_forced_sweep_matches_restricted_sweep_by_walk():
+    """Forced tuples from the rule and at random: the kernel searches exactly
+    the resolutions that keep the forced bits, under every kcap and budget."""
+    rng = random.Random(12)
+    graphs = sweep_graphs()
+    cases = 0
+    for g in graphs:
+        tuples = {forced_choices(g)}
+        for _ in range(2):
+            tuples.add(tuple(rng.choice((-1, -1, 0, 1)) for _ in range(g.a_star)))
+        for forced in tuples:
+            total = 1 << forced.count(-1)
+            budgets = range(total + 1) if total <= 8 else (0, 1, rng.randint(0, total),
+                                                           total - 1, total)
+            for kcap in (2, 4, 6, 8, 10, 12, -1):
+                for budget in budgets:
+                    args = (g.sq_id, g.e_part, g.t_part, g.d_part, g.a_star, kcap, budget)
+                    got = pure.best_resolution(*args, forced)
+                    assert got == _restricted_sweep_by_walk(g, kcap, budget, forced), (
+                        forced, kcap, budget)
+                    cases += 1
+    assert any(0 < forced_choices(g).count(-1) < g.a_star for g in graphs)
+    assert cases > 4000
+
+
+def _check_rule_keeps_the_optimum(g):
+    """With the rule's forced bits the sweep finds the all-free optimum and
+    its lowest tau, in 2^free resolutions."""
+    forced = forced_choices(g)
+    for kcap in (2, 4, 6, 8, 10, -1):
+        args = (g.sq_id, g.e_part, g.t_part, g.d_part, g.a_star, kcap, 1 << 20)
+        best, tau, explored = pure.best_resolution(*args, forced)
+        assert (best, tau) == pure.best_resolution(*args)[:2], (forced, kcap)
+        assert explored == 1 << forced.count(-1)
+
+
+def test_forced_sweep_keeps_the_all_free_optimum_seeded():
+    rng = random.Random(13)
+    forced_total = 0
+    for seed in range(40):
+        n = rng.randint(2, 14)
+        s, d = random_cognate_pair(n, True, rng.randint(0, 2 * n), seed)
+        g = build_abg(s, singularize(d))
+        assert g.a_star <= 14
+        _check_rule_keeps_the_optimum(g)
+        forced_total += g.a_star - forced_choices(g).count(-1)
+    assert forced_total > 100
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 14), ops=st.integers(0, 28), seed=st.integers(0, 2**32 - 1))
+def test_forced_sweep_keeps_the_all_free_optimum(n, ops, seed):
+    s, d = random_cognate_pair(n, True, ops, seed)
+    _check_rule_keeps_the_optimum(build_abg(s, singularize(d)))
+
+
+def test_every_optimal_resolution_keeps_the_forced_bits():
+    """The exchange proof's claim, by brute force: no resolution that drops a
+    forced bit reaches the optimum, for any k."""
+    dropped = 0
+    for g in small_graphs(8):
+        forced = forced_choices(g)
+        for k in (2, 4, 6, 8, INFINITY):
+            scores = {tau: score(g, tau, k) for tau in _taus(g, 1 << g.a_star)}
+            top = max(scores.values())
+            for tau, value in scores.items():
+                if any(bit >= 0 and tau[s] != bit for s, bit in enumerate(forced)):
+                    assert value < top, (forced, k, tau)
+                    dropped += 1
+    assert dropped > 1000
+
+
+def test_sweep_leaves_no_cyclic_garbage():
+    """The search state is freed when the sweep returns, not by the cycle
+    collector: a solve keeps nothing behind."""
+    g = build_closed_flower(4)
+    gc.collect()
+    gc.disable()
+    try:
+        for forced in (None, (0, -1, 1, -1)):
+            pure.best_resolution(g.sq_id, g.e_part, g.t_part, g.d_part, g.a_star, -1,
+                                 1 << 20, forced)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_naive_budget_counts_complete_resolutions():
-    for g in (build_closed_flower(5), max(sweep_graphs(), key=lambda g: g.a_star)):
-        total = 1 << g.a_star
+    """budget_nodes counts the 2^free resolutions that keep the forced bits."""
+    mixed = [g for g in sweep_graphs() if 0 < forced_choices(g).count(-1) < g.a_star]
+    most_free = max(mixed, key=lambda g: forced_choices(g).count(-1))
+    assert forced_choices(most_free).count(-1) >= 6
+    for g in (build_closed_flower(5), most_free):
+        free = forced_choices(g).count(-1)
+        total = 1 << free
         for k in (8, INFINITY):
             with pytest.raises(BudgetExceeded):
                 ss_naive(g, k, budget_nodes=total - 1)
-            assert ss_naive(g, k, budget_nodes=total).stats.nodes == total
+            stats = ss_naive(g, k, budget_nodes=total).stats
+            assert stats.nodes == total and stats.forced == g.a_star - free

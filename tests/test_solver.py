@@ -1,11 +1,13 @@
+import gc
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doubledist.abg import build_abg, score
+from doubledist.abg import build_abg, forced_choices, score
 from doubledist.bpgraph import INFINITY, BudgetExceeded
 from doubledist.genomes import (
     GenomeError,
@@ -33,8 +35,11 @@ def trio_graph():
 
 def test_naive_worked_example():
     g = trio_graph()
+    # square 0's solid pair repeats the fixed edge 1h-2t: one free square
+    assert forced_choices(g) == (0, -1)
     r2 = ss_naive(g, 2)
-    assert r2.score == 2 and r2.optimal and r2.stats.nodes == 4
+    assert r2.score == 2 and r2.optimal
+    assert r2.stats.forced == 1 and r2.stats.nodes == 2 ** 1
     r8 = ss_naive(g, 8)
     assert r8.score == 3 and r8.dd == 3
     assert score(g, r8.tau, 8) == r8.score
@@ -56,7 +61,7 @@ def test_naive_no_squares():
 def test_naive_budget():
     g = trio_graph()
     with pytest.raises(BudgetExceeded):
-        ss_naive(g, 8, budget_nodes=2)
+        ss_naive(g, 8, budget_nodes=1)  # one short of 2^free = 2
 
 
 def test_naive_refuses_more_than_25_squares():
@@ -187,7 +192,7 @@ def test_dd_refuses_budgets_the_engine_cannot_honour(engine, budget):
 
 def test_dd_passes_honoured_budgets_on():
     with pytest.raises(BudgetExceeded):
-        dd(TRIO_S, TRIO_D, 8, engine="naive", budget_nodes=2)
+        dd(TRIO_S, TRIO_D, 8, engine="naive", budget_nodes=1)
     assert not dd(TRIO_S, TRIO_D, 8, engine="mis", budget_nodes=1).optimal
     assert dd(TRIO_S, TRIO_D, 8, engine="mis", budget_ms=60000).dd == 3
 
@@ -357,9 +362,11 @@ class _FakeClock:
 
 
 def test_mis_budget_ms_reads_the_clock_every_node(monkeypatch):
-    s, d = random_cognate_pair(12, wgd=True, ops=4, seed=0)
+    # a pair chosen for its free squares: the forced bits leave a search
+    s, d = random_cognate_pair(12, wgd=True, ops=8, seed=1)
     g = build_abg(s, singularize(d))
-    assert ss_mis(g, 8).stats.nodes > 5
+    full = ss_mis(g, 8)
+    assert full.stats.nodes > 5 and full.stats.forced == g.a_star - 3
     monkeypatch.setattr(solver.time, "monotonic", _FakeClock())
     # the deadline falls 5 readings after the budget starts: 4 nodes pass
     r = ss_mis(g, 8, budget_ms=5000)
@@ -391,3 +398,83 @@ def test_mis_node_count_on_a_split_graph():
     assert r.dd == 53 and r.optimal
     assert r.stats.nodes <= 2 * r.stats.candidates
     assert r.stats.components > 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    ops=st.integers(0, 16),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.sampled_from([2, 4, 6, 8, 10]),
+)
+def test_forced_bits_keep_both_engines_exact(n, ops, seed, k):
+    s, d = random_cognate_pair(n, wgd=True, ops=ops, seed=seed)
+    g = build_abg(s, singularize(d))
+    forced = forced_choices(g)
+    naive = ss_naive(g, k)
+    mis = ss_mis(g, k)
+    assert mis.optimal and mis.score == naive.score
+    assert naive.dd == dd_definition_oracle(s, d, k)
+    for r in (naive, mis):
+        assert r.stats.forced == g.a_star - forced.count(-1)
+        assert all(bit < 0 or r.tau[i] == bit for i, bit in enumerate(forced))
+
+
+def test_mis_scores_the_same_without_the_forced_bits(monkeypatch):
+    rng = random.Random(17)
+    graphs = []
+    for seed in range(40):
+        n = rng.randint(3, 14)
+        s, d = random_cognate_pair(n, wgd=True, ops=rng.randint(0, 2 * n), seed=seed)
+        graphs.append(build_abg(s, singularize(d)))
+    ks = (2, 4, 6, 8, 10)
+    with_rule = [[ss_mis(g, k) for k in ks] for g in graphs]
+    assert sum(r.stats.forced for rs in with_rule for r in rs) > 500
+    monkeypatch.setattr(solver, "forced_choices", lambda g: (-1,) * g.a_star)
+    for g, rs in zip(graphs, with_rule):
+        for k, r in zip(ks, rs):
+            bare = ss_mis(g, k)
+            assert bare.stats.forced == 0 and bare.stats.candidates == r.stats.candidates
+            assert bare.score == r.score and r.stats.nodes <= bare.stats.nodes, k
+
+
+def test_naive_sweeps_only_the_free_squares_at_scale():
+    s, d = random_cognate_pair(1000, wgd=True, ops=100, seed=1)
+    r = dd(s, d, INFINITY, engine="naive")
+    assert r.optimal and r.stats.forced == 999 - 8 and r.stats.nodes == 2 ** 8
+    fresh = build_abg(s, singularize(d))
+    assert fresh.a_star == 999
+    assert score(fresh, r.tau, INFINITY) == r.score
+    assert r.dd == fresh.n_star_doubled - r.score
+
+
+def test_naive_refuses_too_many_free_squares_before_the_sweep(monkeypatch):
+    s, d = random_cognate_pair(5000, wgd=True, ops=500, seed=1)
+
+    def never(*args):
+        raise AssertionError("the sweep must not start")
+
+    monkeypatch.setattr(solver._kernels, "best_resolution", never)
+    with pytest.raises(BudgetExceeded, match="capped at 25 squares.* 27 free squares"):
+        dd(s, d, INFINITY, engine="naive")
+
+
+def test_repeated_solves_keep_no_memory():
+    """A solve leaves nothing behind, not even in the interpreter's free
+    lists: with the cycle collector off, 400 solves grow the allocated
+    blocks by less than one block a solve."""
+    s, d = random_cognate_pair(16, wgd=True, ops=6, seed=2)
+    for _ in range(20):
+        dd(s, d, INFINITY)
+        dd(s, d, 8, engine="mis")
+    gc.collect()
+    gc.disable()
+    try:
+        before = sys.getallocatedblocks()
+        for _ in range(200):
+            dd(s, d, INFINITY)
+            dd(s, d, 8, engine="mis")
+        grown = sys.getallocatedblocks() - before
+    finally:
+        gc.enable()
+    assert grown < 400
