@@ -212,16 +212,24 @@ def best_resolution(sq_id, e_part, t_part, d_part, a_star, kcap, node_budget,
     return best, best_tau, explored
 
 
-def alternating_cycles(sq_id, e_part, t_part, d_part, kcap):
-    """All alternating cycles of length <= kcap.
+def alternating_cycles(sq_id, e_part, t_part, d_part, kcap, forced=None):
+    """All alternating cycles of length <= kcap whose square choices keep the
+    forced bits: forced[s] is square s's bit, or -1 when s is free (None
+    leaves every square free).
 
-    Returns a list of (vertices, choices) with vertices in traversal order
-    starting at the cycle's minimum vertex with its square edge, and choices
-    as a sorted tuple of (square, bit).  Each cycle is listed exactly once.
+    Returns (cycles, settled2x).  cycles is a list of (vertices, choices)
+    with vertices in traversal order starting at the cycle's minimum vertex
+    with its square edge, and choices as a sorted tuple of (square, bit) over
+    the cycle's free squares; each cycle is listed exactly once.  A cycle
+    whose squares are all forced is not listed: settled2x sums 2 for each.
     """
     n = len(sq_id)
     out = []
-    half = kcap // 2
+    settled2x = 0
+    if kcap < 2:
+        return out, settled2x
+    if forced is None:
+        forced = (-1,) * n  # a graph has fewer than n squares
     for s in range(n):
         if sq_id[s] < 0:
             continue
@@ -234,39 +242,47 @@ def alternating_cycles(sq_id, e_part, t_part, d_part, kcap):
         # DFS over (path, choices); steps alternate square edge then d-edge.
         # Only states with a square edge left and, when just one is left, at
         # a vertex of sd's square are pushed: no other state can close.
-        stack = [(s, (), {}, 0)]  # vertex, path-so-far, choices, sq-edges used
+        # choices holds the free squares' bits only; a forced square's bit is
+        # read from forced, so a walk never contradicts it.  A state is
+        # (vertex, path so far, choices, square edges left after this step).
+        stack = [(s, (), {}, kcap // 2 - 1)]
         while stack:
-            cur, path, choices, used = stack.pop()
-            if used == half:
-                continue
+            cur, path, choices, left = stack.pop()
             sq = sq_id[cur]
-            left = half - used - 1  # square edges left after this step
-            forced = choices.get(sq)
-            for bit in (0, 1) if forced is None else (forced,):
+            known = choices.get(sq, forced[sq])
+            for bit in (0, 1) if known < 0 else (known,):
                 partner = t_part[cur] if bit else e_part[cur]
                 if partner <= s or partner in path:
                     continue
-                nchoices = choices if forced is not None else {**choices, sq: bit}
+                nchoices = choices if known >= 0 else {**choices, sq: bit}
                 d = d_part[partner]
                 if d < 0:
                     continue
                 npath = path + (cur, partner)
                 if d == s:
-                    out.append((npath, tuple(sorted(nchoices.items()))))
+                    if nchoices:
+                        out.append((npath, tuple(sorted(nchoices.items()))))
+                    else:
+                        settled2x += 2
                 elif (d > s and left
                       and (sq_id[d] == last_sq if left == 1 else sq_id[d] >= 0)
                       and d not in npath):
-                    stack.append((d, npath, nchoices, used + 1))
-    return out
+                    stack.append((d, npath, nchoices, left - 1))
+    return out, settled2x
 
 
-def alternating_even_paths(sq_id, e_part, t_part, d_part, kcap):
-    """All alternating even paths of length <= kcap, walked from the
-    endpoint that lies in no square.  Returns a list of (vertices, choices)."""
+def alternating_even_paths(sq_id, e_part, t_part, d_part, kcap, forced=None):
+    """All alternating even paths of length <= kcap whose square choices keep
+    the forced bits, walked from the endpoint that lies in no square.
+    Returns (paths, settled2x) as `alternating_cycles` does; a path whose
+    squares are all forced adds 1 to settled2x."""
     n = len(sq_id)
     out = []
+    settled2x = 0
     if kcap < 2:
-        return out
+        return out, settled2x
+    if forced is None:
+        forced = (-1,) * n
     for s in range(n):
         if sq_id[s] >= 0 or d_part[s] < 0:
             continue
@@ -277,16 +293,19 @@ def alternating_even_paths(sq_id, e_part, t_part, d_part, kcap):
         while stack:
             cur, path, choices, length = stack.pop()
             sq = sq_id[cur]
-            forced = choices.get(sq)
-            for bit in (0, 1) if forced is None else (forced,):
+            known = choices.get(sq, forced[sq])
+            for bit in (0, 1) if known < 0 else (known,):
                 partner = t_part[cur] if bit else e_part[cur]
                 if partner in path:
                     continue
-                nchoices = choices if forced is not None else {**choices, sq: bit}
+                nchoices = choices if known >= 0 else {**choices, sq: bit}
                 npath = path + (cur, partner)
                 d = d_part[partner]
                 if d < 0:
-                    out.append((npath, tuple(sorted(nchoices.items()))))
+                    if nchoices:
+                        out.append((npath, tuple(sorted(nchoices.items()))))
+                    else:
+                        settled2x += 1
                 elif length + 2 <= kcap and d not in npath and sq_id[d] >= 0:
                     stack.append((d, npath, nchoices, length + 2))
-    return out
+    return out, settled2x

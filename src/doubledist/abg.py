@@ -44,7 +44,7 @@ class AmbiguousBreakpointGraph:
 
     Immutable after construction: every array is a tuple and attributes
     cannot be rebound, so the candidate sets that `enumerate_candidates`
-    memoizes per k in `_candidates` can never go stale."""
+    memoizes per (k, forced bits) in `_candidates` can never go stale."""
 
     __slots__ = (
         "labels",
@@ -103,7 +103,7 @@ class AmbiguousBreakpointGraph:
         init(self, "s_telomeres", s_telomeres)
         init(self, "d_telomeres", d_telomeres)
         init(self, "isolated", tuple(sorted(s_telomeres & d_telomeres)))
-        init(self, "_candidates", {})  # k -> CandidateSet
+        init(self, "_candidates", {})  # (k, forced) -> CandidateSet
 
     def __setattr__(self, *a):
         raise AttributeError("AmbiguousBreakpointGraph is immutable")
@@ -274,16 +274,18 @@ def conflict_masks(candidates) -> list:
 
 
 class CandidateSet:
-    """All alternating cycles of length <= k and even paths of length <= k-2,
-    as a sorted tuple."""
+    """The alternating cycles of length <= k and even paths of length <= k-2
+    that keep the forced bits and use a free square, as a sorted tuple;
+    settled2x is the doubled weight of those whose squares are all forced."""
 
-    __slots__ = ("k", "candidates", "isolated_count")
+    __slots__ = ("k", "candidates", "isolated_count", "settled2x")
 
-    def __init__(self, k, candidates, isolated_count):
+    def __init__(self, k, candidates, isolated_count, settled2x):
         init = object.__setattr__
         init(self, "k", k)
         init(self, "candidates", tuple(candidates))
         init(self, "isolated_count", isolated_count)
+        init(self, "settled2x", settled2x)
 
     def __setattr__(self, *a):
         raise AttributeError("CandidateSet is immutable")
@@ -295,33 +297,53 @@ class CandidateSet:
         return len(self.candidates)
 
 
-def enumerate_candidates(abg: AmbiguousBreakpointGraph, k: int) -> CandidateSet:
-    """Exhaustive bounded enumeration, done once per (graph, k): later calls
-    return the same CandidateSet.  A cycle walk starts only at a square
-    vertex whose fixed-edge partner is a larger square vertex, the one it
-    must close through, and is extended only while it can still close: with
-    one square edge left it must stand in that partner's square.  A walk still
-    branches up to twice per square step, so the worst case stays
-    O(V * 2^(k/2)) walks; the pruning cuts the walks that cannot close."""
+def enumerate_candidates(abg: AmbiguousBreakpointGraph, k: int,
+                         forced=None) -> CandidateSet:
+    """Exhaustive bounded enumeration of the components that keep the forced
+    bits, done once per (graph, k, forced): later calls return the same
+    CandidateSet.  forced is `forced_choices`'s shape, one entry per square,
+    its bit or -1 when the square is free; None, or a tuple with no bit,
+    leaves every square free, and both share one memo entry.
+
+    A walk follows only the forced bit at a forced square, so a component
+    that contradicts a forced bit is never built.  One whose squares are all
+    forced is not listed: it is a component of every resolution that keeps
+    the bits, so its doubled weight goes to settled2x, and the choices a
+    candidate lists are those of its free squares.  A cycle walk starts only
+    at a square vertex whose fixed-edge partner is a larger square vertex,
+    the one it must close through, and is extended only while it can still
+    close: with one square edge left it must stand in that partner's square.
+    A walk still branches up to twice per free square step, so the worst
+    case stays O(V * 2^(k/2)) walks; the pruning cuts the walks that cannot
+    close."""
     k = check_k(k)
     if not isinstance(k, int):
         raise ValueError("candidate enumeration needs finite k")
+    if forced is not None:
+        forced = tuple(forced)
+        if len(forced) != abg.a_star or any(b not in (-1, 0, 1) for b in forced):
+            raise ValueError("forced must hold -1, 0 or 1 for each of the %d "
+                             "squares, got %r" % (abg.a_star, forced))
+        if max(forced, default=-1) < 0:
+            forced = None
     memo = abg._candidates
-    if k in memo:
-        return memo[k]
+    key = (k, forced)
+    if key in memo:
+        return memo[key]
     found = []
-    raw_cycles = _kernels.alternating_cycles(
-        abg.sq_id, abg.e_part, abg.t_part, abg.d_part, k
+    raw_cycles, cycles2x = _kernels.alternating_cycles(
+        abg.sq_id, abg.e_part, abg.t_part, abg.d_part, k, forced
     )
     for verts, choices in raw_cycles:
         found.append(Candidate("cycle", len(verts), verts, choices, 2))
-    raw_paths = _kernels.alternating_even_paths(
-        abg.sq_id, abg.e_part, abg.t_part, abg.d_part, k - 2
+    raw_paths, paths2x = _kernels.alternating_even_paths(
+        abg.sq_id, abg.e_part, abg.t_part, abg.d_part, k - 2, forced
     )
     for verts, choices in raw_paths:
         found.append(Candidate("path", len(verts) - 1, verts, choices, 1))
     found.sort()
-    memo[k] = cset = CandidateSet(k, found, len(abg.isolated))
+    memo[key] = cset = CandidateSet(k, found, len(abg.isolated),
+                                    cycles2x + paths2x)
     return cset
 
 

@@ -38,14 +38,16 @@ from .genomes import (
 
 @dataclass
 class SolveStats:
-    """Search record: nodes visited, candidates enumerated, wall time, the
-    squares whose bit `forced_choices` fixes before the search, and for
-    `mis` the conflict-graph components searched one by one, the candidates
-    in the largest of them, and the time spent getting the candidates (about
-    0 when the graph already holds them).  When a budget stops the `mis`
-    search, upper_bound bounds the optimal score: the scores of the
-    candidates the forced bits settle and of the components it closed, plus
-    the root clique-cover bound of the rest; it stays None otherwise."""
+    """Search record: nodes visited, the candidates the `mis` conflict graph
+    is built on (the forced bits keep every other one from being built),
+    wall time, the squares whose bit `forced_choices` fixes before the
+    search, and for `mis` the conflict-graph components searched one by one,
+    the candidates in the largest of them, and the time spent getting the
+    candidates (about 0 when the graph already holds them).  When a budget
+    stops the `mis` search, upper_bound bounds the optimal score: the scores
+    of the candidates the forced bits settle and of the components it
+    closed, plus the root clique-cover bound of the rest; it stays None
+    otherwise."""
     nodes: int = 0
     candidates: int = 0
     wall_ms: float = 0.0
@@ -298,23 +300,15 @@ def ss_mis(
         raise ValueError("ss_mis needs finite k")
     _check_budgets(budget_nodes=budget_nodes, budget_ms=budget_ms)
     t0 = time.monotonic()
-    cset = enumerate_candidates(abg, k)
-    enumerate_ms = (time.monotonic() - t0) * 1000.0
+    # Only resolutions that keep the forced bits need searching, so the
+    # enumeration builds no candidate that contradicts one, and settles
+    # without a search each candidate whose squares are all forced: it is a
+    # component of every such resolution and conflicts with no candidate.
     forced = forced_choices(abg)
-    # Only resolutions that keep the forced bits need searching.  A candidate
-    # whose squares are all forced is a component of every one of them, so
-    # it conflicts with no candidate that keeps the bits: its weight is
-    # settled without a search.
-    settled2x = 0
-    cands = []
-    for c in cset.candidates:
-        if any(forced[sq] == 1 - bit for sq, bit in c.choices):
-            continue
-        if all(forced[sq] >= 0 for sq, _ in c.choices):
-            settled2x += c.weight2
-        else:
-            cands.append(c)
-    cands.sort(key=lambda c: (-c.weight2, c.vertices))
+    t1 = time.monotonic()
+    cset = enumerate_candidates(abg, k, forced)
+    enumerate_ms = (time.monotonic() - t1) * 1000.0
+    cands = sorted(cset.candidates, key=lambda c: (-c.weight2, c.vertices))
     masks = conflict_masks(cands)
     budget = _SearchBudget(budget_nodes, budget_ms)
     weights = [c.weight2 for c in cands]
@@ -333,7 +327,7 @@ def ss_mis(
         enumerate_ms=enumerate_ms,
         forced=abg.a_star - forced.count(-1),
     )
-    fixed2x = settled2x + cset.isolated_count
+    fixed2x = cset.settled2x + cset.isolated_count
     if not closed:
         stats.upper_bound = Fraction(budget.upper + fixed2x, 2)
     result = _result(abg, tau, k, "mis", closed, stats)

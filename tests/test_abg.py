@@ -210,6 +210,18 @@ def test_candidates_are_enumerated_once_per_graph_and_k():
             )
 
 
+def test_forced_enumeration_is_memoized_and_checked():
+    g = trio_graph()
+    forced = forced_choices(g)
+    cs = enumerate_candidates(g, 8, forced)
+    assert enumerate_candidates(g, 8, list(forced)) is cs
+    assert cs is not enumerate_candidates(g, 8)
+    assert enumerate_candidates(g, 8).settled2x == 0
+    for bad in ((0,), (0, 2), (0, -1, -1)):
+        with pytest.raises(ValueError, match="forced must hold"):
+            enumerate_candidates(g, 8, bad)
+
+
 def test_graph_is_immutable():
     g = trio_graph()
     with pytest.raises(TypeError):

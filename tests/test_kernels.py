@@ -158,6 +158,71 @@ def test_enumeration_equivalent():
     assert checked > 1000
 
 
+def _forced_reference(everything, k, forced):
+    """What enumerate_candidates(g, k, forced) must return, from the short
+    components of every resolution: those that keep the forced bits and use
+    a free square, with their choices restricted to the free squares, and
+    the doubled weight of those whose squares are all forced."""
+    listed = set()
+    settled2x = 0
+    for kind, length, verts, choices in everything:
+        if not (length <= k if kind == "cycle" else length % 2 == 0 and 2 <= length <= k - 2):
+            continue
+        if any(forced[sq] == 1 - bit for sq, bit in choices):
+            continue
+        weight2 = 2 if kind == "cycle" else 1
+        free = tuple((sq, bit) for sq, bit in choices if forced[sq] < 0)
+        if free:
+            listed.add((kind, length, verts, free, weight2))
+        else:
+            settled2x += weight2
+    return listed, settled2x
+
+
+def _check_forced_enumeration(g, rng):
+    """The rule's forced tuple and two random ones, at every even k 2..12."""
+    everything = _resolved_components(g)
+    tuples = {forced_choices(g)}
+    for _ in range(2):
+        tuples.add(tuple(rng.choice((-1, -1, 0, 1)) for _ in range(g.a_star)))
+    listed = settled = 0
+    for forced in tuples:
+        for k in range(2, 13, 2):
+            cset = enumerate_candidates(g, k, forced)
+            got = [(c.kind, c.length, frozenset(c.vertices), c.choices, c.weight2)
+                   for c in cset]
+            assert len(set(got)) == len(got)  # each listed once
+            assert (set(got), cset.settled2x) == _forced_reference(everything, k, forced), (
+                forced, k)
+            listed += len(got)
+            settled += cset.settled2x
+    return listed, settled
+
+
+def test_forced_enumeration_equivalent_seeded():
+    """The forced-aware kernels build exactly the components that keep the
+    forced bits: the ones with a free square as candidates, the others as
+    settled weight."""
+    rng = random.Random(14)
+    graphs = small_graphs(11)
+    listed = settled = 0
+    for g in graphs:
+        got = _check_forced_enumeration(g, rng)
+        listed += got[0]
+        settled += got[1]
+    assert any(0 < forced_choices(g).count(-1) < g.a_star for g in graphs)
+    assert listed > 1000 and settled > 1000
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(1, 14), ops=st.integers(0, 28), seed=st.integers(0, 2**32 - 1))
+def test_forced_enumeration_equivalent(n, ops, seed):
+    s, d = random_cognate_pair(n, True, ops, seed)
+    g = build_abg(s, singularize(d))
+    assert g.a_star <= 14
+    _check_forced_enumeration(g, random.Random(seed))
+
+
 def _unpruned_alternating_cycles(sq_id, e_part, t_part, d_part, kcap):
     """The cycle DFS before it was pruned, kept verbatim as the reference:
     it starts at every square vertex and expands every open walk."""
@@ -194,7 +259,7 @@ def _unpruned_alternating_cycles(sq_id, e_part, t_part, d_part, kcap):
 def _same_cycles(g, k):
     args = (g.sq_id, g.e_part, g.t_part, g.d_part, k)
     want = _unpruned_alternating_cycles(*args)
-    assert pure.alternating_cycles(*args) == want  # same list, same order
+    assert pure.alternating_cycles(*args) == (want, 0)  # same list, same order
     return len(want)
 
 

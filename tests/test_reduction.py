@@ -491,7 +491,7 @@ def test_verify_and_solve_share_one_enumeration(monkeypatch):
     real = _kernels.alternating_cycles
 
     def counting(*args):
-        calls.append(args[-1])
+        calls.append(args[4])  # kcap; the forced bits follow it
         return real(*args)
 
     monkeypatch.setattr(_kernels, "alternating_cycles", counting)
@@ -501,6 +501,8 @@ def test_verify_and_solve_share_one_enumeration(monkeypatch):
     assert rep.ok and res.optimal and res.score == 20
     assert res.stats.candidates == rep.candidate_count
     assert 0 <= res.stats.enumerate_ms <= res.stats.wall_ms
+    assert enumerate_candidates(r.graph, 8, (-1,) * r.graph.a_star) is enumerate_candidates(
+        r.graph, 8)
     assert calls == [8]
 
 

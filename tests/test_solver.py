@@ -434,7 +434,7 @@ def test_mis_scores_the_same_without_the_forced_bits(monkeypatch):
     for g, rs in zip(graphs, with_rule):
         for k, r in zip(ks, rs):
             bare = ss_mis(g, k)
-            assert bare.stats.forced == 0 and bare.stats.candidates == r.stats.candidates
+            assert bare.stats.forced == 0 and r.stats.candidates <= bare.stats.candidates
             assert bare.score == r.score and r.stats.nodes <= bare.stats.nodes, k
 
 
