@@ -1,4 +1,9 @@
-"""Kernels for the hot graph loops.
+"""Kernels for the hot graph loops; callers reach them as `_kernels.<fn>`.
+
+None of them calls another, so a wrapper set on an attribute of this module
+sees every call the library makes.  `best_resolution` sweeps the resolutions
+and scores them incrementally; `walk_components` walks one resolved graph,
+for the re-score of a witness.
 
 All functions work on flat integer lists describing a (possibly ambiguous)
 breakpoint graph:
@@ -62,16 +67,15 @@ def walk_components(pa, pb):
     return cycles, paths
 
 
-def best_resolution(sq_id, e_part, t_part, d_part, a_star, kcap, node_budget,
-                    forced=None):
+def best_resolution(sq_id, e_part, t_part, d_part, a_star, kcap, forced):
     """Exhaustively maximize doubled sigma over the resolutions that keep the
-    forced bits: forced[s] is square s's bit, or -1 when s is free (None
-    leaves every square free).  With f free squares there are 2^f of them.
+    forced bits: forced[s] is square s's bit, or -1 when s is free.  With f
+    free squares there are 2^f of them.
 
     Returns (best_doubled_sigma, best_tau_int, explored) where bit i of
-    best_tau_int is square i's choice.  Ties keep the lowest tau integer
-    among the resolutions that keep the forced bits.  explored < 2^f
-    signals the node budget ran out.
+    best_tau_int is square i's choice and explored counts the resolutions
+    scored, 2^f.  Ties keep the lowest tau integer among the resolutions
+    that keep the forced bits.
 
     The forced squares' edges are placed once, before the search, and their
     gain is added to the base score.  A depth-first search then decides the
@@ -111,8 +115,6 @@ def best_resolution(sq_id, e_part, t_part, d_part, a_star, kcap, node_budget,
             x2 = next(v for v in vs if v != x1 and v != y1)
             plan.append((x1, y1, x2, part[x2]))
         plans.append(plan)
-    if forced is None:
-        forced = (-1,) * a_star
     free = [s for s in range(a_star) if forced[s] < 0]
     tau0 = 0
     for s in range(a_star):
@@ -140,8 +142,7 @@ def best_resolution(sq_id, e_part, t_part, d_part, a_star, kcap, node_budget,
     explored = 0
 
     def visit(i, tau, score):
-        """Try both bits of free square free[i] below the choices in tau;
-        False stops."""
+        """Try both bits of free square free[i] below the choices in tau."""
         nonlocal best, best_tau, explored
         s = free[i]
         for bit in (0, 1):
@@ -178,13 +179,12 @@ def best_resolution(sq_id, e_part, t_part, d_part, a_star, kcap, node_budget,
                 if final[a2] and final[b2] and not length & 1 and length <= pcap:
                     gain += 1
             if i:
-                go = visit(i - 1, tau | bit << s, score + gain)
+                visit(i - 1, tau | bit << s, score + gain)
             else:
                 explored += 1
                 if score + gain > best:
                     best = score + gain
                     best_tau = tau | bit << s
-                go = explored < node_budget
             # undo the second edge, then the first
             final[x1] = final[y1] = final[x2] = final[y2] = 0
             if a2 != y2:
@@ -197,15 +197,11 @@ def best_resolution(sq_id, e_part, t_part, d_part, a_star, kcap, node_budget,
                 size[a1] = la1
                 other[b1] = y1
                 size[b1] = lb1
-            if not go:
-                return False
-        return True
 
-    if node_budget > 0:
-        if free:
-            visit(len(free) - 1, tau0, base)
-        else:
-            best, best_tau, explored = base, tau0, 1
+    if free:
+        visit(len(free) - 1, tau0, base)
+    else:
+        best, best_tau, explored = base, tau0, 1
     # visit reaches itself through its closure; unbinding it lets the search
     # state go at return instead of waiting for the cycle collector
     del visit

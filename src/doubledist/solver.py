@@ -25,7 +25,7 @@ from .abg import (
     forced_choices,
     score,
 )
-from .bpgraph import BudgetExceeded, _Infinity, check_k, distance
+from .bpgraph import BudgetExceeded, _kcap, check_k, distance
 from .genomes import (
     Genome,
     GenomeError,
@@ -68,8 +68,13 @@ class SolveResult:
     stats: SolveStats = field(default_factory=SolveStats)
 
 
-def _result(abg, tau, k, engine, optimal, stats) -> SolveResult:
+def _result(abg, tau, k, engine, optimal, stats, best2x) -> SolveResult:
+    """Re-score the witness tau on the whole graph; an optimal witness must
+    score the doubled optimum best2x the engine reported."""
     actual = score(abg, tau, k)
+    if optimal and 2 * actual != best2x:
+        raise RuntimeError("ss_%s witness re-scores to %s, the search reported %s"
+                           % (engine, actual, Fraction(best2x, 2)))
     dd_value = Fraction(abg.n_star_doubled) - actual
     return SolveResult(actual, dd_value, tau, optimal, engine, stats)
 
@@ -81,44 +86,27 @@ def ss_naive(
 ) -> SolveResult:
     """Exact k-score maximum by exhausting the 2^free resolutions that keep
     the forced squares' bits (`forced_choices`; every optimal resolution
-    keeps them); ties keep the lowest bit pattern.  Both the 25-square cap
-    and budget_nodes count free squares."""
+    keeps them); ties keep the lowest bit pattern.  A graph is refused
+    before the sweep unless 2^free <= budget_nodes."""
     check_k(k)
     _check_budgets(budget_nodes=budget_nodes)
     t0 = time.monotonic()
     forced = forced_choices(abg)
     free = forced.count(-1)
-    total = 1 << free
-    if free > 25:
+    if 1 << free > budget_nodes:
         raise BudgetExceeded(
-            "ss_naive is capped at 25 squares, the graph has %d free squares "
-            "(%d forced)" % (free, abg.a_star - free)
+            "ss_naive has %d free squares (%d forced): 2^%d resolutions are "
+            "over the budget of %d" % (free, abg.a_star - free, free, budget_nodes)
         )
-    if total > budget_nodes:
-        raise BudgetExceeded(
-            "ss_naive needs 2^%d resolutions, over the budget of %d nodes"
-            % (free, budget_nodes)
-        )
-    kcap = -1 if isinstance(k, _Infinity) else k
     best2x, tau_int, explored = _kernels.best_resolution(
-        abg.sq_id, abg.e_part, abg.t_part, abg.d_part, abg.a_star, kcap,
-        budget_nodes, forced,
+        abg.sq_id, abg.e_part, abg.t_part, abg.d_part, abg.a_star, _kcap(k), forced
     )
-    if explored < total:
-        raise BudgetExceeded("ss_naive budget exhausted after %d nodes" % explored)
     # built from lists, as in AmbiguousBreakpointGraph.check_resolution
     tau = tuple([(tau_int >> i) & 1 for i in range(abg.a_star)])
     stats = SolveStats(nodes=explored, candidates=0,
                        wall_ms=(time.monotonic() - t0) * 1000.0,
                        forced=abg.a_star - free)
-    result = _result(abg, tau, k, "naive", True, stats)
-    claimed = Fraction(best2x, 2)
-    if result.score != claimed:
-        raise RuntimeError(
-            "ss_naive witness re-scores to %s, the sweep reported %s"
-            % (result.score, claimed)
-        )
-    return result
+    return _result(abg, tau, k, "naive", True, stats, best2x)
 
 
 class _SearchBudget:
@@ -295,9 +283,6 @@ def ss_mis(
     and budget_ms the wall time, read at every node; a search that either
     budget stops returns its best witness so far with optimal=False and an
     upper bound on the optimum in stats.upper_bound."""
-    k = check_k(k)
-    if not isinstance(k, int):
-        raise ValueError("ss_mis needs finite k")
     _check_budgets(budget_nodes=budget_nodes, budget_ms=budget_ms)
     t0 = time.monotonic()
     # Only resolutions that keep the forced bits need searching, so the
@@ -330,14 +315,7 @@ def ss_mis(
     fixed2x = cset.settled2x + cset.isolated_count
     if not closed:
         stats.upper_bound = Fraction(budget.upper + fixed2x, 2)
-    result = _result(abg, tau, k, "mis", closed, stats)
-    claimed = Fraction(best2x + fixed2x, 2)
-    if closed and result.score != claimed:
-        raise RuntimeError(
-            "ss_mis witness re-scores to %s, the search reported %s"
-            % (result.score, claimed)
-        )
-    return result
+    return _result(abg, tau, k, "mis", closed, stats, best2x + fixed2x)
 
 
 _ENGINES = {"naive": ss_naive, "mis": ss_mis}
@@ -369,11 +347,11 @@ def dd(
     for name in budgets:
         if name not in _BUDGETS[engine]:
             raise ValueError("engine %r does not honour %s" % (engine, name))
-    _check_budgets(**budgets)
     if engine == "greedy2" and k != 2:
         raise ValueError("greedy2 engine only computes k=2")
     if engine in _ENGINES:
-        _require_cognate(s, d, "dd()")
+        # build_abg's classify_pair is the cognate check; negative budgets
+        # are the engine's to refuse
         return _ENGINES[engine](build_abg(s, singularize(d)), k, **budgets)
     value = dd_greedy_2(s, d) if engine == "greedy2" else dd_definition_oracle(s, d, k)
     return SolveResult(

@@ -15,7 +15,7 @@ from doubledist.genomes import (
     random_cognate_pair,
     singularize,
 )
-from doubledist import solver
+from doubledist import abg, genomes, solver
 from doubledist.reduction import build_closed_flower
 from doubledist.solver import (
     dd,
@@ -65,8 +65,27 @@ def test_naive_budget():
 
 
 def test_naive_refuses_more_than_25_squares():
-    with pytest.raises(BudgetExceeded, match="capped at 25 squares"):
+    with pytest.raises(BudgetExceeded, match="26 free squares .* over the budget of 33554432"):
         ss_naive(build_closed_flower(26), 8)
+
+
+class _SweepReached(Exception):
+    pass
+
+
+def test_naive_limit_is_the_budget_alone(monkeypatch):
+    """2^free <= budget_nodes is the only limit: 25 free squares reach the
+    sweep under the default budget, and 26 do under a budget of 2^26
+    (`test_naive_refuses_more_than_25_squares` has the default refusing 26)."""
+
+    def reached(*args):
+        raise _SweepReached
+
+    monkeypatch.setattr(solver._kernels, "best_resolution", reached)
+    with pytest.raises(_SweepReached):
+        ss_naive(build_closed_flower(25), 8)
+    with pytest.raises(_SweepReached):
+        ss_naive(build_closed_flower(26), 8, budget_nodes=1 << 26)
 
 
 def test_naive_witness_mismatch_raises(monkeypatch):
@@ -173,6 +192,22 @@ def test_dd_rejects_bad_pairs():
         dd(TRIO_S, TRIO_D, 4, engine="greedy2")
     with pytest.raises(ValueError):
         dd(TRIO_S, TRIO_D, 4, engine="nope")
+
+
+@pytest.mark.parametrize("engine, k", [("naive", INFINITY), ("naive", 8), ("mis", 8)])
+def test_dd_classifies_the_pair_once(monkeypatch, engine, k):
+    """build_abg's classification is the only cognate check of an engine solve."""
+    s, d = random_cognate_pair(12, wgd=True, ops=4, seed=3)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return genomes.classify_pair(*args)
+
+    monkeypatch.setattr(solver, "classify_pair", counting)
+    monkeypatch.setattr(abg, "classify_pair", counting)
+    assert dd(s, d, k, engine=engine).optimal
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
@@ -455,7 +490,7 @@ def test_naive_refuses_too_many_free_squares_before_the_sweep(monkeypatch):
         raise AssertionError("the sweep must not start")
 
     monkeypatch.setattr(solver._kernels, "best_resolution", never)
-    with pytest.raises(BudgetExceeded, match="capped at 25 squares.* 27 free squares"):
+    with pytest.raises(BudgetExceeded, match="27 free squares .* over the budget of 33554432"):
         dd(s, d, INFINITY, engine="naive")
 
 
