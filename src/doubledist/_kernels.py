@@ -5,13 +5,18 @@ sees every call the library makes.  `best_resolution` sweeps the resolutions
 and scores them incrementally; `walk_components` walks one resolved graph,
 for the re-score of a witness.
 
-All functions work on flat integer lists describing a (possibly ambiguous)
-breakpoint graph:
+The functions read a (possibly ambiguous) breakpoint graph as its squares
+and flat integer lists:
 
+- ``squares``: the graph's squares, whose ``edges(bit)`` are the two edges
+  choice bit places; square s is ``squares[s]``,
 - ``sq_id[v]``: index of the square containing vertex v, or -1,
 - ``e_part[v]`` / ``t_part[v]``: the partner of v inside its square under
   choice 0 (solid pair) / choice 1 (complementary pair), or -1,
 - ``d_part[v]``: the fixed-edge partner of v, or -1.
+
+`best_resolution` reads only ``d_part`` and the squares; the candidate walks
+read the partner arrays.
 
 A resolved graph is described by two partner arrays ``pa``/``pb`` where
 every vertex has at most one edge of each tag; components then are
@@ -67,7 +72,7 @@ def walk_components(pa, pb):
     return cycles, paths
 
 
-def best_resolution(sq_id, e_part, t_part, d_part, a_star, kcap, forced):
+def best_resolution(d_part, squares, kcap, forced):
     """Exhaustively maximize doubled sigma over the resolutions that keep the
     forced bits: forced[s] is square s's bit, or -1 when s is free.  With f
     free squares there are 2^f of them.
@@ -87,38 +92,29 @@ def best_resolution(sq_id, e_part, t_part, d_part, a_star, kcap, forced):
     ends are final (have no square edge left to place).  Every change the
     search makes is undone on backtrack.
     """
-    n = len(sq_id)
+    n = len(d_part)
     ccap = n if kcap < 0 else kcap  # no component has more than n edges
     pcap = n if kcap < 0 else kcap - 2
     other = list(range(n))  # at a segment end: the segment's other end
     size = [0] * n  # at a segment end: the segment's length
-    final = bytearray(n)
+    final = bytearray(b"\x01") * n
+    # plans[s][bit]: the two edges (x1, y1, x2, y2) square s places
+    plans = []
+    for sq in squares:
+        for v in sq:
+            final[v] = 0
+        plans.append([a + b for a, b in (sq.edges(0), sq.edges(1))])
     base = 0  # the score of the paths that hold no square vertex
-    verts = [[] for _ in range(a_star)]
     for v in range(n):
         w = d_part[v]
         if w >= 0:
             other[v] = w
             size[v] = 1
-        if sq_id[v] >= 0:
-            verts[sq_id[v]].append(v)
-        else:
-            final[v] = 1
-            if w < 0:
-                base += 1  # a lone vertex, an even path of length 0 <= k - 2
-    plans = []  # plans[s][bit]: the two edges (x1, y1, x2, y2) square s places
-    for vs in verts:
-        x1 = vs[0]
-        plan = []
-        for part in (e_part, t_part):
-            y1 = part[x1]
-            x2 = next(v for v in vs if v != x1 and v != y1)
-            plan.append((x1, y1, x2, part[x2]))
-        plans.append(plan)
-    free = [s for s in range(a_star) if forced[s] < 0]
+        elif final[v]:
+            base += 1  # a lone vertex, an even path of length 0 <= k - 2
+    free = [s for s, bit in enumerate(forced) if bit < 0]
     tau0 = 0
-    for s in range(a_star):
-        bit = forced[s]
+    for s, bit in enumerate(forced):
         if bit < 0:
             continue
         tau0 |= bit << s

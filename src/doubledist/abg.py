@@ -25,9 +25,9 @@ from .genomes import (
 
 class Square(NamedTuple):
     """Four vertices (u, uhat) x (v, vhat); solid pair {u-v, uhat-vhat},
-    complementary pair {u-vhat, uhat-v}."""
+    complementary pair {u-vhat, uhat-v}.  A square's index is its position
+    in `AmbiguousBreakpointGraph.squares`."""
 
-    index: int
     u: int
     v: int
     uhat: int
@@ -55,8 +55,6 @@ class AmbiguousBreakpointGraph:
         "t_part",
         "d_part",
         "isolated",
-        "s_telomeres",
-        "d_telomeres",
         "_candidates",
     )
 
@@ -66,15 +64,15 @@ class AmbiguousBreakpointGraph:
         e_part = [-1] * n
         t_part = [-1] * n
         d_part = [-1] * n
-        for sq in squares:
-            for v in (sq.u, sq.v, sq.uhat, sq.vhat):
+        for index, sq in enumerate(squares):
+            for v in sq:
                 if not 0 <= v < n:
                     raise GenomeError("square vertex %d out of range" % v)
                 if sq_id[v] >= 0:
                     raise GenomeError("vertex %d in two squares" % v)
-                sq_id[v] = sq.index
-            if len({sq.u, sq.v, sq.uhat, sq.vhat}) != 4:
-                raise GenomeError("square %d vertices not distinct" % sq.index)
+                sq_id[v] = index
+            if len(set(sq)) != 4:
+                raise GenomeError("square %d vertices not distinct" % index)
             for bit, part in ((0, e_part), (1, t_part)):
                 for x, y in sq.edges(bit):
                     part[x] = y
@@ -89,8 +87,6 @@ class AmbiguousBreakpointGraph:
                     raise GenomeError("vertex %d has two fixed edges" % v)
             d_part[x] = y
             d_part[y] = x
-        s_telomeres = frozenset(v for v in range(n) if sq_id[v] < 0)
-        d_telomeres = frozenset(v for v in range(n) if d_part[v] < 0)
         init = object.__setattr__
         init(self, "labels", tuple(labels))
         init(self, "squares", tuple(squares))
@@ -100,9 +96,9 @@ class AmbiguousBreakpointGraph:
         init(self, "e_part", tuple(e_part))
         init(self, "t_part", tuple(t_part))
         init(self, "d_part", tuple(d_part))
-        init(self, "s_telomeres", s_telomeres)
-        init(self, "d_telomeres", d_telomeres)
-        init(self, "isolated", tuple(sorted(s_telomeres & d_telomeres)))
+        # the vertices in no square and on no fixed edge
+        init(self, "isolated",
+             tuple([v for v in range(n) if sq_id[v] < 0 and d_part[v] < 0]))
         init(self, "_candidates", {})  # (k, forced) -> CandidateSet
 
     def __setattr__(self, *a):
@@ -163,7 +159,7 @@ def forced_choices(abg: AmbiguousBreakpointGraph) -> tuple:
     vertex has two fixed edges.  The rule never has to pick between bits."""
     d_part = abg.d_part
     out = []
-    for index, u, v, uhat, vhat in abg.squares:
+    for index, (u, v, uhat, vhat) in enumerate(abg.squares):
         solid = d_part[u] == v or d_part[uhat] == vhat  # Square.edges(0)
         complementary = d_part[u] == vhat or d_part[uhat] == v  # Square.edges(1)
         if solid and complementary:
@@ -190,10 +186,9 @@ def build_abg(s: Genome, d_check: Genome) -> AmbiguousBreakpointGraph:
     index = {e: i for i, e in enumerate(labels)}
 
     squares = []
-    for i, ((bgid, bend, _), (ggid, gend, _)) in enumerate(sorted(s.adjacencies)):
+    for (bgid, bend, _), (ggid, gend, _) in sorted(s.adjacencies):
         squares.append(
             Square(
-                index=i,
                 u=index[bgid, bend, "a"],
                 v=index[ggid, gend, "a"],
                 uhat=index[bgid, bend, "b"],
@@ -278,13 +273,12 @@ class CandidateSet:
     that keep the forced bits and use a free square, as a sorted tuple;
     settled2x is the doubled weight of those whose squares are all forced."""
 
-    __slots__ = ("k", "candidates", "isolated_count", "settled2x")
+    __slots__ = ("k", "candidates", "settled2x")
 
-    def __init__(self, k, candidates, isolated_count, settled2x):
+    def __init__(self, k, candidates, settled2x):
         init = object.__setattr__
         init(self, "k", k)
         init(self, "candidates", tuple(candidates))
-        init(self, "isolated_count", isolated_count)
         init(self, "settled2x", settled2x)
 
     def __setattr__(self, *a):
@@ -342,8 +336,7 @@ def enumerate_candidates(abg: AmbiguousBreakpointGraph, k: int,
     for verts, choices in raw_paths:
         found.append(Candidate("path", len(verts) - 1, verts, choices, 1))
     found.sort()
-    memo[key] = cset = CandidateSet(k, found, len(abg.isolated),
-                                    cycles2x + paths2x)
+    memo[key] = cset = CandidateSet(k, found, cycles2x + paths2x)
     return cset
 
 
@@ -360,8 +353,8 @@ def to_dot(abg: AmbiguousBreakpointGraph, tau=None) -> str:
     With tau, only the chosen square edges are drawn."""
     lines = ["graph abg {", "  node [shape=circle fontsize=10];"]
     for v, label in enumerate(abg.labels):
-        in_s_tel = v in abg.s_telomeres
-        in_d_tel = v in abg.d_telomeres
+        in_s_tel = abg.sq_id[v] < 0
+        in_d_tel = abg.d_part[v] < 0
         if in_s_tel and in_d_tel:
             fill = "purple"
         elif in_s_tel:
@@ -376,14 +369,14 @@ def to_dot(abg: AmbiguousBreakpointGraph, tau=None) -> str:
         )
     if tau is not None:
         tau = abg.check_resolution(tau)
-    for sq in abg.squares:
-        bits = (0, 1) if tau is None else (tau[sq.index],)
+    for index, sq in enumerate(abg.squares):
+        bits = (0, 1) if tau is None else (tau[index],)
         for bit in bits:
             style = "dashed" if bit else "solid"
             for x, y in sq.edges(bit):
                 lines.append(
                     '  %s -- %s [color=orange style=%s class="square%d"];'
-                    % (_dot_name(abg.labels[x]), _dot_name(abg.labels[y]), style, sq.index)
+                    % (_dot_name(abg.labels[x]), _dot_name(abg.labels[y]), style, index)
                 )
     for x, y in abg.d_edges:
         lines.append(

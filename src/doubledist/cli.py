@@ -18,6 +18,7 @@ from .bpgraph import (
     INFINITY,
     BudgetExceeded,
     build_breakpoint_graph,
+    check_k,
     dcj_distance_bfs_oracle,
     distance,
 )
@@ -60,12 +61,9 @@ def _parse_k(text: str):
     if text in ("inf", "infinity", "oo"):
         return INFINITY
     try:
-        k = int(text)
+        return check_k(int(text))
     except ValueError:
-        raise argparse.ArgumentTypeError("k must be an even integer or 'inf'")
-    if k < 2 or k % 2:
-        raise argparse.ArgumentTypeError("k must be even and >= 2")
-    return k
+        raise argparse.ArgumentTypeError("k must be an even integer >= 2 or 'inf'")
 
 
 def _load_genome(path: str) -> Genome:

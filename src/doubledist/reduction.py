@@ -354,9 +354,9 @@ class _Builder:
         c = [self.vertex("%s.v%d" % (name, i)) for i in (1, 2, 3, 4)]
         idx = len(self.squares)
         if solid == "12":
-            self.squares.append(Square(idx, u=c[0], v=c[1], uhat=c[2], vhat=c[3]))
+            self.squares.append(Square(u=c[0], v=c[1], uhat=c[2], vhat=c[3]))
         elif solid == "14":
-            self.squares.append(Square(idx, u=c[0], v=c[3], uhat=c[2], vhat=c[1]))
+            self.squares.append(Square(u=c[0], v=c[3], uhat=c[2], vhat=c[1]))
         else:
             raise ValueError(solid)
         return idx, c

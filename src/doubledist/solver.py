@@ -31,6 +31,7 @@ from .genomes import (
     GenomeError,
     PairClass,
     classify_pair,
+    double,
     enumerate_resolved_doublings,
     singularize,
 )
@@ -99,8 +100,7 @@ def ss_naive(
             "over the budget of %d" % (free, abg.a_star - free, free, budget_nodes)
         )
     best2x, tau_int, explored = _kernels.best_resolution(
-        abg.sq_id, abg.e_part, abg.t_part, abg.d_part, abg.a_star, _kcap(k), forced
-    )
+        abg.d_part, abg.squares, _kcap(k), forced)
     # built from lists, as in AmbiguousBreakpointGraph.check_resolution
     tau = tuple([(tau_int >> i) & 1 for i in range(abg.a_star)])
     stats = SolveStats(nodes=explored, candidates=0,
@@ -161,9 +161,10 @@ def _max_weight_independent_set(weights, neighbor_masks, budget):
     """MWIS of a conflict graph given as bitmasks, one connected component
     at a time: the maximum of a disjoint union is the sum of the maxima.
 
-    Vertices must be pre-sorted by descending weight; each component keeps
-    that order under its own indices.  All components share one budget; when
-    it runs out the best set found so far is returned, not closed.
+    Vertices must be pre-sorted by descending weight; each component is
+    searched in place, on the whole graph's bitmasks.  All components share
+    one budget; when it runs out the best set found so far is returned, not
+    closed.
     Returns (best_weight, best_mask, closed); a search that stops early
     also leaves its upper bound on the best weight in budget.upper."""
     comps = _conflict_components(neighbor_masks)
@@ -172,13 +173,9 @@ def _max_weight_independent_set(weights, neighbor_masks, budget):
     best = 0
     best_mask = 0
     for pos, comp in enumerate(comps):
-        verts = _bits(comp)
-        local = {v: i for i, v in enumerate(verts)}
-        masks = [sum(1 << local[u] for u in _bits(neighbor_masks[v])) for v in verts]
-        part, part_mask, closed = _mwis_connected([weights[v] for v in verts], masks, budget)
+        part, part_mask, closed = _mwis_connected(weights, neighbor_masks, comp, budget)
         best += part
-        for i in _bits(part_mask):
-            best_mask |= 1 << verts[i]
+        best_mask |= part_mask
         if not closed:
             rest = 0  # the stopped component and those not reached
             for c in comps[pos:]:
@@ -207,20 +204,19 @@ def _clique_cover_bound(weights, neighbor_masks, avail):
     return ub
 
 
-def _mwis_connected(weights, neighbor_masks, budget):
-    """Branch and bound MWIS over a conflict graph given as bitmasks.
+def _mwis_connected(weights, neighbor_masks, avail, budget):
+    """Branch and bound MWIS over the vertices of avail, a mask, in a
+    conflict graph given as bitmasks.
 
     Vertices must be pre-sorted by descending weight.  Conflict-free
     vertices are taken outright; branching picks the most-conflicted
     vertex; the bound covers the available vertices greedily with cliques,
     each contributing its heaviest member.
     Returns (best_weight, best_mask, closed)."""
-    n = len(weights)
     best = 0
     best_mask = 0
-    full = (1 << n) - 1
     closed = True
-    stack = [(full, 0, 0)]
+    stack = [(avail, 0, 0)]
     while stack:
         avail, cur, chosen = stack.pop()
         if not budget.tick():
@@ -312,7 +308,7 @@ def ss_mis(
         enumerate_ms=enumerate_ms,
         forced=abg.a_star - forced.count(-1),
     )
-    fixed2x = cset.settled2x + cset.isolated_count
+    fixed2x = cset.settled2x + len(abg.isolated)
     if not closed:
         stats.upper_bound = Fraction(budget.upper + fixed2x, 2)
     return _result(abg, tau, k, "mis", closed, stats, best2x + fixed2x)
@@ -380,8 +376,7 @@ def dd_greedy_2(s: Genome, d: Genome) -> Fraction:
     2n - |A(2S) ^ A(D)| - |T(2S) ^ T(D)|/2.  Keeping every common adjacency,
     a 2-cycle, is `abg.forced_choices`'s rule taken at k = 2."""
     _require_cognate(s, d, "dd_greedy_2")
-    a2 = s.adjacencies + s.adjacencies
-    t2 = s.telomeres + s.telomeres
+    a2, t2, _ = double(s)
     common_a = sum((a2 & d.adjacencies).values())
     common_t = sum((t2 & d.telomeres).values())
     return 2 * len(s.identities) - common_a - Fraction(common_t, 2)

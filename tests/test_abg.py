@@ -44,9 +44,9 @@ def test_build_worked_example():
     assert g.n_vertices == 12
     assert g.n_star_doubled == 6
     # vertex classes match the figure: S-telomeres are copies of 1t and 3h
-    s_tel = sorted(str(g.labels[v]) for v in g.s_telomeres)
+    s_tel = sorted(str(g.labels[v]) for v in range(g.n_vertices) if g.sq_id[v] < 0)
     assert s_tel == ["1at", "1bt", "3ah", "3bh"]
-    d_tel = sorted(str(g.labels[v]) for v in g.d_telomeres)
+    d_tel = sorted(str(g.labels[v]) for v in range(g.n_vertices) if g.d_part[v] < 0)
     assert d_tel == ["1at", "1bh", "2bh", "3bh"]
 
 
@@ -117,7 +117,7 @@ def test_isolated_vertices_score_under_every_resolution():
 def test_candidates_worked_example():
     g = trio_graph()
     cs = enumerate_candidates(g, 8)
-    assert cs.isolated_count == 2
+    assert len(g.isolated) == 2
     two_cycles = [c for c in cs if c.kind == "cycle" and c.length == 2]
     assert len(two_cycles) == 1
     c = two_cycles[0]
@@ -202,11 +202,10 @@ def test_candidates_are_enumerated_once_per_graph_and_k():
         for k, cs in sets.items():
             assert enumerate_candidates(g, k) is cs
             assert isinstance(cs.candidates, tuple)
-            fresh = enumerate_candidates(
-                AmbiguousBreakpointGraph(g.labels, g.squares, g.d_edges), k
-            )
-            assert (cs.k, cs.candidates, cs.isolated_count) == (
-                fresh.k, fresh.candidates, fresh.isolated_count
+            rebuilt = AmbiguousBreakpointGraph(g.labels, g.squares, g.d_edges)
+            fresh = enumerate_candidates(rebuilt, k)
+            assert (cs.k, cs.candidates, cs.settled2x, len(g.isolated)) == (
+                fresh.k, fresh.candidates, fresh.settled2x, len(rebuilt.isolated)
             )
 
 
@@ -311,7 +310,7 @@ def test_candidate_completeness_and_realizability():
         for c in chosen:
             bits.update(dict(c.choices))
         tau = tuple(bits.get(i, 0) for i in range(g.a_star))
-        total = Fraction(sum(c.weight2 for c in chosen) + cs.isolated_count, 2)
+        total = Fraction(sum(c.weight2 for c in chosen) + len(g.isolated), 2)
         assert score(g, tau, k) >= total
 
 

@@ -252,6 +252,14 @@ def test_export_dot_pair(files, capsys):
     assert out.startswith("graph abg {")
 
 
+@pytest.mark.parametrize("k", ["3", "0", "-2", "x"])
+def test_bad_k_exits_2(files, capsys, k):
+    with pytest.raises(SystemExit) as exc:
+        run(["dist", "--k", k, files["a.genome"], files["b.genome"]])
+    assert exc.value.code == 2
+    assert "k must be an even integer >= 2 or 'inf'" in capsys.readouterr().err
+
+
 def test_error_exit_codes(files, capsys):
     assert run(["dist", "--k", "2", files["a.genome"], files["S.genome"]]) == 1
     assert "error:" in capsys.readouterr().err

@@ -112,10 +112,9 @@ def _brute_best(g, k, count):
 
 def test_best_resolution_equivalent():
     for g in small_graphs(8):
-        args = (g.sq_id, g.e_part, g.t_part, g.d_part, g.a_star)
         for k in (2, 6, 8, INFINITY):
             best2x, tau, explored = _kernels.best_resolution(
-                *args, -1 if k is INFINITY else k, (-1,) * g.a_star)
+                g.d_part, g.squares, -1 if k is INFINITY else k, (-1,) * g.a_star)
             assert (Fraction(best2x, 2), tau) == _brute_best(g, k, 1 << g.a_star)
             assert explored == 1 << g.a_star
 
@@ -339,9 +338,10 @@ def test_sweep_matches_sweep_by_walk():
     assert max(g.a_star for g in graphs) == 12
     for g in graphs:
         for kcap in (2, 4, 6, 8, 10, 12, -1):
-            args = (g.sq_id, g.e_part, g.t_part, g.d_part, g.a_star, kcap)
-            want = _sweep_by_walk(*args, 1 << g.a_star)
-            assert _kernels.best_resolution(*args, (-1,) * g.a_star) == want, (g.a_star, kcap)
+            want = _sweep_by_walk(g.sq_id, g.e_part, g.t_part, g.d_part, g.a_star, kcap,
+                                  1 << g.a_star)
+            got = _kernels.best_resolution(g.d_part, g.squares, kcap, (-1,) * g.a_star)
+            assert got == want, (g.a_star, kcap)
 
 
 def _restricted_sweep_by_walk(g, kcap, node_budget, forced):
@@ -381,9 +381,9 @@ def test_forced_sweep_matches_restricted_sweep_by_walk():
             tuples.add(tuple(rng.choice((-1, -1, 0, 1)) for _ in range(g.a_star)))
         for forced in tuples:
             for kcap in (2, 4, 6, 8, 10, 12, -1):
-                args = (g.sq_id, g.e_part, g.t_part, g.d_part, g.a_star, kcap)
                 want = _restricted_sweep_by_walk(g, kcap, 1 << forced.count(-1), forced)
-                assert _kernels.best_resolution(*args, forced) == want, (forced, kcap)
+                got = _kernels.best_resolution(g.d_part, g.squares, kcap, forced)
+                assert got == want, (forced, kcap)
                 cases += 1
     assert any(0 < forced_choices(g).count(-1) < g.a_star for g in graphs)
     assert cases > 4000
@@ -394,7 +394,7 @@ def _check_rule_keeps_the_optimum(g):
     its lowest tau, in 2^free resolutions."""
     forced = forced_choices(g)
     for kcap in (2, 4, 6, 8, 10, -1):
-        args = (g.sq_id, g.e_part, g.t_part, g.d_part, g.a_star, kcap)
+        args = (g.d_part, g.squares, kcap)
         best, tau, explored = _kernels.best_resolution(*args, forced)
         assert (best, tau) == _kernels.best_resolution(*args, (-1,) * g.a_star)[:2], (
             forced, kcap)
@@ -445,8 +445,7 @@ def test_sweep_leaves_no_cyclic_garbage():
     gc.disable()
     try:
         for forced in ((-1,) * g.a_star, (0, -1, 1, -1)):
-            _kernels.best_resolution(g.sq_id, g.e_part, g.t_part, g.d_part, g.a_star, -1,
-                                     forced)
+            _kernels.best_resolution(g.d_part, g.squares, -1, forced)
         assert gc.collect() == 0
     finally:
         gc.enable()

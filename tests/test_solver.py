@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doubledist.abg import build_abg, forced_choices, score
+from doubledist.abg import AmbiguousBreakpointGraph, Square, build_abg, forced_choices, score
 from doubledist.bpgraph import INFINITY, BudgetExceeded
 from doubledist.genomes import (
     GenomeError,
@@ -317,7 +317,8 @@ def test_split_search_matches_whole_graph_search():
         weights, masks = _random_conflict_graph(rng, n)
         budget = solver._SearchBudget(1 << 22, None)
         best, mask, closed = solver._max_weight_independent_set(weights, masks, budget)
-        whole = solver._mwis_connected(weights, masks, solver._SearchBudget(1 << 22, None))
+        whole = solver._mwis_connected(weights, masks, (1 << n) - 1,
+                                       solver._SearchBudget(1 << 22, None))
         assert closed and whole[2]
         assert best == whole[0]
         chosen = [v for v in range(n) if (mask >> v) & 1]
@@ -332,7 +333,8 @@ def test_stopped_split_search_bounds_the_optimum():
     for _ in range(300):
         n = rng.randint(2, 40)
         weights, masks = _random_conflict_graph(rng, n)
-        opt = solver._mwis_connected(weights, masks, solver._SearchBudget(1 << 22, None))[0]
+        opt = solver._mwis_connected(weights, masks, (1 << n) - 1,
+                                     solver._SearchBudget(1 << 22, None))[0]
         budget = solver._SearchBudget(rng.randint(0, 6), None)
         best, mask, closed = solver._max_weight_independent_set(weights, masks, budget)
         if closed:
@@ -471,6 +473,36 @@ def test_mis_scores_the_same_without_the_forced_bits(monkeypatch):
             bare = ss_mis(g, k)
             assert bare.stats.forced == 0 and r.stats.candidates <= bare.stats.candidates
             assert bare.score == r.score and r.stats.nodes <= bare.stats.nodes, k
+
+
+def test_square_order_does_not_change_the_optimum():
+    """A square's index is its position in the graph's list, so listing the
+    squares in another order renames them and changes no score."""
+    labels = ["v%d" % v for v in range(8)]
+    first, second = Square(0, 1, 2, 3), Square(4, 5, 6, 7)
+    d_edges = [(0, 1), (3, 4), (2, 7)]  # 0-1 forces the first square's bit 0
+    for squares in ([first, second], [second, first]):
+        g = AmbiguousBreakpointGraph(labels, squares, d_edges)
+        for solve in (ss_naive, ss_mis):
+            r = solve(g, 8)
+            assert r.optimal and r.score == 2, (squares, solve)
+    rng = random.Random(15)
+    pairs = 0
+    while pairs < 20:
+        n = rng.randint(3, 10)
+        ops = rng.randint(1, 2 * n)
+        s, d = random_cognate_pair(n, wgd=True, ops=ops, seed=rng.randrange(1 << 30))
+        g = build_abg(s, singularize(d))
+        forced = forced_choices(g)
+        if -1 not in forced or max(forced) < 0:
+            continue  # keep the pairs with both forced and free squares
+        pairs += 1
+        rev = AmbiguousBreakpointGraph(g.labels, g.squares[::-1], g.d_edges)
+        assert forced_choices(rev) == forced[::-1]
+        for k in (4, 8, INFINITY):
+            assert ss_naive(rev, k).score == ss_naive(g, k).score, k
+        for k in (4, 8):
+            assert ss_mis(rev, k).score == ss_mis(g, k).score, k
 
 
 def test_naive_sweeps_only_the_free_squares_at_scale():
