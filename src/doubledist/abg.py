@@ -15,10 +15,14 @@ from typing import NamedTuple
 from . import _kernels
 from .bpgraph import ComponentCensus, check_k, sigma
 from .genomes import (
+    CIRCULAR,
+    HEAD,
+    TAIL,
     Extremity,
     Genome,
     GenomeError,
     PairClass,
+    _new,
     classify_pair,
 )
 
@@ -65,14 +69,14 @@ class AmbiguousBreakpointGraph:
         t_part = [-1] * n
         d_part = [-1] * n
         for index, sq in enumerate(squares):
+            if len(set(sq)) != 4:
+                raise GenomeError("square %d vertices not distinct" % index)
             for v in sq:
                 if not 0 <= v < n:
                     raise GenomeError("square vertex %d out of range" % v)
                 if sq_id[v] >= 0:
                     raise GenomeError("vertex %d in two squares" % v)
                 sq_id[v] = index
-            if len(set(sq)) != 4:
-                raise GenomeError("square %d vertices not distinct" % index)
             for bit, part in ((0, e_part), (1, t_part)):
                 for x, y in sq.edges(bit):
                     part[x] = y
@@ -171,32 +175,49 @@ def forced_choices(abg: AmbiguousBreakpointGraph) -> tuple:
 
 def build_abg(s: Genome, d_check: Genome) -> AmbiguousBreakpointGraph:
     """Ambiguous breakpoint graph of a singular genome and an indexed
-    singularization of its duplicated cognate."""
+    singularization of its duplicated cognate.
+
+    Vertices are numbered by arithmetic: with r the rank of gid among the
+    sorted gene ids of s, extremity (gid, end, copy) is vertex
+    4r + 2[end == "t"] + [copy == "b"], and an extremity of s, which has no
+    copy index, is numbered as copy a.  The ids rise with (gid, end, copy),
+    so `labels` lists the extremities in sorted order, and the sorted
+    vertex-id pairs of a genome's adjacencies are its sorted adjacencies.
+    Copy b's vertex is copy a's plus 1, so the adjacency x-y of s gives the
+    square (x, y, x + 1, y + 1)."""
     if not d_check.is_indexed():
         raise GenomeError("second genome must carry a/b copy indices")
     if classify_pair(s, d_check) != PairClass.ONE_TWO_COGNATE:
         raise GenomeError("genomes do not form a [1.2]-cognate pair")
 
-    labels = []
-    for gid in sorted(s.ids):
-        for end in ("h", "t"):
-            for copy in ("a", "b"):
-                labels.append(Extremity(gid, end, copy))
-    # keyed by Extremity; plain (gid, end, copy) tuples hash and compare equal
-    index = {e: i for i, e in enumerate(labels)}
+    gids = sorted(s.ids)
+    rank = {gid: r for r, gid in enumerate(gids)}
+    labels = [
+        _new(Extremity, (gid, end, copy))
+        for gid in gids
+        for end in (HEAD, TAIL)
+        for copy in ("a", "b")
+    ]
+    squares = [
+        _new(Square, (x, y, x + 1, y + 1)) for x, y in _adjacency_ids(s, rank)
+    ]
+    return AmbiguousBreakpointGraph(labels, squares, _adjacency_ids(d_check, rank))
 
-    squares = []
-    for (bgid, bend, _), (ggid, gend, _) in sorted(s.adjacencies):
-        squares.append(
-            Square(
-                u=index[bgid, bend, "a"],
-                v=index[ggid, gend, "a"],
-                uhat=index[bgid, bend, "b"],
-                vhat=index[ggid, gend, "b"],
-            )
-        )
-    d_edges = [(index[x], index[y]) for x, y in sorted(d_check.adjacencies)]
-    return AmbiguousBreakpointGraph(labels, squares, d_edges)
+
+def _adjacency_ids(g: Genome, rank) -> list:
+    """The adjacencies of g as sorted vertex-id pairs (x, y), x < y, in
+    `build_abg`'s numbering.  A gene read forward has its tail on the left;
+    a circular chromosome adds the pair that closes it."""
+    out = []
+    for ch in g.chromosomes:
+        ends = []  # the vertices in reading order, two per gene
+        for gid, copy, rev in ch.genes:
+            v = 4 * rank[gid] + (copy == "b")  # the head; the tail is v + 2
+            ends += (v, v + 2) if rev else (v + 2, v)
+        inner = iter(ends[1:] + ends[:1] if ch.shape == CIRCULAR else ends[1:-1])
+        out += [(x, y) if x < y else (y, x) for x, y in zip(inner, inner)]
+    out.sort()
+    return out
 
 
 def resolve(abg: AmbiguousBreakpointGraph, tau) -> ComponentCensus:

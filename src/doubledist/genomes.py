@@ -105,7 +105,8 @@ _IDENTITY = itemgetter(0, 1)  # (gid, copy) of a Gene
 
 
 def _revcomp(genes):
-    return tuple(map(Gene.reverse, reversed(genes)))
+    # from a list: tuple() of a map, which has no length hint, resizes
+    return tuple([*map(Gene.reverse, reversed(genes))])
 
 
 def _canonical_genes(shape, genes):
@@ -338,7 +339,7 @@ class Genome:
 
     def erase_indices(self) -> "Genome":
         return Genome(
-            Chromosome(ch.shape, (g.erased() for g in ch.genes))
+            Chromosome(ch.shape, [g.erased() for g in ch.genes])
             for ch in self.chromosomes
         )
 
@@ -782,7 +783,7 @@ def _dcj_step(chroms, rng):
     identities = {(gid, copy) for gid, _, copy in chain(partner, telomeres)}
 
     rebuilt = [
-        (shape, _canonical_genes(shape, tuple(map(Gene.erased, genes))))
+        (shape, _canonical_genes(shape, tuple([*map(Gene.erased, genes)])))
         for shape, genes in _trace(partner, telomeres, identities)
     ]
     replaced = [chroms[i] for i in hit]

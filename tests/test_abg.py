@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 
 from doubledist.abg import (
     AmbiguousBreakpointGraph,
+    Square,
     bp_to_dot,
     build_abg,
     conflict,
@@ -18,12 +20,17 @@ from doubledist.abg import (
 )
 from doubledist.bpgraph import ComponentCensus, build_breakpoint_graph, sigma
 from doubledist.genomes import (
+    Chromosome,
+    Extremity,
+    Gene,
+    Genome,
     GenomeError,
+    format_genome,
     parse_genome,
     random_cognate_pair,
     singularize,
 )
-from doubledist.reduction import build_closed_flower, build_reduction
+from doubledist.reduction import build_closed_flower, build_reduction, extract_genomes
 
 from satgen import random_normalized_instance
 
@@ -68,6 +75,90 @@ def test_build_rejects_bad_pairs():
         build_abg(parse_genome("[1 2]"), parse_genome("[1.a 1.b]"))
     with pytest.raises(GenomeError):
         build_abg(TRIO_S, TRIO_D_CHECK.erase_indices())
+
+
+GRAPH_FIELDS = ("labels", "squares", "d_edges", "sq_id", "e_part", "t_part",
+                "d_part", "isolated")
+
+
+def _extremity_keyed_abg(s, d_check):
+    """The graph built through an Extremity index and the sorted adjacency
+    Counters of both genomes, as build_abg did before it numbered the
+    vertices by arithmetic."""
+    labels = [Extremity(gid, end, copy)
+              for gid in sorted(s.ids) for end in ("h", "t") for copy in ("a", "b")]
+    index = {e: i for i, e in enumerate(labels)}
+    squares = [
+        Square(u=index[bgid, bend, "a"], v=index[ggid, gend, "a"],
+               uhat=index[bgid, bend, "b"], vhat=index[ggid, gend, "b"])
+        for (bgid, bend, _), (ggid, gend, _) in sorted(s.adjacencies)
+    ]
+    d_edges = [(index[x], index[y]) for x, y in sorted(d_check.adjacencies)]
+    return AmbiguousBreakpointGraph(labels, squares, d_edges)
+
+
+def _relabeled(g, ids):
+    return Genome(Chromosome(ch.shape, [Gene(ids[gid], copy, rev) for gid, copy, rev in ch.genes])
+                  for ch in g.chromosomes)
+
+
+def _fresh(g):
+    return parse_genome(format_genome(g))
+
+
+def _differential_pairs():
+    """(singular S, indexed D) pairs, each genome freshly parsed, so that
+    none has computed its adjacencies yet."""
+    rng = random.Random(16)
+    for seed in range(200):
+        n = 1 + seed % 40
+        s, d = random_cognate_pair(n, True, rng.randint(0, 2 * n), seed)
+        yield _fresh(s), singularize(_fresh(d))
+        if seed < 40:  # ids that are not 1..n, in another order
+            ids = dict(zip(range(1, n + 1), rng.sample(range(1, 5 * n + 1), n)))
+            yield _fresh(_relabeled(s, ids)), singularize(_fresh(_relabeled(d, ids)))
+    for n_vars in (3, 4):
+        inst = random_normalized_instance(n_vars, 0)
+        for k in (8, 10, 12):
+            for shape in ("circular", "linear"):
+                s, _, d_check = extract_genomes(build_reduction(inst, k=k, shape=shape))
+                yield _fresh(s), _fresh(d_check)
+    for s, d_check in (
+        ("[17 -3]\n(40)", "[17.a -3.a 40.a]\n[40.b 17.b]\n(-3.b)"),
+        ("(1)", "(1.a 1.b)"),
+        ("(1)", "(1.a)\n(-1.b)"),
+        ("(5)\n(2)\n[9]", "(-9.b)\n(5.a)\n(2.a 5.b)\n[2.b 9.a]"),
+    ):
+        yield parse_genome(s), parse_genome(d_check)
+
+
+def test_build_matches_the_extremity_keyed_reference():
+    covered = Counter()
+    for s, d_check in _differential_pairs():
+        g = build_abg(s, d_check)
+        # the integer path reads the chromosomes, not the adjacency Counters
+        assert "adjacencies" not in s.__dict__
+        assert "adjacencies" not in d_check.__dict__
+        ref = _extremity_keyed_abg(s, d_check)
+        for name in GRAPH_FIELDS:
+            assert getattr(g, name) == getattr(ref, name), (name, s, d_check)
+        assert all(type(e) is Extremity for e in g.labels)
+        assert all(type(sq) is Square for sq in g.squares)
+        covered["pairs"] += 1
+        covered["ids not 1..n"] += max(s.ids) != len(s.ids)
+        covered["one-gene circular"] += any(
+            len(ch) == 1 and ch.shape == "circular"
+            for ch in s.chromosomes + d_check.chromosomes)
+    assert covered["pairs"] == 256, covered
+    assert covered["ids not 1..n"] >= 40 and covered["one-gene circular"] >= 10, covered
+
+
+def test_square_vertices_must_be_distinct():
+    with pytest.raises(GenomeError, match="square 0 vertices not distinct"):
+        AmbiguousBreakpointGraph(["v0", "v1", "v2", "v3"], [Square(0, 0, 1, 2)], [])
+    with pytest.raises(GenomeError, match="vertex 1 in two squares"):
+        AmbiguousBreakpointGraph(["v%d" % i for i in range(6)],
+                                 [Square(0, 1, 2, 3), Square(1, 4, 5, 0)], [])
 
 
 def test_resolve_worked_example():
