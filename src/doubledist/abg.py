@@ -68,27 +68,36 @@ class AmbiguousBreakpointGraph:
         e_part = [-1] * n
         t_part = [-1] * n
         d_part = [-1] * n
-        for index, sq in enumerate(squares):
-            if len(set(sq)) != 4:
+        for index, (u, v, uhat, vhat) in enumerate(squares):
+            if len({u, v, uhat, vhat}) != 4:
                 raise GenomeError("square %d vertices not distinct" % index)
-            for v in sq:
-                if not 0 <= v < n:
-                    raise GenomeError("square vertex %d out of range" % v)
-                if sq_id[v] >= 0:
-                    raise GenomeError("vertex %d in two squares" % v)
-                sq_id[v] = index
-            for bit, part in ((0, e_part), (1, t_part)):
-                for x, y in sq.edges(bit):
-                    part[x] = y
-                    part[y] = x
+            if not (0 <= u < n and 0 <= v < n and 0 <= uhat < n and 0 <= vhat < n
+                    and sq_id[u] < 0 and sq_id[v] < 0 and sq_id[uhat] < 0
+                    and sq_id[vhat] < 0):
+                for x in (u, v, uhat, vhat):  # name the first fault
+                    if not 0 <= x < n:
+                        raise GenomeError("square vertex %d out of range" % x)
+                    if sq_id[x] >= 0:
+                        raise GenomeError("vertex %d in two squares" % x)
+            sq_id[u] = sq_id[v] = sq_id[uhat] = sq_id[vhat] = index
+            # the matchings of Square.edges(0) and Square.edges(1)
+            e_part[u] = v
+            e_part[v] = u
+            e_part[uhat] = vhat
+            e_part[vhat] = uhat
+            t_part[u] = vhat
+            t_part[vhat] = u
+            t_part[uhat] = v
+            t_part[v] = uhat
         for x, y in d_edges:
             if x == y:
                 raise GenomeError("fixed-edge loop at vertex %d" % x)
-            for v in (x, y):
-                if not 0 <= v < n:
-                    raise GenomeError("fixed-edge vertex %d out of range" % v)
-                if d_part[v] >= 0:
-                    raise GenomeError("vertex %d has two fixed edges" % v)
+            if not (0 <= x < n and 0 <= y < n and d_part[x] < 0 and d_part[y] < 0):
+                for w in (x, y):  # name the first fault, end by end
+                    if not 0 <= w < n:
+                        raise GenomeError("fixed-edge vertex %d out of range" % w)
+                    if d_part[w] >= 0:
+                        raise GenomeError("vertex %d has two fixed edges" % w)
             d_part[x] = y
             d_part[y] = x
         init = object.__setattr__

@@ -23,11 +23,10 @@ from .genomes import (
     CIRCULAR,
     LINEAR,
     Chromosome,
-    Extremity,
     Gene,
     Genome,
     GenomeError,
-    genome_from_adjacencies,
+    _new,
 )
 
 
@@ -875,42 +874,105 @@ def verify_structure(r: ReductionOutput) -> StructureReport:
 def extract_genomes(r: ReductionOutput):
     """Realize the graph as genomes: (singular S, duplicated D, indexed D).
 
-    Circular shape: S is one circular chromosome 1..n and square i hosts the
-    adjacency between gene i's head and gene i+1's tail.  Linear shape: all
-    gene tails map to padding vertices, heads pair up inside squares, so
-    every chromosome is linear."""
+    Circular shape: S is one circular chromosome 1..n, n = a*, and square i,
+    counted from 0, hosts the adjacency between gene i+1's head and gene
+    i+2's tail (gene 1's for the last square).  Linear shape: S is n = 2a* genes in the
+    chromosomes [2i+1 -(2i+2)], square i hosts the heads of genes 2i+1 and
+    2i+2, and the padding vertices, in order, are the tails 1a, 1b, 2a, 2b,
+    ..., so every chromosome is linear.  A square's u and v are copy a of
+    its two extremities, uhat and vhat copy b.
+
+    Extremity (gid, end, copy) is numbered 4(gid - 1) + 2[end == "t"] +
+    [copy == "b"], so every vertex maps to its extremity by arithmetic.  The
+    D partner of an extremity is its vertex's fixed-edge partner, mapped
+    back; an extremity with none is a telomere.  One walk over these integer
+    lists traces each chromosome of D, from each telomere and then from the
+    tail of each gene copy still unused, and each step appends the gene to
+    the indexed D and its erased copy to D.  This is `genomes._trace`'s walk
+    on ids instead of Extremity tuples: the graph holds integer vertices, so
+    extraction can number their extremities by arithmetic and build no
+    Extremity, no partner dict and no second genome to erase.
+
+    Every vertex must map to exactly one extremity and every extremity have
+    a vertex, and every square vertex needs a fixed edge; otherwise
+    GenomeError names the vertex."""
     graph = r.graph
     n_sq = graph.a_star
+    n_vertices = graph.n_vertices
+    padding = graph.isolated
     circular = r.shape == CIRCULAR
-    if not circular and len(graph.isolated) != graph.n_vertices - len(graph.isolated):
+    if not circular and len(padding) != n_vertices - len(padding):
         raise GenomeError("linear extraction needs one padding vertex per graph vertex")
-    vertex_ext = {}
-    for i, sq in enumerate(graph.squares):
-        if circular:
-            beta = (i + 1, "h")
-            gamma = (i + 2 if i + 1 < n_sq else 1, "t")
-        else:
-            beta = (2 * i + 1, "h")
-            gamma = (2 * i + 2, "h")
-        vertex_ext[sq.u] = Extremity(*beta, "a")
-        vertex_ext[sq.uhat] = Extremity(*beta, "b")
-        vertex_ext[sq.v] = Extremity(*gamma, "a")
-        vertex_ext[sq.vhat] = Extremity(*gamma, "b")
-    telos = []
+    ext_of = [-1] * n_vertices  # vertex -> extremity id
     if circular:
+        for i, (u, v, uhat, vhat) in enumerate(graph.squares):
+            beta = 4 * i  # gene i+1's head, copy a
+            gamma = 4 * (i + 1) + 2 if i + 1 < n_sq else 2  # the next gene's tail
+            ext_of[u] = beta
+            ext_of[uhat] = beta + 1
+            ext_of[v] = gamma
+            ext_of[vhat] = gamma + 1
         s = Genome([Chromosome(CIRCULAR, [Gene(i) for i in range(1, n_sq + 1)])])
     else:
-        for j, v in enumerate(graph.isolated):
-            vertex_ext[v] = Extremity(j // 2 + 1, "t", "a" if j % 2 == 0 else "b")
-            telos.append(vertex_ext[v])
+        n = 2 * n_sq
+        for i, (u, v, uhat, vhat) in enumerate(graph.squares):
+            beta = 8 * i  # gene 2i+1's head, copy a; gene 2i+2's is beta + 4
+            ext_of[u] = beta
+            ext_of[uhat] = beta + 1
+            ext_of[v] = beta + 4
+            ext_of[vhat] = beta + 5
+        # padding vertex j is tail copy j % 2 of gene j // 2 + 1; one past
+        # the last tail maps to nothing
+        for j, v in enumerate(padding[: 2 * n]):
+            ext_of[v] = 4 * (j >> 1) + 2 + (j & 1)
         s = Genome([
             Chromosome(LINEAR, [Gene(2 * i + 1), Gene(2 * i + 2, rev=True)])
             for i in range(n_sq)
         ])
-        if len(s.identities) != 2 * n_sq:
+        if len(s.identities) != n:
             raise RuntimeError(
-                "linear extraction built %d genes, not %d" % (len(s.identities), 2 * n_sq)
+                "linear extraction built %d genes, not %d" % (len(s.identities), n)
             )
-    d_adjs = [(vertex_ext[x], vertex_ext[y]) for x, y in graph.d_edges]
-    d_check = genome_from_adjacencies(d_adjs, telos)
-    return s, d_check.erase_indices(), d_check
+    # The squares' vertices are distinct and take distinct ids, and so do
+    # the padding vertices; together they cover all 4n extremities (in the
+    # linear shape, by the padding check).  So the map is one-to-one and
+    # onto once no vertex is left out.
+    if -1 in ext_of:
+        raise GenomeError("vertex %d maps to no extremity" % ext_of.index(-1))
+    # The telomeres of D are the padding vertices, which have no fixed edge:
+    # every square vertex needs one.
+    d_part = graph.d_part
+    if len(graph.d_edges) != 2 * n_sq:
+        sq_id = graph.sq_id
+        v = next(v for v in range(n_vertices) if sq_id[v] >= 0 and d_part[v] < 0)
+        raise GenomeError("square vertex %d has no fixed edge" % v)
+    partner = [-1] * n_vertices  # extremity -> its D partner, -1 at a telomere
+    for v, w in enumerate(d_part):
+        if w >= 0:
+            partner[ext_of[v]] = ext_of[w]
+    used = bytearray(n_vertices)
+    indexed = []
+    erased = []
+
+    def walk(shape, e):  # e is the extremity by which D enters the first gene
+        genes = []
+        plain = []
+        while not used[e]:
+            used[e] = used[e ^ 2] = 1
+            gid = (e >> 2) + 1
+            rev = not e & 2  # entered at its head
+            genes.append(_new(Gene, (gid, "b" if e & 1 else "a", rev)))
+            plain.append(_new(Gene, (gid, "", rev)))
+            e = partner[e ^ 2]
+            if e < 0:
+                break
+        indexed.append(Chromosome(shape, genes))
+        erased.append(Chromosome(shape, plain))
+
+    for e in range(n_vertices):
+        if partner[e] < 0 and not used[e]:
+            walk(LINEAR, e)
+    for e in range(n_vertices):
+        if e & 2 and not used[e]:
+            walk(CIRCULAR, e)
+    return s, Genome(erased), Genome(indexed)

@@ -161,6 +161,48 @@ def test_square_vertices_must_be_distinct():
                                  [Square(0, 1, 2, 3), Square(1, 4, 5, 0)], [])
 
 
+@pytest.mark.parametrize("squares, d_edges, message", [
+    ([Square(0, 1, 2, 6)], [], "square vertex 6 out of range"),
+    ([Square(0, 1, -1, 2)], [], "square vertex -1 out of range"),
+    ([], [(3, 3)], "fixed-edge loop at vertex 3"),
+    ([], [(0, 6)], "fixed-edge vertex 6 out of range"),
+    ([], [(-1, 0)], "fixed-edge vertex -1 out of range"),
+    ([], [(0, 1), (2, 1)], "vertex 1 has two fixed edges"),
+    # each end is checked in turn, range first: the first fault is named
+    ([Square(0, 1, 2, 3), Square(4, 5, 3, 9)], [], "vertex 3 in two squares"),
+    ([], [(0, 1), (1, 7)], "vertex 1 has two fixed edges"),
+    ([], [(0, 1), (7, 1)], "fixed-edge vertex 7 out of range"),
+])
+def test_graph_refusals_name_the_fault(squares, d_edges, message):
+    with pytest.raises(GenomeError, match="^%s$" % message):
+        AmbiguousBreakpointGraph(["v%d" % i for i in range(6)], squares, d_edges)
+
+
+def test_square_parts_are_the_two_matchings_of_each_square():
+    graphs = []
+    for seed in range(50):
+        n = 4 + seed % 30
+        s, d = random_cognate_pair(n, True, seed % (2 * n), seed)
+        graphs.append(build_abg(s, singularize(d)))
+    for n_vars in (3, 4, 5):
+        inst = random_normalized_instance(n_vars, 0)
+        for k in (8, 10, 12):
+            graphs += [build_reduction(inst, k=k, shape=shape).graph
+                       for shape in ("circular", "linear")]
+    squares = 0
+    for g in graphs:
+        for index, sq in enumerate(g.squares):
+            for bit, part in ((0, g.e_part), (1, g.t_part)):
+                for x, y in sq.edges(bit):
+                    assert part[x] == y and part[y] == x, (index, bit)
+            squares += 1
+        on_a_square = [v for v in range(g.n_vertices) if g.sq_id[v] >= 0]
+        assert len(on_a_square) == 4 * g.a_star
+        assert all(g.e_part[v] == g.t_part[v] == -1
+                   for v in range(g.n_vertices) if g.sq_id[v] < 0)
+    assert len(graphs) == 68 and squares > 7000, squares
+
+
 def test_resolve_worked_example():
     census = resolve(trio_graph(), TRIO_TAU)
     assert census == ComponentCensus({2: 1}, {0: 2, 2: 1, 4: 1})

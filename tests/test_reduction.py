@@ -6,10 +6,21 @@ from fractions import Fraction
 
 import pytest
 
-from doubledist import _kernels
-from doubledist.abg import build_abg, enumerate_candidates, conflict, score
+from doubledist import _kernels, genomes, reduction
+from doubledist.abg import (
+    AmbiguousBreakpointGraph, build_abg, enumerate_candidates, conflict, score)
 from doubledist.bpgraph import ComponentCensus
-from doubledist.genomes import PairClass, classify_pair, format_genome
+from doubledist.genomes import (
+    Chromosome,
+    Extremity,
+    Gene,
+    Genome,
+    GenomeError,
+    PairClass,
+    classify_pair,
+    format_genome,
+    genome_from_adjacencies,
+)
 from doubledist.reduction import (
     Assignment,
     SatError,
@@ -575,7 +586,106 @@ def test_extracted_genomes_are_frozen():
 def test_extract_linear_rejects_unpadded():
     r = build_reduction(demo_instance(), k=8, shape="circular")
     r.shape = "linear"
-    with pytest.raises(Exception):
+    with pytest.raises(GenomeError, match="padding"):
+        extract_genomes(r)
+
+
+def _extremity_keyed_extract(r):
+    """The extraction through an Extremity map, `genome_from_adjacencies`
+    and `erase_indices`, as extract_genomes did before it walked integer
+    extremity ids."""
+    graph = r.graph
+    n_sq = graph.a_star
+    circular = r.shape == "circular"
+    vertex_ext = {}
+    for i, sq in enumerate(graph.squares):
+        if circular:
+            beta = (i + 1, "h")
+            gamma = (i + 2 if i + 1 < n_sq else 1, "t")
+        else:
+            beta = (2 * i + 1, "h")
+            gamma = (2 * i + 2, "h")
+        vertex_ext[sq.u] = Extremity(*beta, "a")
+        vertex_ext[sq.uhat] = Extremity(*beta, "b")
+        vertex_ext[sq.v] = Extremity(*gamma, "a")
+        vertex_ext[sq.vhat] = Extremity(*gamma, "b")
+    telos = []
+    if circular:
+        s = Genome([Chromosome("circular", [Gene(i) for i in range(1, n_sq + 1)])])
+    else:
+        for j, v in enumerate(graph.isolated):
+            vertex_ext[v] = Extremity(j // 2 + 1, "t", "a" if j % 2 == 0 else "b")
+            telos.append(vertex_ext[v])
+        s = Genome([
+            Chromosome("linear", [Gene(2 * i + 1), Gene(2 * i + 2, rev=True)])
+            for i in range(n_sq)
+        ])
+    d_adjs = [(vertex_ext[x], vertex_ext[y]) for x, y in graph.d_edges]
+    d_check = genome_from_adjacencies(d_adjs, telos)
+    return s, d_check.erase_indices(), d_check
+
+
+def _refuse(*a):
+    raise AssertionError("extraction must not go through this path")
+
+
+def test_extract_matches_the_extremity_keyed_reference(monkeypatch):
+    instances = [random_normalized_instance(n_vars, seed)
+                 for n_vars in (3, 4, 5) for seed in range(3)]
+    instances += unsat_instances()
+    compared = 0
+    for inst in instances:
+        for k in (8, 10, 12):
+            for shape in ("circular", "linear"):
+                r = build_reduction(inst, k=k, shape=shape)
+                expected = _extremity_keyed_extract(r)
+                with monkeypatch.context() as m:
+                    m.setattr(genomes, "genome_from_adjacencies", _refuse)
+                    m.setattr(genomes, "_trace", _refuse)
+                    m.setattr(Genome, "erase_indices", _refuse)
+                    got = extract_genomes(r)
+                assert got == expected, (inst, k, shape)
+                # the same canonical gene sequences, chromosome by chromosome
+                for g, ref in zip(got, expected):
+                    assert [ch.genes for ch in g.chromosomes] == [
+                        ch.genes for ch in ref.chromosomes]
+                compared += 1
+    assert compared == 66
+    assert not hasattr(reduction, "Extremity")
+    assert not hasattr(reduction, "genome_from_adjacencies")
+
+
+def _with_two_more_vertices(r, d_edges=()):
+    g = r.graph
+    graph = AmbiguousBreakpointGraph(
+        list(g.labels) + ["extra0", "extra1"], g.squares, list(g.d_edges) + list(d_edges))
+    return dataclasses.replace(r, graph=graph)
+
+
+def test_extract_rejects_an_isolated_vertex():
+    r = build_reduction(random_normalized_instance(3, 1), k=8)
+    assert r.graph.n_vertices == 620
+    r = _with_two_more_vertices(r)
+    assert r.graph.isolated == (620, 621)
+    with pytest.raises(GenomeError, match="vertex 620 maps to no extremity"):
+        extract_genomes(r)
+
+
+@pytest.mark.parametrize("shape", ["circular", "linear"])
+def test_extract_rejects_a_square_vertex_with_no_fixed_edge(shape):
+    r = build_reduction(random_normalized_instance(3, 1), k=8, shape=shape)
+    g = r.graph
+    (x, y), *rest = g.d_edges
+    r = dataclasses.replace(r, graph=AmbiguousBreakpointGraph(g.labels, g.squares, rest))
+    with pytest.raises(GenomeError, match="square vertex %d has no fixed edge" % min(x, y)):
+        extract_genomes(r)
+
+
+def test_extract_rejects_a_fixed_edge_off_every_square():
+    r = build_reduction(random_normalized_instance(3, 1), k=8)
+    r = _with_two_more_vertices(r, [(620, 621)])
+    assert not r.graph.isolated
+    with pytest.raises(GenomeError, match="vertex 620 maps to no extremity"):
         extract_genomes(r)
 
 
