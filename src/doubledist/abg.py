@@ -15,13 +15,13 @@ from typing import NamedTuple
 from . import _kernels
 from .bpgraph import ComponentCensus, check_k, sigma
 from .genomes import (
-    CIRCULAR,
     HEAD,
     TAIL,
     Extremity,
     Genome,
     GenomeError,
     PairClass,
+    _adjacency_ids,
     _new,
     classify_pair,
 )
@@ -135,12 +135,13 @@ class AmbiguousBreakpointGraph:
         # goes to CPython's free list for its final size, not the one it was
         # taken from, so a solve loop piles up to 2,000 of them per size
         # between full collections.
-        tau = tuple([int(b) for b in tau])
+        tau = list(tau)
+        # checked before int(), which would read 0.7 as 0 and "1" as 1
         if len(tau) != self.a_star or any(b not in (0, 1) for b in tau):
             raise GenomeError(
-                "resolution must be %d bits, got %r" % (self.a_star, tau)
+                "resolution must be %d bits, got %r" % (self.a_star, tuple(tau))
             )
-        return tau
+        return tuple([int(b) for b in tau])
 
     def degree_sequence_ok(self) -> bool:
         """Every vertex has degree 3 (circular-derived graphs)."""
@@ -186,14 +187,11 @@ def build_abg(s: Genome, d_check: Genome) -> AmbiguousBreakpointGraph:
     """Ambiguous breakpoint graph of a singular genome and an indexed
     singularization of its duplicated cognate.
 
-    Vertices are numbered by arithmetic: with r the rank of gid among the
-    sorted gene ids of s, extremity (gid, end, copy) is vertex
-    4r + 2[end == "t"] + [copy == "b"], and an extremity of s, which has no
-    copy index, is numbered as copy a.  The ids rise with (gid, end, copy),
-    so `labels` lists the extremities in sorted order, and the sorted
-    vertex-id pairs of a genome's adjacencies are its sorted adjacencies.
-    Copy b's vertex is copy a's plus 1, so the adjacency x-y of s gives the
-    square (x, y, x + 1, y + 1)."""
+    Each vertex is its extremity's id in the numbering that `genomes` states
+    (integer extremity ids), ranking the genes by their ids in s; an
+    extremity of s counts as copy a.  So `labels` lists the extremities in
+    sorted order, and copy b's vertex is copy a's plus 1: the adjacency x-y
+    of s gives the square (x, y, x + 1, y + 1)."""
     if not d_check.is_indexed():
         raise GenomeError("second genome must carry a/b copy indices")
     if classify_pair(s, d_check) != PairClass.ONE_TWO_COGNATE:
@@ -211,22 +209,6 @@ def build_abg(s: Genome, d_check: Genome) -> AmbiguousBreakpointGraph:
         _new(Square, (x, y, x + 1, y + 1)) for x, y in _adjacency_ids(s, rank)
     ]
     return AmbiguousBreakpointGraph(labels, squares, _adjacency_ids(d_check, rank))
-
-
-def _adjacency_ids(g: Genome, rank) -> list:
-    """The adjacencies of g as sorted vertex-id pairs (x, y), x < y, in
-    `build_abg`'s numbering.  A gene read forward has its tail on the left;
-    a circular chromosome adds the pair that closes it."""
-    out = []
-    for ch in g.chromosomes:
-        ends = []  # the vertices in reading order, two per gene
-        for gid, copy, rev in ch.genes:
-            v = 4 * rank[gid] + (copy == "b")  # the head; the tail is v + 2
-            ends += (v, v + 2) if rev else (v + 2, v)
-        inner = iter(ends[1:] + ends[:1] if ch.shape == CIRCULAR else ends[1:-1])
-        out += [(x, y) if x < y else (y, x) for x, y in zip(inner, inner)]
-    out.sort()
-    return out
 
 
 def resolve(abg: AmbiguousBreakpointGraph, tau) -> ComponentCensus:

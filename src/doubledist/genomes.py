@@ -71,9 +71,6 @@ class Extremity(NamedTuple):
     end: str  # HEAD or TAIL
     copy: str = ""
 
-    def identity(self):
-        return (self.gid, self.copy)
-
     def erased(self) -> "Extremity":
         return _new(Extremity, (self[0], self[1], ""))
 
@@ -499,42 +496,84 @@ def genome_from_adjacencies(adjs, telos) -> Genome:
             raise GenomeError("telomere %s listed twice" % (e,))
         telomeres.add(e)
     # Plain (gid, end, copy) tuples hash and compare equal to Extremity.
-    identities = {(gid, copy) for gid, _, copy in chain(partner, telomeres)}
+    identities = sorted({(gid, copy) for gid, _, copy in chain(partner, telomeres)})
     for gid, copy in identities:
         for end in (HEAD, TAIL):
             if (gid, end, copy) not in partner and (gid, end, copy) not in telomeres:
                 raise GenomeError("extremity %s missing" % (Extremity(gid, end, copy),))
-    return Genome(
-        Chromosome(shape, genes) for shape, genes in _trace(partner, telomeres, identities)
-    )
-
-
-def _trace(partner, telomeres, identities):
-    """The chromosomes that the extremity map ``partner`` links: a linear
-    one from each telomere not yet reached, least first, then a circular
-    one from the tail of each (gid, copy) left.  Each is (shape, genes)."""
-    used = set()
-
-    def walk(start):
-        genes = []
-        gid, end, copy = start
-        while True:
-            used.add((gid, copy))
-            genes.append(_new(Gene, (gid, copy, end == HEAD)))
-            nxt = partner.get((gid, HEAD if end == TAIL else TAIL, copy))
-            if nxt is None:
-                return genes
-            gid, end, copy = nxt
-            if (gid, copy) in used:
-                return genes
-
+    # identity i is the gene of rank i read as copy a, so its ids are 4i
+    # (head) and 4i + 2 (tail)
+    base = {identity: 4 * i for i, identity in enumerate(identities)}
+    id_partner = [-1] * (4 * len(identities))
+    for (xg, xe, xc), (yg, ye, yc) in partner.items():
+        id_partner[base[xg, xc] + 2 * (xe == TAIL)] = base[yg, yc] + 2 * (ye == TAIL)
     chroms = []
-    for t in sorted(telomeres):
-        if (t[0], t[2]) not in used:
-            chroms.append((LINEAR, walk(t)))
-    for gid, copy in sorted(identities - used):
-        if (gid, copy) not in used:
-            chroms.append((CIRCULAR, walk((gid, TAIL, copy))))
+    for shape, entries in _trace(id_partner, range(0, len(id_partner), 2)):
+        genes = []
+        for e in entries:
+            gid, copy = identities[e >> 2]
+            genes.append(_new(Gene, (gid, copy, not e & 2)))
+        chroms.append(Chromosome(shape, genes))
+    return Genome(chroms)
+
+
+# -- integer extremity ids ------------------------------------------------
+#
+# Extremity (gid, end, copy) of the gene of rank r is the id
+# 4r + 2[end == "t"] + [copy == "b"]; an extremity with no copy index reads
+# as copy a.  So e ^ 2 is the other end of the same gene copy and e >> 2
+# its rank, and when the rank rises with gid the ids sort as the
+# (gid, end, copy) tuples do.  A partner map gives, for each id, the id of
+# the adjacent extremity, or -1 at a telomere.
+
+
+def _trace(partner, ids):
+    """The chromosomes that the id partner map links, over the extremity ids
+    ``ids``: a linear one from each telomere not yet reached, in the order of
+    ids, then a circular one from each tail left.  Each is (shape, entries),
+    one entry per gene: the id of the extremity by which the walk enters
+    the gene, so the gene reads reversed when that is its head."""
+    used = set()  # both ends of every gene copy walked
+
+    def walk(e):
+        entries = []
+        while e not in used:
+            used.add(e)
+            used.add(e ^ 2)
+            entries.append(e)
+            e = partner[e ^ 2]
+            if e < 0:
+                break
+        return entries
+
+    chroms = [(LINEAR, walk(e)) for e in ids if partner[e] < 0 and e not in used]
+    chroms += [(CIRCULAR, walk(e)) for e in ids if e & 2 and e not in used]
+    return chroms
+
+
+def _adjacency_ids(g: Genome, rank) -> list:
+    """The adjacencies of g as sorted id pairs (x, y), x < y, where rank[gid]
+    is the rank of gene gid.  A gene read forward has its tail on the left;
+    a circular chromosome adds the pair that closes it."""
+    out = []
+    for ch in g.chromosomes:
+        ends = []  # the ids in reading order, two per gene
+        for gid, copy, rev in ch.genes:
+            v = 4 * rank[gid] + (copy == "b")  # the head; the tail is v + 2
+            ends += (v, v + 2) if rev else (v + 2, v)
+        inner = iter(ends[1:] + ends[:1] if ch.shape == CIRCULAR else ends[1:-1])
+        out += [(x, y) if x < y else (y, x) for x, y in zip(inner, inner)]
+    out.sort()
+    return out
+
+
+def _erased_chroms(partner):
+    """The chromosomes of an id partner map whose ranks are the gene ids,
+    as (shape, canonical genes) pairs with the copy indices erased."""
+    chroms = []
+    for shape, entries in _trace(partner, partner):
+        genes = tuple([_new(Gene, (e >> 2, "", not e & 2)) for e in entries])
+        chroms.append((shape, _canonical_genes(shape, genes)))
     return chroms
 
 
@@ -713,30 +752,26 @@ def _dcj_step(chroms, rng):
     """One random DCJ on a genome held as its sorted list of (shape,
     canonical genes) pairs, drawn exactly as on its singularized Genome:
     copies labeled a/b in canonical order, the move drawn from the sorted
-    adjacencies and telomeres.  Only the chromosomes that own a cut
-    extremity are walked again; the others keep their tuples."""
-    owner = {"a": {}, "b": {}}  # copy -> gid -> index of its chromosome
-    owner_a, owner_b = owner["a"], owner["b"]
+    adjacencies and telomeres.  The extremities are ids whose rank is the
+    gene id, so they sort as the extremity tuples do.  Only the chromosomes
+    that own a cut extremity are walked again; the others keep their
+    tuples."""
+    owner = {}  # the head id of each gene copy -> index of its chromosome
     links = []  # each chromosome's labeled adjacencies and telomeres
     adjs, telos = [], []
     for i, (shape, genes) in enumerate(chroms):
         row = []  # the labeled extremities in reading order
         for gid, _, rev in genes:
-            if gid in owner_a:
-                owner_b[gid] = i
-                copy = "b"
-            else:
-                owner_a[gid] = i
-                copy = "a"
-            if rev:
-                row += (gid, HEAD, copy), (gid, TAIL, copy)
-            else:
-                row += (gid, TAIL, copy), (gid, HEAD, copy)
+            v = 4 * gid  # copy a's head
+            if v in owner:
+                v += 1  # copy b's
+            owner[v] = i
+            row += (v, v + 2) if rev else (v + 2, v)
         if shape == LINEAR:
             tips, inner = (row[0], row[-1]), iter(row[1:-1])
         else:
             tips, inner = (), iter(row[1:] + row[:1])
-        pairs = [(x, y) if x <= y else (y, x) for x, y in zip(inner, inner)]
+        pairs = [(x, y) if x < y else (y, x) for x, y in zip(inner, inner)]
         links.append((pairs, tips))
         adjs += pairs
         telos += tips
@@ -749,43 +784,35 @@ def _dcj_step(chroms, rng):
         return chroms
     first, second = _nth_move(elems, adjs, rng.randrange(n_moves))
     kind1, v1 = first
-    ends = list(v1) if kind1 == "adjacency" else [v1]
-    new_adjs, new_telos = [], []
+    cut = list(v1) if kind1 == "adjacency" else [v1]
+    new_adjs = []  # the cut ends left out become telomeres
     if second is not None:
         kind2, v2 = second
-        ends += list(v2) if kind2 == "adjacency" else [v2]
-        rng.shuffle(ends)
-        cut = list(ends)
+        cut += list(v2) if kind2 == "adjacency" else [v2]
+        rng.shuffle(cut)
+        ends = list(cut)
         while ends:
             if len(ends) >= 2 and rng.random() < 0.8:
                 new_adjs.append((ends.pop(), ends.pop()))
             else:
-                new_telos.append(ends.pop())
-    else:
-        cut = ends
-        new_telos = ends
+                ends.pop()
 
-    hit = {owner[copy][gid] for gid, _, copy in cut}
-    partner, telomeres = {}, set()
+    hit = {owner[e & ~2] for e in cut}
+    partner = {}
     for i in hit:
         pairs, tips = links[i]
         for x, y in pairs:
             partner[x] = y
             partner[y] = x
-        telomeres.update(tips)
+        for e in tips:
+            partner[e] = -1
     for e in cut:
-        partner.pop(e, None)
-        telomeres.discard(e)
+        partner[e] = -1
     for x, y in new_adjs:
         partner[x] = y
         partner[y] = x
-    telomeres.update(new_telos)
-    identities = {(gid, copy) for gid, _, copy in chain(partner, telomeres)}
 
-    rebuilt = [
-        (shape, _canonical_genes(shape, tuple([*map(Gene.erased, genes)])))
-        for shape, genes in _trace(partner, telomeres, identities)
-    ]
+    rebuilt = _erased_chroms(partner)
     replaced = [chroms[i] for i in hit]
     if _gene_ids(rebuilt) != _gene_ids(replaced):
         raise RuntimeError(
@@ -813,25 +840,29 @@ def random_cognate_pair(n: int, wgd: bool, ops: int, seed):
     s = random_genome(n, parts - circ, circ, None, rng=rng)
     if wgd:
         a2, t2, _ = double(s)
-        adjs = []
+        partner = {}  # S's extremity x gives the ids x (copy a) and x + 1 (b)
         for (b, g), cnt in sorted(a2.items()):
             if cnt != 2:
                 raise RuntimeError("doubled adjacency %s-%s occurs %d times, not 2" % (b, g, cnt))
-            other = "ab" if rng.random() < 0.5 else "ba"
-            for c1, c2 in zip("ab", other):
-                adjs.append((Extremity(b.gid, b.end, c1), Extremity(g.gid, g.end, c2)))
-        telos = []
+            x = 4 * b.gid + 2 * (b.end == TAIL)
+            y = 4 * g.gid + 2 * (g.end == TAIL)
+            flip = 0 if rng.random() < 0.5 else 1  # 1 joins x's copy a to y's b
+            partner[x] = y + flip
+            partner[y + flip] = x
+            partner[x + 1] = y + 1 - flip
+            partner[y + 1 - flip] = x + 1
         for t, cnt in sorted(t2.items()):
             if cnt != 2:
                 raise RuntimeError("doubled telomere %s occurs %d times, not 2" % (t, cnt))
-            telos.append(Extremity(t.gid, t.end, "a"))
-            telos.append(Extremity(t.gid, t.end, "b"))
-        d = genome_from_adjacencies(adjs, telos).erase_indices()
+            x = 4 * t.gid + 2 * (t.end == TAIL)
+            partner[x] = partner[x + 1] = -1
+        chroms = sorted(_erased_chroms(partner))
+        content = s.ids + s.ids
     else:
-        d = s
-    chroms = [(ch.shape, ch.genes) for ch in d.chromosomes]
+        chroms = [(ch.shape, ch.genes) for ch in s.chromosomes]
+        content = s.ids
     for _ in range(ops):
         chroms = _dcj_step(chroms, rng)
-    if Counter(map(_IDENTITY, chain.from_iterable(g for _, g in chroms))) != d.identities:
+    if _gene_ids(chroms) != content:
         raise RuntimeError("scrambling D changed its gene content")
     return s, Genome(Chromosome(shape, genes) for shape, genes in chroms)

@@ -27,6 +27,7 @@ from .genomes import (
     Genome,
     GenomeError,
     _new,
+    _trace,
 )
 
 
@@ -264,10 +265,6 @@ class WGadget:
     pos: int  # 1-based literal position
     literal: int
     squares: list  # [Q1, Q2]
-    chain: list  # extension squares on the inter-square edge
-    x_stubs: list
-    y_stubs: list
-    connector: str  # which variable connector the X side merged into
     x_cycle: dict = field(default_factory=dict)  # full choices of the X-side k-cycle
     y_cycle: dict = field(default_factory=dict)
 
@@ -277,8 +274,6 @@ class ClauseGadget:
     index: int
     size: int
     squares: list  # Q1..Q6
-    middle_chain: list
-    extra_chain: list  # 3-clauses only (the theta_3 long edge)
     theta: dict  # position -> {square: bit}, cycle requirement incl. chains
     y_paths: dict  # position -> {square: bit} (the W_i..W_i 3-path)
     w_stubs: dict  # position -> stub vertex pair
@@ -287,15 +282,12 @@ class ClauseGadget:
 
 @dataclass
 class Flower:
-    host: str
     p: int
     squares: list
-    attach: tuple
 
 
 @dataclass
 class ExtChain:
-    host: str
     squares: list
 
 
@@ -378,7 +370,7 @@ class _Builder:
         self.edge(corners[p - 1][1], corners[0][0])  # closing plain edge
         self.edge(corners[p - 1][3], attach_a)  # the opened hatted edge
         self.edge(corners[0][2], attach_b)
-        self.flowers.append(Flower(host, p, squares, (attach_a, attach_b)))
+        self.flowers.append(Flower(p, squares))
 
     def chain(self, host, u, v):
         """Connect u..v through ell pass-through squares, each with its own
@@ -395,7 +387,7 @@ class _Builder:
             prev = c[2]  # out corner v3
             self.open_flower("%s.ext%d" % (host, i), c[0], c[1])
         self.edge(prev, v)
-        self.extensions.append(ExtChain(host, squares))
+        self.extensions.append(ExtChain(squares))
         return squares
 
 
@@ -526,7 +518,6 @@ def build_reduction(inst: SatInstance, k: int = 8, shape: str = CIRCULAR) -> Red
                 [(q[0][2], q[1][2]), (q[2][1], q[5][1]), (q[2][2], q[3][0])]
             ):
                 b.open_flower("%s.f%d" % (name, i), ga, gb)
-            extra = []
         else:
             solids = ("12", "14", "14", "14", "12", "12")
             sq, q, chain = _six_square_block(b, name, solids)
@@ -559,8 +550,6 @@ def build_reduction(inst: SatInstance, k: int = 8, shape: str = CIRCULAR) -> Red
                 index=ci,
                 size=len(clause),
                 squares=sq,
-                middle_chain=chain,
-                extra_chain=extra,
                 theta=theta,
                 y_paths=y_paths,
                 w_stubs=w_stubs,
@@ -602,10 +591,6 @@ def build_reduction(inst: SatInstance, k: int = 8, shape: str = CIRCULAR) -> Red
                     pos=pos,
                     literal=lit,
                     squares=[sq1, sq2],
-                    chain=chain,
-                    x_stubs=x_stubs,
-                    y_stubs=y_stubs,
-                    connector=connector,
                     x_cycle={sq1: 0, sq2: 0, **wmid, **vpattern},
                     y_cycle={sq1: 1, sq2: 1, **wmid, **cg.y_paths[pos]},
                 )
@@ -882,16 +867,13 @@ def extract_genomes(r: ReductionOutput):
     ..., so every chromosome is linear.  A square's u and v are copy a of
     its two extremities, uhat and vhat copy b.
 
-    Extremity (gid, end, copy) is numbered 4(gid - 1) + 2[end == "t"] +
-    [copy == "b"], so every vertex maps to its extremity by arithmetic.  The
-    D partner of an extremity is its vertex's fixed-edge partner, mapped
-    back; an extremity with none is a telomere.  One walk over these integer
-    lists traces each chromosome of D, from each telomere and then from the
-    tail of each gene copy still unused, and each step appends the gene to
-    the indexed D and its erased copy to D.  This is `genomes._trace`'s walk
-    on ids instead of Extremity tuples: the graph holds integer vertices, so
-    extraction can number their extremities by arithmetic and build no
-    Extremity, no partner dict and no second genome to erase.
+    Every vertex maps to its extremity's id in the numbering that `genomes`
+    states (integer extremity ids), gene gid having rank gid - 1.  The D
+    partner of an extremity is its vertex's fixed-edge partner, mapped
+    back; an extremity with none is a telomere.  `genomes._trace` walks D's
+    chromosomes over these ids, and each entry gives a gene of the indexed
+    D and its erased copy in D, so extraction builds no Extremity and no
+    second genome to erase.
 
     Every vertex must map to exactly one extremity and every extremity have
     a vertex, and every square vertex needs a fixed edge; otherwise
@@ -950,29 +932,16 @@ def extract_genomes(r: ReductionOutput):
     for v, w in enumerate(d_part):
         if w >= 0:
             partner[ext_of[v]] = ext_of[w]
-    used = bytearray(n_vertices)
     indexed = []
     erased = []
-
-    def walk(shape, e):  # e is the extremity by which D enters the first gene
+    for shape, entries in _trace(partner, range(n_vertices)):
         genes = []
         plain = []
-        while not used[e]:
-            used[e] = used[e ^ 2] = 1
+        for e in entries:
             gid = (e >> 2) + 1
             rev = not e & 2  # entered at its head
             genes.append(_new(Gene, (gid, "b" if e & 1 else "a", rev)))
             plain.append(_new(Gene, (gid, "", rev)))
-            e = partner[e ^ 2]
-            if e < 0:
-                break
         indexed.append(Chromosome(shape, genes))
         erased.append(Chromosome(shape, plain))
-
-    for e in range(n_vertices):
-        if partner[e] < 0 and not used[e]:
-            walk(LINEAR, e)
-    for e in range(n_vertices):
-        if e & 2 and not used[e]:
-            walk(CIRCULAR, e)
     return s, Genome(erased), Genome(indexed)

@@ -231,6 +231,15 @@ def test_score_worked_example():
     assert score(g, TRIO_TAU, 2) == 2
 
 
+def test_resolution_entries_must_equal_0_or_1():
+    g = trio_graph()
+    # int() would read 0.7 as 0, 1.9 as 1 and "1" as 1
+    for tau in ((0.7, 1.9), ("1", "0"), (0, 2), (-1, 0), (None, 1)):
+        with pytest.raises(GenomeError, match="resolution must be 2 bits"):
+            score(g, tau, 8)
+    assert score(g, (0.0, True), 8) == score(g, TRIO_TAU, 8)
+
+
 def test_score_isolated_only():
     g = build_abg(parse_genome("[1]"), parse_genome("[1.a]\n[1.b]"))
     for k in (2, 8):

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from doubledist import genomes as genomes_module
 from doubledist.genomes import (
     CIRCULAR,
+    HEAD,
     LINEAR,
+    TAIL,
     Chromosome,
     Extremity,
     Gene,
@@ -34,6 +36,7 @@ from doubledist.genomes import (
     singularize,
     tail,
 )
+from doubledist.genomes import _new
 
 
 def adj_strs(g):
@@ -468,7 +471,8 @@ def test_dcj_preserves_extremities():
 
 
 def test_genome_from_adjacencies_roundtrip():
-    for text in ("(1 2)\n[3 -4]", "[1 -3 2]", "(1)\n(2)\n[3]"):
+    # the last mixes plain genes with an a/b pair, which _validate accepts
+    for text in ("(1 2)\n[3 -4]", "[1 -3 2]", "(1)\n(2)\n[3]", "[1 2.a -3]\n(-2.b 4)"):
         g = parse_genome(text)
         assert genome_from_adjacencies(list(g.adjacencies), list(g.telomeres)) == g
 
@@ -484,6 +488,96 @@ def test_genome_from_adjacencies_rejects_repeats():
         genome_from_adjacencies([(head(1), tail(2))], [tail(1), tail(2), head(2)])
     with pytest.raises(GenomeError, match="extremity 2h missing"):
         genome_from_adjacencies([(head(1), tail(2))], [tail(1)])
+
+
+def _tuple_trace(partner, telomeres, identities):
+    """The chromosomes that the extremity map ``partner`` links: a linear
+    one from each telomere not yet reached, least first, then a circular
+    one from the tail of each (gid, copy) left.  Each is (shape, genes)."""
+    used = set()
+
+    def walk(start):
+        genes = []
+        gid, end, copy = start
+        while True:
+            used.add((gid, copy))
+            genes.append(_new(Gene, (gid, copy, end == HEAD)))
+            nxt = partner.get((gid, HEAD if end == TAIL else TAIL, copy))
+            if nxt is None:
+                return genes
+            gid, end, copy = nxt
+            if (gid, copy) in used:
+                return genes
+
+    chroms = []
+    for t in sorted(telomeres):
+        if (t[0], t[2]) not in used:
+            chroms.append((LINEAR, walk(t)))
+    for gid, copy in sorted(identities - used):
+        if (gid, copy) not in used:
+            chroms.append((CIRCULAR, walk((gid, TAIL, copy))))
+    return chroms
+
+
+def _tuple_genome(adjs, telos):
+    """The genome that valid adjacencies and telomeres describe, traced by
+    the walk over (gid, end, copy) tuples that the library used before it
+    walked integer extremity ids: the reference that keeps the generator
+    and extraction tests independent of `genomes._trace`."""
+    partner = {}
+    for x, y in adjs:
+        partner[x] = y
+        partner[y] = x
+    telomeres = set(telos)
+    identities = {(gid, copy) for gid, _, copy in list(partner) + list(telomeres)}
+    return Genome(
+        Chromosome(shape, genes)
+        for shape, genes in _tuple_trace(partner, telomeres, identities)
+    )
+
+
+def _id_partner(g):
+    """g's partner map over the integer extremity ids, genes ranked by id."""
+    rank = {gid: r for r, gid in enumerate(sorted(g.ids))}
+    partner = [-1] * (4 * len(rank))
+    for x, y in genomes_module._adjacency_ids(g, rank):
+        partner[x] = y
+        partner[y] = x
+    return partner, sorted(g.ids)
+
+
+def test_trace_matches_the_tuple_walk():
+    rng = random.Random(18)
+    cases = Counter()
+    for seed in range(400):
+        n = rng.randint(1, 12)
+        if seed % 2:
+            s, d = random_cognate_pair(n, True, rng.randint(0, 2 * n), seed)
+            g = singularize(d)
+        else:
+            parts = rng.randint(1, min(3, n))
+            circ = rng.randint(0, parts)
+            g = random_genome(n, parts - circ, circ, seed)
+        indexed = g.is_indexed()
+        partner, gids = _id_partner(g)
+        # a plain gene reads as copy a, so its ids are 4r and 4r + 2
+        ids = range(len(partner)) if indexed else range(0, len(partner), 2)
+        got = [
+            (shape, [Gene(gids[e >> 2], ("b" if e & 1 else "a") if indexed else "",
+                          not e & 2) for e in entries])
+            for shape, entries in genomes_module._trace(partner, ids)
+        ]
+        adj_partner = {}
+        for x, y in g.adjacencies:
+            adj_partner[x] = y
+            adj_partner[y] = x
+        # the walks start from the same extremities in the same order
+        assert got == _tuple_trace(adj_partner, set(g.telomeres), set(g.identities)), g
+        cases["indexed" if indexed else "plain"] += 1
+        for shape, genes in got:
+            cases[shape] += 1
+            cases["one-gene circular"] += shape == CIRCULAR and len(genes) == 1
+    assert min(cases.values()) >= 20, cases
 
 
 # === random generation ===
@@ -569,8 +663,8 @@ def test_nth_move_unranks_like_the_row_loop():
 
 def _random_dcj(g: Genome, rng: random.Random) -> Genome:
     """The generator's DCJ as it was, verbatim but for the row-loop
-    unranking: one singularized Genome per move, rebuilt whole by
-    genome_from_adjacencies."""
+    unranking: one singularized Genome per move, rebuilt whole by the
+    tuple walk."""
     work = g if g.is_identity_singular() else singularize(g)
     adjs = sorted(work.adjacencies)
     telos = sorted(work.telomeres)
@@ -597,7 +691,7 @@ def _random_dcj(g: Genome, rng: random.Random) -> Genome:
                 tset.add(ends.pop())
     else:
         tset.update(ends)
-    res = genome_from_adjacencies(aset, tset)
+    res = _tuple_genome(aset, tset)
     return res if g.is_identity_singular() else res.erase_indices()
 
 
@@ -618,7 +712,7 @@ def _per_move_cognate_pair(n, wgd, ops, seed):
         for t in sorted(t2):
             telos.append(Extremity(t.gid, t.end, "a"))
             telos.append(Extremity(t.gid, t.end, "b"))
-        d = genome_from_adjacencies(adjs, telos).erase_indices()
+        d = _tuple_genome(adjs, telos).erase_indices()
     else:
         d = s
     for _ in range(ops):

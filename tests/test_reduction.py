@@ -19,7 +19,6 @@ from doubledist.genomes import (
     PairClass,
     classify_pair,
     format_genome,
-    genome_from_adjacencies,
 )
 from doubledist.reduction import (
     Assignment,
@@ -41,6 +40,7 @@ from doubledist.abg import resolve
 from doubledist.solver import ss_mis
 
 from satgen import random_normalized_instance, unsat_instances
+from test_genomes import _tuple_genome
 
 DEMO_CNF = "p cnf 4 5\n1 2 0\n1 3 0\n-1 -2 4 0\n2 3 0\n-3 -4 0\n"
 DEMO_A = {1: True, 2: True, 3: False, 4: True}
@@ -591,8 +591,8 @@ def test_extract_linear_rejects_unpadded():
 
 
 def _extremity_keyed_extract(r):
-    """The extraction through an Extremity map, `genome_from_adjacencies`
-    and `erase_indices`, as extract_genomes did before it walked integer
+    """The extraction through an Extremity map, the tuple walk and
+    `erase_indices`, as extract_genomes did before it walked integer
     extremity ids."""
     graph = r.graph
     n_sq = graph.a_star
@@ -621,7 +621,7 @@ def _extremity_keyed_extract(r):
             for i in range(n_sq)
         ])
     d_adjs = [(vertex_ext[x], vertex_ext[y]) for x, y in graph.d_edges]
-    d_check = genome_from_adjacencies(d_adjs, telos)
+    d_check = _tuple_genome(d_adjs, telos)
     return s, d_check.erase_indices(), d_check
 
 
@@ -641,7 +641,6 @@ def test_extract_matches_the_extremity_keyed_reference(monkeypatch):
                 expected = _extremity_keyed_extract(r)
                 with monkeypatch.context() as m:
                     m.setattr(genomes, "genome_from_adjacencies", _refuse)
-                    m.setattr(genomes, "_trace", _refuse)
                     m.setattr(Genome, "erase_indices", _refuse)
                     got = extract_genomes(r)
                 assert got == expected, (inst, k, shape)

@@ -35,3 +35,42 @@ def test_every_kernel_export_is_used():
                 used.update(alias.name for alias in node.names)
     unused = sorted(kernels - used)
     assert not unused, "_kernels defines kernels the library never uses: %s" % ", ".join(unused)
+
+
+def _identifiers_used(path):
+    """The names a file reads: names, attributes, imported names and string
+    constants that are identifiers (as `setattr`/`getattr` take them)."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                used.add(node.value)
+    return used
+
+
+def test_every_definition_is_referenced():
+    """Each function, method and class the library defines is named
+    somewhere in the library, its tests or the benchmark, besides its own
+    definition.  Dunder methods, which the interpreter calls, are skipped."""
+    defined = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = node.name
+                if not (name.startswith("__") and name.endswith("__")):
+                    defined.setdefault(name, "%s:%d" % (path.relative_to(SRC), node.lineno))
+    assert defined, "no definitions found under %s" % SRC
+    root = SRC.parents[1]
+    used = set()
+    for folder in ("src", "tests", "perfbench"):
+        for path in sorted((root / folder).rglob("*.py")):
+            used |= _identifiers_used(path)
+    unused = sorted("%s (%s)" % (name, where) for name, where in defined.items()
+                    if name not in used)
+    assert not unused, "defined but never referenced: %s" % ", ".join(unused)
