@@ -232,8 +232,13 @@ def alternating_cycles(sq_id, e_part, t_part, d_part, kcap, forced=None):
             continue
         last_sq = sq_id[sd]
         # DFS over (path, choices); steps alternate square edge then d-edge.
-        # Only states with a square edge left and, when just one is left, at
-        # a vertex of sd's square are pushed: no other state can close.
+        # A hop is a square edge and the fixed edge after it.  The cycle's
+        # last square edge ends at sd, so it starts in sd's square: a walk
+        # that may take j more square edges can close only if it reaches
+        # that square within j - 1 hops (or fewer: it may close early).
+        # Only states with a square edge left are pushed, and, for j <= 2,
+        # only those that pass this test with bits and visited vertices
+        # ignored, a superset of the states that close.
         # choices holds the free squares' bits only; a forced square's bit is
         # read from forced, so a walk never contradicts it.  A state is
         # (vertex, path so far, choices, square edges left after this step).
@@ -256,9 +261,16 @@ def alternating_cycles(sq_id, e_part, t_part, d_part, kcap, forced=None):
                         out.append((npath, tuple(sorted(nchoices.items()))))
                     else:
                         settled2x += 2
-                elif (d > s and left
-                      and (sq_id[d] == last_sq if left == 1 else sq_id[d] >= 0)
-                      and d not in npath):
+                elif d > s and left and sq_id[d] >= 0 and d not in npath:
+                    if sq_id[d] != last_sq:
+                        if left == 1:
+                            continue
+                        if left == 2:
+                            x = d_part[e_part[d]]
+                            y = d_part[t_part[d]]
+                            if not ((x >= 0 and sq_id[x] == last_sq)
+                                    or (y >= 0 and sq_id[y] == last_sq)):
+                                continue
                     stack.append((d, npath, nchoices, left - 1))
     return out, settled2x
 

@@ -318,7 +318,10 @@ def enumerate_candidates(abg: AmbiguousBreakpointGraph, k: int,
     candidate lists are those of its free squares.  A cycle walk starts only
     at a square vertex whose fixed-edge partner is a larger square vertex,
     the one it must close through, and is extended only while it can still
-    close: with one square edge left it must stand in that partner's square.
+    close.  Its last square edge lies in that partner's square, so with one
+    square edge left it must stand in that square, and with two it must be
+    in it or reach it in one hop (a square edge, either bit, and the fixed
+    edge after it); a walk that closes early passes both tests.
     A walk still branches up to twice per free square step, so the worst
     case stays O(V * 2^(k/2)) walks; the pruning cuts the walks that cannot
     close."""

@@ -3,7 +3,7 @@
 Two independent routes, both after `abg.forced_choices` fixes the forced
 squares: `ss_naive` sweeps the 2^free resolutions of the free squares;
 `ss_mis` enumerates short candidate components and solves a maximum-weight
-independent set on their conflict graph by branch and bound, one connected
+independent set on their conflict graph by branch and reduce, one connected
 component of that graph at a time.  Both return the same scores;
 `dd_definition_oracle` re-derives the double distance from its definition
 without touching the ambiguous-graph machinery at all.
@@ -205,13 +205,30 @@ def _clique_cover_bound(weights, neighbor_masks, avail):
 
 
 def _mwis_connected(weights, neighbor_masks, avail, budget):
-    """Branch and bound MWIS over the vertices of avail, a mask, in a
+    """Branch and reduce MWIS over the vertices of avail, a mask, in a
     conflict graph given as bitmasks.
 
-    Vertices must be pre-sorted by descending weight.  Conflict-free
-    vertices are taken outright; branching picks the most-conflicted
-    vertex; the bound covers the available vertices greedily with cliques,
-    each contributing its heaviest member.
+    Vertices must be pre-sorted by descending weight.  At every node two
+    reductions run on the graph induced by the available vertices until
+    neither fires:
+
+    - a vertex with no available neighbour is taken;
+    - a vertex v is dropped when an available neighbour u has N[u] within
+      N[v] (closed neighbourhoods among the available vertices) and
+      w(u) >= w(v).  Exchange: in an independent set holding v, swap v for
+      u.  u is not in the set (it is v's neighbour), and every other
+      neighbour of u is a neighbour of v, so none is in the set either; the
+      weight does not fall.  Some optimum therefore avoids v.
+
+    Each step is exact on the graph it sees, so applying them one at a time
+    is exact too.  The simplicial rule needs no code of its own: a vertex u
+    whose N[u] is a clique and that is the heaviest of it dominates each
+    neighbour v (N[u] lies in N[v] because v meets all of the clique), so
+    its neighbours are dropped and u is then taken.
+
+    Branching picks the most-conflicted vertex; the bound covers the
+    available vertices greedily with cliques, each contributing its
+    heaviest member.
     Returns (best_weight, best_mask, closed)."""
     best = 0
     best_mask = 0
@@ -222,20 +239,33 @@ def _mwis_connected(weights, neighbor_masks, avail, budget):
         if not budget.tick():
             closed = False
             break
-        # take every vertex with no remaining conflicts
+        # the two reductions, until neither fires
         while True:
             rem = avail
-            grabbed = False
+            reduced = False
             while rem:
                 low = rem & -rem
-                rem &= rem - 1
+                rem ^= low
                 v = low.bit_length() - 1
-                if neighbor_masks[v] & avail == 0:
+                near = neighbor_masks[v] & avail
+                if not near:
                     cur += weights[v]
                     chosen |= low
-                    avail &= ~low
-                    grabbed = True
-            if not grabbed:
+                    avail ^= low
+                    reduced = True
+                    continue
+                # drop v if a neighbour at least as heavy has N[u] within N[v]
+                closed_v = near | low
+                w = weights[v]
+                while near:
+                    u_low = near & -near
+                    near ^= u_low
+                    u = u_low.bit_length() - 1
+                    if weights[u] >= w and neighbor_masks[u] & avail & ~closed_v == 0:
+                        avail ^= low
+                        reduced = True
+                        break
+            if not reduced:
                 break
         if cur > best:
             best = cur

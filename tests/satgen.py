@@ -2,7 +2,9 @@
 
 import random
 
-from doubledist.reduction import SatInstance, check_normalized
+from doubledist.reduction import SatInstance, check_normalized, normalize, parse_cnf
+
+DEMO_CNF = "p cnf 4 5\n1 2 0\n1 3 0\n-1 -2 4 0\n2 3 0\n-3 -4 0\n"
 
 
 def random_normalized_instance(n_vars: int, seed: int) -> SatInstance:
@@ -66,3 +68,14 @@ def unsat_instances():
     for inst in (a, b):
         check_normalized(inst)
     return [a, b]
+
+
+def reduction_corpus():
+    """The acceptance corpus of criteria 08 and 10: the demo formula, the
+    unsatisfiable instances and 28 seeded ones of 3 to 10 variables."""
+    insts = [normalize(parse_cnf(DEMO_CNF))]
+    insts += unsat_instances()
+    sizes = [3, 4, 5, 6, 7, 8, 9, 10]
+    for seed in range(28):
+        insts.append(random_normalized_instance(sizes[seed % len(sizes)], seed))
+    return insts

@@ -41,9 +41,8 @@ from doubledist.reduction import (
 )
 from doubledist.solver import dd, dd_definition_oracle, dd_greedy_2, ss_mis, ss_naive
 
-from satgen import random_normalized_instance, unsat_instances
-
-DEMO_CNF = "p cnf 4 5\n1 2 0\n1 3 0\n-1 -2 4 0\n2 3 0\n-3 -4 0\n"
+import satgen
+from satgen import DEMO_CNF
 
 
 def _report(num, ok, detail, elapsed, budget):
@@ -197,12 +196,7 @@ def test_criterion_07_reduction_golden():
 
 @pytest.fixture(scope="module")
 def reduction_corpus():
-    insts = [normalize(parse_cnf(DEMO_CNF))]
-    insts += unsat_instances()
-    sizes = [3, 4, 5, 6, 7, 8, 9, 10]
-    for seed in range(28):
-        insts.append(random_normalized_instance(sizes[seed % len(sizes)], seed))
-    return insts
+    return satgen.reduction_corpus()
 
 
 def test_criterion_08_reduction_property_sweep(reduction_corpus):

@@ -248,9 +248,25 @@ def _unpruned_alternating_cycles(sq_id, e_part, t_part, d_part, kcap):
 
 
 def _same_cycles(g, k):
+    """The kernel lists the unpruned walks, in the same order, with every
+    square free and with the graph's forced bits.  Forced, it keeps the
+    walks that agree with the bits, their choices cut to the free squares,
+    and settles those with no free square."""
     args = (g.sq_id, g.e_part, g.t_part, g.d_part, k)
     want = _unpruned_alternating_cycles(*args)
     assert _kernels.alternating_cycles(*args) == (want, 0)  # same list, same order
+    forced = forced_choices(g)
+    kept = []
+    settled2x = 0
+    for path, choices in want:
+        if any(forced[sq] == 1 - bit for sq, bit in choices):
+            continue
+        free = tuple((sq, bit) for sq, bit in choices if forced[sq] < 0)
+        if free:
+            kept.append((path, free))
+        else:
+            settled2x += 2
+    assert _kernels.alternating_cycles(*args, forced) == (kept, settled2x)
     return len(want)
 
 

@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doubledist.abg import AmbiguousBreakpointGraph, Square, build_abg, forced_choices, score
+from doubledist.abg import (
+    AmbiguousBreakpointGraph,
+    Square,
+    build_abg,
+    conflict_masks,
+    enumerate_candidates,
+    forced_choices,
+    score,
+)
 from doubledist.bpgraph import INFINITY, BudgetExceeded
 from doubledist.genomes import (
     GenomeError,
@@ -16,14 +24,17 @@ from doubledist.genomes import (
     singularize,
 )
 from doubledist import abg, genomes, solver
-from doubledist.reduction import build_closed_flower
+from doubledist.reduction import build_closed_flower, build_reduction, sat_brute, score_bound
 from doubledist.solver import (
+    _clique_cover_bound,
     dd,
     dd_definition_oracle,
     dd_greedy_2,
     ss_mis,
     ss_naive,
 )
+
+import satgen
 
 TRIO_S = parse_genome("[1 2 3]")
 TRIO_D = parse_genome("[1 2 -3 1]\n[-3 2]")
@@ -310,6 +321,66 @@ def _random_conflict_graph(rng, n):
     return weights, masks
 
 
+# The search before its reductions at every node, kept verbatim as the
+# reference that the reducing search is tested against.
+def _reference_mwis_connected(weights, neighbor_masks, avail, budget):
+    """Branch and bound MWIS over the vertices of avail, a mask, in a
+    conflict graph given as bitmasks.
+
+    Vertices must be pre-sorted by descending weight.  Conflict-free
+    vertices are taken outright; branching picks the most-conflicted
+    vertex; the bound covers the available vertices greedily with cliques,
+    each contributing its heaviest member.
+    Returns (best_weight, best_mask, closed)."""
+    best = 0
+    best_mask = 0
+    closed = True
+    stack = [(avail, 0, 0)]
+    while stack:
+        avail, cur, chosen = stack.pop()
+        if not budget.tick():
+            closed = False
+            break
+        # take every vertex with no remaining conflicts
+        while True:
+            rem = avail
+            grabbed = False
+            while rem:
+                low = rem & -rem
+                rem &= rem - 1
+                v = low.bit_length() - 1
+                if neighbor_masks[v] & avail == 0:
+                    cur += weights[v]
+                    chosen |= low
+                    avail &= ~low
+                    grabbed = True
+            if not grabbed:
+                break
+        if cur > best:
+            best = cur
+            best_mask = chosen
+        if not avail:
+            continue
+        if cur + _clique_cover_bound(weights, neighbor_masks, avail) <= best:
+            continue
+        # branch on the most conflicted available vertex
+        rem = avail
+        v = -1
+        v_deg = -1
+        while rem:
+            low = rem & -rem
+            rem &= rem - 1
+            u = low.bit_length() - 1
+            deg = (neighbor_masks[u] & avail).bit_count()
+            if deg > v_deg:
+                v, v_deg = u, deg
+        bit = 1 << v
+        # exclude first so the include branch is explored first (LIFO)
+        stack.append((avail & ~bit, cur, chosen))
+        stack.append((avail & ~(neighbor_masks[v] | bit), cur + weights[v], chosen | bit))
+    return best, best_mask, closed
+
+
 def test_split_search_matches_whole_graph_search():
     rng = random.Random(2024)
     for _ in range(300):
@@ -317,8 +388,8 @@ def test_split_search_matches_whole_graph_search():
         weights, masks = _random_conflict_graph(rng, n)
         budget = solver._SearchBudget(1 << 22, None)
         best, mask, closed = solver._max_weight_independent_set(weights, masks, budget)
-        whole = solver._mwis_connected(weights, masks, (1 << n) - 1,
-                                       solver._SearchBudget(1 << 22, None))
+        whole = _reference_mwis_connected(weights, masks, (1 << n) - 1,
+                                          solver._SearchBudget(1 << 22, None))
         assert closed and whole[2]
         assert best == whole[0]
         chosen = [v for v in range(n) if (mask >> v) & 1]
@@ -333,8 +404,8 @@ def test_stopped_split_search_bounds_the_optimum():
     for _ in range(300):
         n = rng.randint(2, 40)
         weights, masks = _random_conflict_graph(rng, n)
-        opt = solver._mwis_connected(weights, masks, (1 << n) - 1,
-                                     solver._SearchBudget(1 << 22, None))[0]
+        opt = _reference_mwis_connected(weights, masks, (1 << n) - 1,
+                                        solver._SearchBudget(1 << 22, None))[0]
         budget = solver._SearchBudget(rng.randint(0, 6), None)
         best, mask, closed = solver._max_weight_independent_set(weights, masks, budget)
         if closed:
@@ -343,6 +414,72 @@ def test_stopped_split_search_bounds_the_optimum():
             stopped += 1
             assert best <= opt <= budget.upper
     assert stopped > 100
+
+
+def _conflict_graph(g, k, forced):
+    """The conflict graph ss_mis searches: its candidates' doubled weights,
+    descending, and their conflict bitmasks."""
+    cands = sorted(enumerate_candidates(g, k, forced).candidates, key=lambda c: -c.weight2)
+    return [c.weight2 for c in cands], conflict_masks(cands)
+
+
+def _check_search(weights, masks, want):
+    """The reducing search closes on the whole graph with the weight want,
+    and its mask is an independent set of that weight."""
+    best, mask, closed = solver._mwis_connected(
+        weights, masks, (1 << len(weights)) - 1, solver._SearchBudget(1 << 22, None))
+    assert closed and best == want
+    chosen = solver._bits(mask)
+    assert all(masks[v] & mask == 0 for v in chosen)
+    assert sum(weights[v] for v in chosen) == best
+
+
+def test_search_matches_the_reference_on_the_reduction_corpus():
+    """Criterion 08's reductions at k = 8, 10 and 12.  A formula's conflict
+    graph repeats across k, so the reference searches each distinct one once."""
+    reference = {}
+    for inst in satgen.reduction_corpus():
+        for k in (8, 10, 12):
+            g = build_reduction(inst, k=k).graph
+            weights, masks = _conflict_graph(g, k, forced_choices(g))
+            key = (tuple(weights), tuple(masks))
+            if key not in reference:
+                reference[key] = _reference_mwis_connected(
+                    weights, masks, (1 << len(weights)) - 1,
+                    solver._SearchBudget(1 << 30, None))[0]
+            _check_search(weights, masks, reference[key])
+    assert len(reference) >= 31
+
+
+def test_search_matches_the_reference_on_wgd_graphs():
+    """Seeded WGD pairs, with the forced bits and without them (larger
+    conflict components), at every even k from 4 to 12."""
+    rng = random.Random(19)
+    searched = 0
+    for seed in range(30):
+        n = rng.randint(10, 40)
+        s, d = random_cognate_pair(n, wgd=True, ops=rng.randint(n // 4, n), seed=seed)
+        g = build_abg(s, singularize(d))
+        for forced in (forced_choices(g), None):
+            for k in (4, 6, 8, 10, 12):
+                weights, masks = _conflict_graph(g, k, forced)
+                want = _reference_mwis_connected(weights, masks, (1 << len(weights)) - 1,
+                                                 solver._SearchBudget(1 << 30, None))[0]
+                _check_search(weights, masks, want)
+                searched += len(weights)
+    assert searched > 5000
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_mis_closes_the_sixteen_variable_reductions(seed):
+    """Under the default budget; the optimum meets score_bound exactly when
+    the formula is satisfiable."""
+    inst = satgen.random_normalized_instance(16, seed)
+    r = ss_mis(build_reduction(inst, k=8).graph, 8)
+    assert r.optimal
+    bound = score_bound(inst, "circular", 8)
+    assert r.score <= bound
+    assert (r.score == bound) == sat_brute(inst)[0]
 
 
 def test_mis_upper_bound_when_a_budget_stops_the_search():
@@ -399,11 +536,12 @@ class _FakeClock:
 
 
 def test_mis_budget_ms_reads_the_clock_every_node(monkeypatch):
-    # a pair chosen for its free squares: the forced bits leave a search
-    s, d = random_cognate_pair(12, wgd=True, ops=8, seed=1)
+    # a pair chosen for its free squares: the forced bits and the reductions
+    # leave a search of more than 5 nodes
+    s, d = random_cognate_pair(30, wgd=True, ops=20, seed=31)
     g = build_abg(s, singularize(d))
     full = ss_mis(g, 8)
-    assert full.stats.nodes > 5 and full.stats.forced == g.a_star - 3
+    assert full.stats.nodes > 5 and full.stats.forced == g.a_star - 6
     monkeypatch.setattr(solver.time, "monotonic", _FakeClock())
     # the deadline falls 5 readings after the budget starts: 4 nodes pass
     r = ss_mis(g, 8, budget_ms=5000)
