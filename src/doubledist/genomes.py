@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import cached_property
 from itertools import chain, product
 from operator import itemgetter
@@ -141,38 +141,25 @@ def _rotation(genes, i, backward):
     return genes[i:] + genes[:i]
 
 
-class Chromosome:
-    """A linear or circular sequence of gene occurrences, canonicalized."""
+class Chromosome(namedtuple("Chromosome", "shape genes")):
+    """A linear or circular sequence of gene occurrences, canonicalized: the
+    pair (shape, genes), so chromosomes compare, hash and sort as those
+    tuples do.  The gene count is ``len(ch.genes)``."""
 
-    __slots__ = ("shape", "genes")
+    __slots__ = ()
 
-    def __init__(self, shape: str, genes: Iterable[Gene]):
+    def __new__(cls, shape: str, genes: Iterable[Gene]):
         genes = tuple(genes)
         if shape not in (LINEAR, CIRCULAR):
             raise GenomeError("unknown chromosome shape: %r" % (shape,))
         if not genes:
             raise GenomeError("empty chromosome")
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "genes", _canonical_genes(shape, genes))
+        return _new(cls, (shape, _canonical_genes(shape, genes)))
 
-    def __setattr__(self, *a):
-        raise AttributeError("Chromosome is immutable")
-
-    def sort_key(self):
-        return (self.shape, self.genes)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Chromosome)
-            and self.shape == other.shape
-            and self.genes == other.genes
-        )
-
-    def __hash__(self):
-        return hash((self.shape, self.genes))
-
-    def __len__(self):
-        return len(self.genes)
+    @classmethod
+    def _make(cls, fields):
+        # through __new__, so that _replace canonicalizes too
+        return cls(*fields)
 
     def __repr__(self):
         return "Chromosome(%r, %s)" % (self.shape, list(map(str, self.genes)))
@@ -227,9 +214,15 @@ class Genome:
     __slots__ = ("chromosomes", "__dict__")
 
     def __init__(self, chromosomes: Iterable[Chromosome]):
-        chroms = sorted(chromosomes, key=Chromosome.sort_key)
+        # a list display takes its list from the interpreter's free list,
+        # which list() does not, so repeated builds pile nothing up there
+        chroms = [*chromosomes]
         if not chroms:
             raise GenomeError("empty genome")
+        for ch in chroms:
+            if type(ch) is not Chromosome:
+                raise GenomeError("a genome holds Chromosome values, got %r" % (ch,))
+        chroms.sort()
         object.__setattr__(self, "chromosomes", tuple(chroms))
         self._validate()
 
@@ -298,7 +291,7 @@ class Genome:
 
     @property
     def n_star(self) -> int:
-        return sum(len(ch) for ch in self.chromosomes)
+        return sum(len(ch.genes) for ch in self.chromosomes)
 
     @property
     def chi(self) -> int:
@@ -569,12 +562,11 @@ def _adjacency_ids(g: Genome, rank) -> list:
 
 def _erased_chroms(partner):
     """The chromosomes of an id partner map whose ranks are the gene ids,
-    as (shape, canonical genes) pairs with the copy indices erased."""
-    chroms = []
-    for shape, entries in _trace(partner, partner):
-        genes = tuple([_new(Gene, (e >> 2, "", not e & 2)) for e in entries])
-        chroms.append((shape, _canonical_genes(shape, genes)))
-    return chroms
+    with the copy indices erased."""
+    return [
+        Chromosome(shape, [_new(Gene, (e >> 2, "", not e & 2)) for e in entries])
+        for shape, entries in _trace(partner, partner)
+    ]
 
 
 def enumerate_resolved_doublings(s: Genome):
@@ -589,22 +581,18 @@ def enumerate_resolved_doublings(s: Genome):
     gids = sorted(s.ids)
     out = set()
     for layout_bits in product((0, 1), repeat=len(circulars)):
-        # Occurrence sequences of the duplicated genome for this layout.
-        seqs = []
-        for ch in linears:
-            seqs.append((LINEAR, ch.genes))
-            seqs.append((LINEAR, ch.genes))
+        # The chromosomes of the duplicated genome for this layout: two
+        # copies of each, or one circle that reads a circular one twice.
+        # Labeling each gene's first occurrence with every copy index covers
+        # the labelings of every rotation and reversal of the doubled circle.
+        doubled = [c for ch in linears for c in (ch, ch)]
         for bit, ch in zip(layout_bits, circulars):
-            if bit:
-                seqs.append((CIRCULAR, ch.genes + ch.genes))
-            else:
-                seqs.append((CIRCULAR, ch.genes))
-                seqs.append((CIRCULAR, ch.genes))
+            doubled += [Chromosome(CIRCULAR, ch.genes * 2)] if bit else [ch, ch]
         for label_bits in product("ab", repeat=len(gids)):
             first = dict(zip(gids, label_bits))
             seen = set()
             chroms = []
-            for shape, genes in seqs:
+            for shape, genes in doubled:
                 labeled = []
                 for g in genes:
                     if g.gid in seen:
@@ -615,7 +603,7 @@ def enumerate_resolved_doublings(s: Genome):
                     labeled.append(Gene(g.gid, copy, g.rev))
                 chroms.append(Chromosome(shape, labeled))
             out.add(Genome(chroms))
-    return sorted(out, key=lambda g: [c.sort_key() for c in g.chromosomes])
+    return sorted(out, key=lambda g: g.chromosomes)
 
 
 # -- DCJ -----------------------------------------------------------------
@@ -749,13 +737,12 @@ def _nth_move(elems, adjs, r):
 
 
 def _dcj_step(chroms, rng):
-    """One random DCJ on a genome held as its sorted list of (shape,
-    canonical genes) pairs, drawn exactly as on its singularized Genome:
-    copies labeled a/b in canonical order, the move drawn from the sorted
-    adjacencies and telomeres.  The extremities are ids whose rank is the
-    gene id, so they sort as the extremity tuples do.  Only the chromosomes
-    that own a cut extremity are walked again; the others keep their
-    tuples."""
+    """One random DCJ on a genome held as its sorted list of Chromosomes,
+    drawn exactly as on its singularized Genome: copies labeled a/b in
+    canonical order, the move drawn from the sorted adjacencies and
+    telomeres.  The extremities are ids whose rank is the gene id, so they
+    sort as the extremity tuples do.  Only the chromosomes that own a cut
+    extremity are walked again; the others are kept as they are."""
     owner = {}  # the head id of each gene copy -> index of its chromosome
     links = []  # each chromosome's labeled adjacencies and telomeres
     adjs, telos = [], []
@@ -823,7 +810,7 @@ def _dcj_step(chroms, rng):
 
 
 def _gene_ids(chroms):
-    return Counter(g.gid for _, genes in chroms for g in genes)
+    return Counter(g.gid for ch in chroms for g in ch.genes)
 
 
 def random_cognate_pair(n: int, wgd: bool, ops: int, seed):
@@ -859,10 +846,10 @@ def random_cognate_pair(n: int, wgd: bool, ops: int, seed):
         chroms = sorted(_erased_chroms(partner))
         content = s.ids + s.ids
     else:
-        chroms = [(ch.shape, ch.genes) for ch in s.chromosomes]
+        chroms = list(s.chromosomes)
         content = s.ids
     for _ in range(ops):
         chroms = _dcj_step(chroms, rng)
     if _gene_ids(chroms) != content:
         raise RuntimeError("scrambling D changed its gene content")
-    return s, Genome(Chromosome(shape, genes) for shape, genes in chroms)
+    return s, Genome(chroms)

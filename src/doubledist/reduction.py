@@ -615,7 +615,7 @@ def build_reduction(inst: SatInstance, k: int = 8, shape: str = CIRCULAR) -> Red
         ell=sizes.ell,
         p=sizes.p,
         m=sizes.m,
-        bound=Fraction(sizes.base_bound) + Fraction(isolated_count, 2),
+        bound=score_bound(inst, shape, k),
     )
 
 
@@ -903,9 +903,8 @@ def extract_genomes(r: ReductionOutput):
             ext_of[uhat] = beta + 1
             ext_of[v] = beta + 4
             ext_of[vhat] = beta + 5
-        # padding vertex j is tail copy j % 2 of gene j // 2 + 1; one past
-        # the last tail maps to nothing
-        for j, v in enumerate(padding[: 2 * n]):
+        # padding vertex j is tail copy j % 2 of gene j // 2 + 1
+        for j, v in enumerate(padding):
             ext_of[v] = 4 * (j >> 1) + 2 + (j & 1)
         s = Genome([
             Chromosome(LINEAR, [Gene(2 * i + 1), Gene(2 * i + 2, rev=True)])

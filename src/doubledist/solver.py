@@ -90,7 +90,7 @@ def ss_naive(
     keeps them); ties keep the lowest bit pattern.  A graph is refused
     before the sweep unless 2^free <= budget_nodes."""
     check_k(k)
-    _check_budgets(budget_nodes=budget_nodes)
+    _check_budgets(budget_nodes)
     t0 = time.monotonic()
     forced = forced_choices(abg)
     free = forced.count(-1)
@@ -292,8 +292,12 @@ def _mwis_connected(weights, neighbor_masks, avail, budget):
     return best, best_mask, closed
 
 
-def _check_budgets(**budgets) -> None:
-    for name, value in budgets.items():
+def _check_budgets(budget_nodes, budget_ms=None) -> None:
+    """Refuse a budget an engine cannot honour, before any work: a missing
+    or negative node count, or a negative time (None: no deadline)."""
+    if budget_nodes is None:
+        raise ValueError("budget_nodes must be a node count, got None")
+    for name, value in (("budget_nodes", budget_nodes), ("budget_ms", budget_ms)):
         if value is not None and value < 0:
             raise ValueError("%s must not be negative, got %r" % (name, value))
 
@@ -309,7 +313,7 @@ def ss_mis(
     and budget_ms the wall time, read at every node; a search that either
     budget stops returns its best witness so far with optimal=False and an
     upper bound on the optimum in stats.upper_bound."""
-    _check_budgets(budget_nodes=budget_nodes, budget_ms=budget_ms)
+    _check_budgets(budget_nodes, budget_ms)
     t0 = time.monotonic()
     # Only resolutions that keep the forced bits need searching, so the
     # enumeration builds no candidate that contradicts one, and settles

@@ -147,7 +147,7 @@ def test_build_matches_the_extremity_keyed_reference():
         covered["pairs"] += 1
         covered["ids not 1..n"] += max(s.ids) != len(s.ids)
         covered["one-gene circular"] += any(
-            len(ch) == 1 and ch.shape == "circular"
+            len(ch.genes) == 1 and ch.shape == "circular"
             for ch in s.chromosomes + d_check.chromosomes)
     assert covered["pairs"] == 256, covered
     assert covered["ids not 1..n"] >= 40 and covered["one-gene circular"] >= 10, covered

@@ -133,7 +133,7 @@ def test_validation_matches_the_copy_list_rule():
             )
             for _ in range(rng.randint(1, 3))
         ]
-        genes = [g for ch in sorted(chroms, key=Chromosome.sort_key) for g in ch.genes]
+        genes = [g for ch in sorted(chroms) for g in ch.genes]
         expected = _copy_list_error(genes)
         if expected is None:
             valid += 1
@@ -259,6 +259,36 @@ def test_chromosome_order_matches_the_gene_key_order():
     assert checked > 60
 
 
+def test_chromosome_is_its_canonical_shape_and_genes():
+    ch = Chromosome(CIRCULAR, [Gene(2, rev=True), Gene(1)])
+    pair = (CIRCULAR, (Gene(1), Gene(2, rev=True)))
+    assert ch == pair and hash(ch) == hash(pair) and tuple(ch) == pair
+    assert len(ch) == 2 and len(ch.genes) == 2
+    other = Chromosome(LINEAR, [Gene(3)])
+    assert sorted([ch, other]) == sorted([pair, (LINEAR, (Gene(3),))])
+    assert (ch < other) == (pair < (LINEAR, (Gene(3),)))
+    with pytest.raises(AttributeError):
+        ch.genes = pair[1]
+    with pytest.raises(AttributeError):
+        ch.extra = 1
+    assert ch._replace(genes=(Gene(2, rev=True), Gene(1))) == pair
+    made = Chromosome._make((LINEAR, [Gene(2), Gene(1)]))
+    assert made == Chromosome(LINEAR, [Gene(2), Gene(1)]) != (LINEAR, (Gene(2), Gene(1)))
+    with pytest.raises(GenomeError, match="Chromosome values"):
+        Genome([pair])
+    with pytest.raises(GenomeError, match="Chromosome values"):
+        Genome([other, (LINEAR, (Gene(1),))])
+    # the generator builds every chromosome canonical: rebuilding one
+    # through Chromosome() changes nothing
+    rng = random.Random(20)
+    for seed in range(200):
+        n = rng.randint(1, 30)
+        for g in random_cognate_pair(n, seed % 2 == 0, rng.randint(0, 2 * n), seed):
+            for ch in g.chromosomes:
+                assert type(ch) is Chromosome
+                assert ch == Chromosome(ch.shape, ch.genes), (n, seed, ch)
+
+
 def test_seeded_pairs_are_frozen():
     # sha256 over the formatted outputs, frozen before Gene took its
     # canonical field order; any change to the canonical form or to the
@@ -353,6 +383,46 @@ def test_doublings_all_doubled_after_erasure():
         for b in enumerate_resolved_doublings(parse_genome(text)):
             assert b.is_indexed()
             assert b.erase_indices().is_doubled()
+
+
+def _labeled_occurrence_doublings(s):
+    """Reference: the resolved doublings labeled on occurrence sequences, a
+    circular chromosome whose layout bit is set read as its genes twice in
+    stored order, before the sequences are canonicalized."""
+    circulars = [ch for ch in s.chromosomes if ch.shape == CIRCULAR]
+    linears = [ch for ch in s.chromosomes if ch.shape == LINEAR]
+    gids = sorted(s.ids)
+    out = set()
+    for layout_bits in product((0, 1), repeat=len(circulars)):
+        seqs = [(LINEAR, ch.genes) for ch in linears for _ in range(2)]
+        for bit, ch in zip(layout_bits, circulars):
+            seqs += [(CIRCULAR, ch.genes * 2)] if bit else [(CIRCULAR, ch.genes)] * 2
+        for label_bits in product("ab", repeat=len(gids)):
+            first = dict(zip(gids, label_bits))
+            seen = set()
+            chroms = []
+            for shape, genes in seqs:
+                labeled = []
+                for g in genes:
+                    copy = first[g.gid] if g.gid not in seen else {"a": "b", "b": "a"}[first[g.gid]]
+                    seen.add(g.gid)
+                    labeled.append(Gene(g.gid, copy, g.rev))
+                chroms.append(Chromosome(shape, labeled))
+            out.add(Genome(chroms))
+    return sorted(out, key=lambda g: g.chromosomes)
+
+
+def test_doublings_match_the_occurrence_labeling():
+    circular = 0
+    for seed in range(150):
+        rng = random.Random(seed)
+        n = rng.randint(1, 6)
+        parts = rng.randint(1, min(3, n))
+        circ = rng.randint(0, parts)
+        s = random_genome(n, parts - circ, circ, seed)
+        assert enumerate_resolved_doublings(s) == _labeled_occurrence_doublings(s), s
+        circular += s.o > 0
+    assert circular >= 50
 
 
 def test_doublings_budget():
@@ -734,7 +804,7 @@ def test_random_cognate_pair_matches_the_per_move_rebuild():
         cases["ops = 2n"] += ops == 2 * n
         cases["n > 30"] += n > 30
         cases["one-gene circular"] += any(
-            ch.shape == CIRCULAR and len(ch) == 1 for ch in d.chromosomes
+            ch.shape == CIRCULAR and len(ch.genes) == 1 for ch in d.chromosomes
         )
     assert min(cases.values()) >= 10, cases
 

@@ -565,6 +565,24 @@ def test_negative_budgets_raise():
         dd(TRIO_S, TRIO_D, 8, engine="naive", budget_nodes=-1)
 
 
+def test_engines_refuse_a_missing_node_budget(monkeypatch):
+    g = trio_graph()
+
+    def no_work(*args):
+        raise AssertionError("an engine started work on an unusable budget")
+
+    monkeypatch.setattr(solver, "forced_choices", no_work)
+    with pytest.raises(ValueError, match="budget_nodes must be a node count, got None"):
+        ss_naive(g, 8, budget_nodes=None)
+    with pytest.raises(ValueError, match="budget_nodes must be a node count, got None"):
+        ss_mis(g, 8, budget_nodes=None)
+    monkeypatch.undo()
+    # budget_ms=None is no deadline; dd() drops a None budget for the
+    # engine's default
+    assert ss_mis(g, 8, budget_ms=None).optimal
+    assert dd(TRIO_S, TRIO_D, 8, engine="mis", budget_nodes=None).optimal
+
+
 def test_mis_node_count_on_a_split_graph():
     # 174 conflict components, the largest of 7 candidates; searched as one
     # graph this pair took 26,511 nodes

@@ -37,6 +37,34 @@ def test_every_kernel_export_is_used():
     assert not unused, "_kernels defines kernels the library never uses: %s" % ", ".join(unused)
 
 
+def _names_canonical_genes(node):
+    return (getattr(node, "id", None) == "_canonical_genes"
+            or getattr(node, "attr", None) == "_canonical_genes"
+            or isinstance(node, ast.alias) and node.name == "_canonical_genes")
+
+
+def test_chromosomes_are_canonicalized_in_one_place():
+    """Only `Chromosome.__new__` names `_canonical_genes`, so every
+    chromosome the library builds is canonical by construction."""
+    inside, outside = 0, []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "Chromosome":
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and item.name == "__new__":
+                        allowed |= {id(n) for n in ast.walk(item)}
+        for node in ast.walk(tree):
+            if _names_canonical_genes(node):
+                if id(node) in allowed:
+                    inside += 1
+                else:
+                    outside.append("%s:%d" % (path.relative_to(SRC), node.lineno))
+    assert inside, "Chromosome.__new__ does not canonicalize"
+    assert not outside, "_canonical_genes named outside Chromosome.__new__: %s" % ", ".join(outside)
+
+
 def _identifiers_used(path):
     """The names a file reads: names, attributes, imported names and string
     constants that are identifiers (as `setattr`/`getattr` take them)."""
