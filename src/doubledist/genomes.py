@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from collections import Counter, namedtuple
 from functools import cached_property
-from itertools import chain, product
+from itertools import chain, islice, product
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
@@ -98,6 +99,8 @@ def tail(gid: int, copy: str = "") -> Extremity:
 
 
 _GID = itemgetter(0)
+_COPY = itemgetter(1)  # of a Gene
+_GENES = itemgetter(1)  # of a Chromosome
 _IDENTITY = itemgetter(0, 1)  # (gid, copy) of a Gene
 
 
@@ -211,7 +214,10 @@ def _bad_gene():
 class Genome:
     """An immutable multiset of chromosomes with derived adjacency data."""
 
-    __slots__ = ("chromosomes", "__dict__")
+    # ids (gene id -> occurrences) and copies (the copy indices that occur,
+    # "" for a plain occurrence) are counted at construction, for the copy
+    # rule; the other derived data is computed when first read
+    __slots__ = ("chromosomes", "ids", "copies", "__dict__")
 
     def __init__(self, chromosomes: Iterable[Chromosome]):
         # a list display takes its list from the interpreter's free list,
@@ -223,13 +229,34 @@ class Genome:
             if type(ch) is not Chromosome:
                 raise GenomeError("a genome holds Chromosome values, got %r" % (ch,))
         chroms.sort()
-        object.__setattr__(self, "chromosomes", tuple(chroms))
+        init = object.__setattr__
+        init(self, "chromosomes", tuple(chroms))
+        init(self, "ids", Counter(map(_GID, self._genes())))
+        init(self, "copies", frozenset(map(_COPY, self._genes())))
         self._validate()
 
     def __setattr__(self, *a):
         raise AttributeError("Genome is immutable")
 
     def _validate(self):
+        """The copy rule, read from the counts: every id once or twice plain,
+        or once as a and once as b.  Contents that the counts alone do not
+        settle (mixed plain and lettered copies, a bad id or copy index) go
+        through the per-identity checks, which name the fault."""
+        ids, copies = self.ids, self.copies
+        if min(ids) > 0:
+            if copies == {""}:
+                if max(ids.values()) <= 2:
+                    return
+            elif copies <= {"a", "b"}:
+                # an id has at most an a and a b, so twice as many
+                # identities as ids means every id has both
+                identities = self.identities
+                if max(identities.values()) == 1 and len(identities) == 2 * len(ids):
+                    return
+        self._check_each_identity()
+
+    def _check_each_identity(self):
         identities = self.identities
         for gid, copy in identities:
             if gid <= 0:
@@ -266,11 +293,7 @@ class Genome:
     # -- derived data ---------------------------------------------------
 
     def _genes(self):
-        return chain.from_iterable(ch.genes for ch in self.chromosomes)
-
-    @cached_property
-    def ids(self) -> Counter:
-        return Counter(map(_GID, self._genes()))
+        return chain.from_iterable(map(_GENES, self.chromosomes))
 
     @cached_property
     def identities(self) -> Counter:
@@ -304,20 +327,20 @@ class Genome:
     # -- content classification ----------------------------------------
 
     def is_singular(self) -> bool:
-        return all(n == 1 for n in self.ids.values())
+        return max(self.ids.values()) == 1
 
     def is_duplicated(self) -> bool:
-        return all(n == 2 for n in self.ids.values())
+        return set(self.ids.values()) == {2}
 
     def is_indexed(self) -> bool:
         """True for singularized duplicated genomes (every gene has an a and a b copy)."""
-        return self.is_duplicated() and all(
-            n == 1 and copy in ("a", "b") for (gid, copy), n in self.identities.items()
-        )
+        # in a valid genome an id that occurs twice, neither time plain, is
+        # an a/b pair
+        return self.is_duplicated() and "" not in self.copies
 
     def is_identity_singular(self) -> bool:
         """Each (id, copy) pair occurs once: plain singular or singularized."""
-        return all(n == 1 for n in self.identities.values())
+        return max(self.identities.values()) == 1
 
     def is_doubled(self) -> bool:
         if not self.is_duplicated():
@@ -343,7 +366,7 @@ class PairClass:
 
 def classify_pair(g1: Genome, g2: Genome) -> str:
     """Classify a genome pair by gene content (ids, ignoring copy indices)."""
-    if set(g1.ids) != set(g2.ids):
+    if g1.ids.keys() != g2.ids.keys():
         return PairClass.NOT_COGNATE
     s1, s2 = g1.is_singular(), g2.is_singular()
     d1, d2 = g1.is_duplicated(), g2.is_duplicated()
@@ -359,63 +382,71 @@ def classify_pair(g1: Genome, g2: Genome) -> str:
 # -- parsing / formatting ----------------------------------------------
 
 
+# Whitespace and comments, then one token: a gene in the usual form (sign,
+# id digits without leading zeros, copy letter) that ends at a delimiter, an
+# opening bracket, a closing bracket, or any other run of non-delimiters.
+# The delimiters are " \t\r\n()[]#".  At the end of the text the token
+# is empty, with every group empty.  The first match the greedy
+# quantifiers try is the only one: the longest skip is always followed by a
+# token or the end, and a gene's digits are never followed by a delimiter
+# when fewer are.
+_SKIP = re.compile(r"[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*")
+_SCAN = re.compile(
+    _SKIP.pattern
+    + r"(?:(-?)0*([1-9][0-9]*)(?:\.([ab]))?(?![^ \t\r\n()\[\]\#])"
+    + r"|([(\[])|([)\]])|([^ \t\r\n()\[\]\#]+)|\Z)"
+)
+
+
 def parse_genome(text: str) -> Genome:
     """Parse the on-disk genome format: one `[..]` or `(..)` group per
     chromosome, whitespace-separated signed ids with optional .a/.b
     suffix, `#` comments."""
     chroms = []
-    current = None  # (closer, genes, line, col)
-    line = 1
-    col = 0
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        col += 1
-        if c == "\n":
-            line += 1
-            col = 0
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c in "([":
-            if current is not None:
-                raise ParseError("nested chromosome bracket", line, col)
-            current = (")" if c == "(" else "]", [], line, col)
-            i += 1
-            continue
-        if c in ")]":
-            if current is None or c != current[0]:
-                raise ParseError("unmatched %r" % c, line, col)
-            closer, genes, oline, ocol = current
+    genes = None  # of the open chromosome
+    closer = None  # the bracket that closes it
+    opened = 0  # the number of the token that opened it
+    for t, (sign, digits, copy, opener, close, other) in enumerate(_SCAN.findall(text)):
+        if digits and genes is not None:
+            add(_new(Gene, (int(digits), copy, sign == "-")))
+        elif opener:
+            if genes is not None:
+                raise ParseError("nested chromosome bracket", *_token_at(text, t)[1:])
+            genes, closer, opened = [], ")" if opener == "(" else "]", t
+            add = genes.append
+        elif close:
+            if close != closer:
+                raise ParseError("unmatched %r" % close, *_token_at(text, t)[1:])
             if not genes:
-                raise ParseError("empty chromosome", oline, ocol)
-            chroms.append(
-                Chromosome(CIRCULAR if closer == ")" else LINEAR, genes)
-            )
-            current = None
-            i += 1
-            continue
-        j = i
-        while j < n and text[j] not in " \t\r\n()[]#":
-            j += 1
-        token = text[i:j]
-        if current is None:
-            raise ParseError("gene %r outside chromosome" % token, line, col)
-        current[1].append(_parse_gene_token(token, line, col))
-        col += j - i - 1
-        i = j
-    if current is not None:
-        raise ParseError("unterminated chromosome", current[2], current[3])
+                raise ParseError("empty chromosome", *_token_at(text, opened)[1:])
+            chroms.append(Chromosome(CIRCULAR if close == ")" else LINEAR, genes))
+            genes = closer = None
+        elif digits or other:
+            # the scan's gene form is exactly the grammar _parse_gene_token
+            # accepts, so this token is an error either way
+            token, line, col = _token_at(text, t)
+            if genes is None:
+                raise ParseError("gene %r outside chromosome" % token, line, col)
+            _parse_gene_token(token, line, col)
+            raise RuntimeError("scanner and _parse_gene_token disagree on %r" % token)
+    if genes is not None:
+        raise ParseError("unterminated chromosome", *_token_at(text, opened)[1:])
     if not chroms:
-        raise ParseError("no chromosomes in input", line, max(col, 1))
+        # only whitespace and comments: the position after the last line's
+        # text, or of its comment sign
+        last = text[text.rfind("\n") + 1 :]
+        col = last.index("#") + 1 if "#" in last else len(last)
+        raise ParseError("no chromosomes in input", text.count("\n") + 1, max(col, 1))
     return Genome(chroms)
+
+
+def _token_at(text, t):
+    """Token t of the scan, with its 1-based line and column; a tab counts
+    as one column."""
+    m = next(islice(_SCAN.finditer(text), t, None))
+    start = _SKIP.match(text, m.start()).end()
+    line = text.count("\n", 0, start) + 1
+    return text[start : m.end()], line, start - text.rfind("\n", 0, start)
 
 
 def _parse_gene_token(token: str, line: int, col: int) -> Gene:
@@ -460,13 +491,13 @@ def singularize(d: Genome) -> Genome:
         return d
     seen = set()
     chroms = []
-    for ch in d.chromosomes:
-        genes = []
-        for gid, _, rev in ch.genes:
+    for shape, genes in d.chromosomes:
+        relabeled = []
+        for gid, _, rev in genes:
             copy = "b" if gid in seen else "a"
             seen.add(gid)
-            genes.append(_new(Gene, (gid, copy, rev)))
-        chroms.append(Chromosome(ch.shape, genes))
+            relabeled.append(_new(Gene, (gid, copy, rev)))
+        chroms.append(Chromosome(shape, relabeled))
     return Genome(chroms)
 
 
@@ -549,12 +580,12 @@ def _adjacency_ids(g: Genome, rank) -> list:
     is the rank of gene gid.  A gene read forward has its tail on the left;
     a circular chromosome adds the pair that closes it."""
     out = []
-    for ch in g.chromosomes:
+    for shape, genes in g.chromosomes:
         ends = []  # the ids in reading order, two per gene
-        for gid, copy, rev in ch.genes:
+        for gid, copy, rev in genes:
             v = 4 * rank[gid] + (copy == "b")  # the head; the tail is v + 2
             ends += (v, v + 2) if rev else (v + 2, v)
-        inner = iter(ends[1:] + ends[:1] if ch.shape == CIRCULAR else ends[1:-1])
+        inner = iter(ends[1:] + ends[:1] if shape == CIRCULAR else ends[1:-1])
         out += [(x, y) if x < y else (y, x) for x, y in zip(inner, inner)]
     out.sort()
     return out

@@ -428,6 +428,15 @@ class _Sizes:
     candidates: int  # registered k-cycles
     base_bound: int  # |X| + |Y| + size
 
+    def bound(self, shape: str) -> Fraction:
+        """The score reached exactly by the encodings of satisfying
+        assignments: |X| + |Y| + size, plus half the padding vertices (4 per
+        square) for linear shape."""
+        bound = Fraction(self.base_bound)
+        if shape == LINEAR:
+            bound += 2 * self.squares
+        return bound
+
 
 def _size_model(inst: SatInstance, k: int) -> _Sizes:
     ell = (k - 8) // 2
@@ -615,20 +624,15 @@ def build_reduction(inst: SatInstance, k: int = 8, shape: str = CIRCULAR) -> Red
         ell=sizes.ell,
         p=sizes.p,
         m=sizes.m,
-        bound=score_bound(inst, shape, k),
+        bound=sizes.bound(shape),
     )
 
 
 def score_bound(inst: SatInstance, shape: str = CIRCULAR, k: int = 8) -> Fraction:
-    """The score reached exactly by the encodings of satisfying assignments:
-    |X| + |Y| + size, plus half the padding vertices (4 per square) for
-    linear shape."""
+    """The score reached exactly by the encodings of satisfying assignments
+    of a normalized instance (`_Sizes.bound`)."""
     check_normalized(inst)
-    sizes = _size_model(inst, k)
-    bound = Fraction(sizes.base_bound)
-    if shape == LINEAR:
-        bound += 2 * sizes.squares
-    return bound
+    return _size_model(inst, k).bound(shape)
 
 
 # -- assignments and solutions ----------------------------------------------

@@ -107,6 +107,137 @@ def test_parse_errors():
         assert repr(token) in str(err.value)
 
 
+def _reference_parse_genome(text):
+    """The character scanner parse_genome used before its compiled scan,
+    kept as the reference its results and errors are checked against."""
+    chroms = []
+    current = None  # (closer, genes, line, col)
+    line = 1
+    col = 0
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        col += 1
+        if c == "\n":
+            line += 1
+            col = 0
+            i += 1
+            continue
+        if c in " \t\r":
+            i += 1
+            continue
+        if c == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if c in "([":
+            if current is not None:
+                raise ParseError("nested chromosome bracket", line, col)
+            current = (")" if c == "(" else "]", [], line, col)
+            i += 1
+            continue
+        if c in ")]":
+            if current is None or c != current[0]:
+                raise ParseError("unmatched %r" % c, line, col)
+            closer, genes, oline, ocol = current
+            if not genes:
+                raise ParseError("empty chromosome", oline, ocol)
+            chroms.append(
+                Chromosome(CIRCULAR if closer == ")" else LINEAR, genes)
+            )
+            current = None
+            i += 1
+            continue
+        j = i
+        while j < n and text[j] not in " \t\r\n()[]#":
+            j += 1
+        token = text[i:j]
+        if current is None:
+            raise ParseError("gene %r outside chromosome" % token, line, col)
+        current[1].append(genomes_module._parse_gene_token(token, line, col))
+        col += j - i - 1
+        i = j
+    if current is not None:
+        raise ParseError("unterminated chromosome", current[2], current[3])
+    if not chroms:
+        raise ParseError("no chromosomes in input", line, max(col, 1))
+    return Genome(chroms)
+
+
+def _parse_outcome(parse, text):
+    """The genome parsed from text, or the type, message and position of
+    the error raised."""
+    try:
+        return parse(text)
+    except GenomeError as err:
+        return type(err), str(err), getattr(err, "line", None), getattr(err, "column", None)
+
+
+_SCANNER_ALPHABET = "0123456789-.abc#()[] \t\r\n\x0b\xa0\u0662\u00b2"
+
+
+@given(st.text(alphabet=_SCANNER_ALPHABET, max_size=24))
+@settings(max_examples=400, deadline=None)
+def test_parse_matches_the_character_scanner(text):
+    assert _parse_outcome(parse_genome, text) == _parse_outcome(_reference_parse_genome, text)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["[]", "()"]),
+            st.lists(
+                st.tuples(
+                    st.sampled_from(["", "-"]),
+                    st.sampled_from(["", "0", "00"]),
+                    st.integers(min_value=1, max_value=4),
+                    st.sampled_from(["", ".a", ".b"]),
+                ),
+                min_size=1,
+                max_size=4,
+            ),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    st.lists(st.sampled_from([" ", "\t", "\n", "\r\n", " # note\n"]), min_size=8, max_size=8),
+)
+@settings(max_examples=300, deadline=None)
+def test_parse_matches_the_character_scanner_on_genome_texts(chroms, seps):
+    """Mostly well-formed texts, so that valid genomes and the copy rule's
+    errors are compared too."""
+    text = seps[0].join(
+        brackets[0] + seps[1].join("%s%s%d%s" % gene for gene in genes) + brackets[1]
+        for brackets, genes in chroms
+    ) + seps[2]
+    assert _parse_outcome(parse_genome, text) == _parse_outcome(_reference_parse_genome, text)
+
+
+@pytest.mark.parametrize(
+    "text, outcome",
+    [
+        ("", ("no chromosomes in input", 1, 1)),
+        ("  # x", ("no chromosomes in input", 1, 3)),
+        ("\n\n", ("no chromosomes in input", 3, 1)),
+        ("[01]", None),
+        ("[1 2]x", ("gene 'x' outside chromosome", 1, 6)),
+        ("[1 2]\t\t[3", ("unterminated chromosome", 1, 8)),
+        ("[1 \u00b2]", ("bad gene token '\u00b2'", 1, 4)),
+        ("[1 \u0661\u0662]", ("bad gene token '\u0661\u0662'", 1, 4)),
+        ("[1\n  -\u0663.a]", ("bad gene token '-\u0663.a'", 2, 3)),
+    ],
+)
+def test_parse_edge_cases_match_the_character_scanner(text, outcome):
+    got = _parse_outcome(parse_genome, text)
+    assert got == _parse_outcome(_reference_parse_genome, text)
+    if outcome is None:
+        assert got == Genome([Chromosome(LINEAR, [Gene(1)])])
+    else:
+        message, line, column = outcome
+        assert got == (ParseError, "line %d, column %d: %s" % (line, column, message), line, column)
+
+
 def _copy_list_error(genes):
     """Reference rule: each gene id's sorted copy list is one of three."""
     copies = {}
@@ -143,6 +274,66 @@ def test_validation_matches_the_copy_list_rule():
                 Genome(chroms)
             assert str(err.value).startswith(expected + ";"), (expected, err.value)
     assert 100 < valid < 2900
+
+
+def _reference_is_singular(g):
+    return all(n == 1 for n in g.ids.values())
+
+
+def _reference_is_duplicated(g):
+    return all(n == 2 for n in g.ids.values())
+
+
+def _reference_is_indexed(g):
+    return _reference_is_duplicated(g) and all(
+        n == 1 and copy in ("a", "b") for (gid, copy), n in g.identities.items()
+    )
+
+
+def _reference_is_identity_singular(g):
+    return all(n == 1 for n in g.identities.values())
+
+
+def _predicates(g):
+    return (g.is_singular(), g.is_duplicated(), g.is_indexed(), g.is_identity_singular())
+
+
+def _reference_predicates(g):
+    return (_reference_is_singular(g), _reference_is_duplicated(g),
+            _reference_is_indexed(g), _reference_is_identity_singular(g))
+
+
+def test_predicates_match_the_per_identity_references():
+    """The count-based predicates against the per-identity ones they
+    replaced: on the valid genomes of the copy-list test's random lists and
+    on seeded cognate pairs, plain and singularized."""
+    rng = random.Random(11)
+    checked = Counter()
+    for _ in range(3000):
+        chroms = [
+            Chromosome(
+                rng.choice((LINEAR, CIRCULAR)),
+                [
+                    Gene(rng.randint(1, 3), copy=rng.choice(("", "", "a", "b")), rev=rng.random() < 0.5)
+                    for _ in range(rng.randint(1, 3))
+                ],
+            )
+            for _ in range(rng.randint(1, 3))
+        ]
+        try:
+            g = Genome(chroms)
+        except GenomeError:
+            continue
+        assert _predicates(g) == _reference_predicates(g), g
+        checked[_predicates(g)] += 1
+    for seed in range(200):
+        s, d = random_cognate_pair(1 + seed % 12, seed % 2 == 0, seed % 7, seed)
+        built = [s, d] + ([singularize(d)] if d.is_duplicated() else [])
+        for g in built:
+            assert _predicates(g) == _reference_predicates(g), g
+            checked[_predicates(g)] += 1
+    # singular, plain duplicated, indexed and each kind of mixed content
+    assert len(checked) >= 4, checked
 
 
 def test_format_identity():

@@ -39,7 +39,7 @@ from doubledist.reduction import (
 from doubledist.abg import resolve
 from doubledist.solver import ss_mis
 
-from satgen import random_normalized_instance, unsat_instances
+from satgen import random_normalized_instance, reduction_corpus, unsat_instances
 from test_genomes import _tuple_genome
 
 DEMO_CNF = "p cnf 4 5\n1 2 0\n1 3 0\n-1 -2 4 0\n2 3 0\n-3 -4 0\n"
@@ -359,6 +359,29 @@ def test_score_bound_circular_same_for_all_k():
     assert score_bound(inst, "circular", 8) == 20
     assert score_bound(inst, "circular", 10) == 20
     assert score_bound(inst, "circular", 12) == 20
+
+
+def test_build_reduction_sizes_its_instance_once(monkeypatch):
+    calls = []
+    size_model = reduction._size_model
+
+    def counting(inst, k):
+        calls.append(k)
+        return size_model(inst, k)
+
+    monkeypatch.setattr(reduction, "_size_model", counting)
+    for shape in ("circular", "linear"):
+        calls.clear()
+        build_reduction(demo_instance(), k=10, shape=shape)
+        assert calls == [10]
+
+
+def test_build_reduction_bound_is_the_score_bound():
+    for inst in reduction_corpus():
+        for k in (8, 10, 12):
+            for shape in ("circular", "linear"):
+                r = build_reduction(inst, k=k, shape=shape)
+                assert r.bound == score_bound(inst, shape, k), (inst, k, shape)
 
 
 # === structure ===

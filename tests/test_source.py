@@ -1,6 +1,7 @@
 """Checks on the library's source text."""
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "doubledist"
@@ -102,3 +103,22 @@ def test_every_definition_is_referenced():
     unused = sorted("%s (%s)" % (name, where) for name, where in defined.items()
                     if name not in used)
     assert not unused, "defined but never referenced: %s" % ", ".join(unused)
+
+
+def test_regexes_need_no_newer_python():
+    """pyproject.toml accepts Python 3.10, whose `re` has no possessive
+    quantifiers (`*+`, `++`, `?+`, `}+`) and no atomic groups (`(?>`): a
+    pattern with one fails to compile when its module is imported."""
+    newer = re.compile(r"[*+?}]\+|\(\?>")
+    compiles, found = 0, []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "compile" \
+                    and getattr(node.func.value, "id", None) == "re":
+                compiles += 1
+                found += ["%s:%d %r" % (path.relative_to(SRC), part.lineno, part.value)
+                          for part in ast.walk(node)
+                          if isinstance(part, ast.Constant) and isinstance(part.value, str)
+                          and newer.search(part.value)]
+    assert compiles, "no re.compile calls found under %s" % SRC
+    assert not found, "patterns that need Python 3.11: %s" % ", ".join(found)
