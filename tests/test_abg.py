@@ -30,7 +30,9 @@ from doubledist.genomes import (
     random_cognate_pair,
     singularize,
 )
+from doubledist import genomes, solver
 from doubledist.reduction import build_closed_flower, build_reduction, extract_genomes
+from doubledist.solver import dd
 
 from satgen import random_normalized_instance
 
@@ -151,6 +153,63 @@ def test_build_matches_the_extremity_keyed_reference():
             for ch in s.chromosomes + d_check.chromosomes)
     assert covered["pairs"] == 256, covered
     assert covered["ids not 1..n"] >= 40 and covered["one-gene circular"] >= 10, covered
+
+
+def _half_erased(g):
+    """g with the copy indices of its odd gene ids erased: a valid genome
+    that mixes plain and lettered copies."""
+    return Genome(Chromosome(ch.shape, [gene.erased() if gene.gid % 2 else gene
+                                        for gene in ch.genes])
+                  for ch in g.chromosomes)
+
+
+def test_dd_builds_the_graph_of_the_singularization(monkeypatch):
+    """`dd` labels the copies of a D with plain copies as it reads them, and
+    solves the graph that `build_abg` builds on D's singularization."""
+    # a stand-in engine that hands back the graph dd built
+    monkeypatch.setitem(solver._ENGINES, "naive", lambda graph, k: graph)
+    covered = Counter()
+    for s, d_check in _differential_pairs():
+        plain = d_check.erase_indices()
+        for d in (plain, _half_erased(d_check)):
+            g = dd(s, d, 2)
+            assert g._labels is None  # made only when read
+            ref = build_abg(s, singularize(d))
+            for name in GRAPH_FIELDS + ("n_vertices",):
+                assert getattr(g, name) == getattr(ref, name), (name, s, d)
+            covered["mixed"] += "" in d.copies and "a" in d.copies
+        covered["pairs"] += 1
+        # the reduction's D labels its copies in another order
+        covered["relabeled"] += singularize(plain) != d_check
+    assert covered["pairs"] == 256, covered
+    assert covered["mixed"] >= 200 and covered["relabeled"] >= 10, covered
+
+
+def test_dd_solves_without_singularizing(monkeypatch):
+    pairs = [(TRIO_S, TRIO_D_CHECK.erase_indices()),
+             random_cognate_pair(12, wgd=True, ops=4, seed=3)]
+    expected = [dd(s, singularize(d), 4, engine=engine)
+                for s, d in pairs for engine in ("naive", "mis")]
+    dots = [to_dot(_extremity_keyed_abg(s, singularize(d))) for s, d in pairs]
+
+    def refuse(d):
+        raise RuntimeError("singularize called")
+
+    monkeypatch.setattr(genomes, "singularize", refuse)
+    monkeypatch.setattr(solver, "singularize", refuse)
+    built = []
+    for engine in ("naive", "mis"):
+        real = solver._ENGINES[engine]
+        monkeypatch.setitem(solver._ENGINES, engine,
+                            lambda graph, k, real=real: built.append(graph) or real(graph, k))
+    got = [dd(s, d, 4, engine=engine) for s, d in pairs for engine in ("naive", "mis")]
+    assert [(r.score, r.dd, r.tau) for r in got] == [
+        (r.score, r.dd, r.tau) for r in expected]
+    assert len(built) == 4
+    for i, g in enumerate(built):
+        assert g._labels is None  # the solve read no label
+        assert to_dot(g) == dots[i // 2]
+        assert g.labels is g.labels  # made once, then kept
 
 
 def test_square_vertices_must_be_distinct():

@@ -875,6 +875,40 @@ def test_random_cognate_pair_rejects_bad_arguments(wgd):
         random_cognate_pair(4, wgd, -1, seed=1)
 
 
+@pytest.mark.parametrize("args, name", [
+    ((6, "yes", 2, 1), "wgd"),
+    ((6, 1, 2, 1), "wgd"),
+    ((6, None, 2, 1), "wgd"),
+    ((True, False, 1, 1), "n"),
+    ((6.0, True, 2, 1), "n"),
+    ((6, True, 2.0, 1), "ops"),
+    ((6, False, True, 1), "ops"),
+    ((6, True, "2", 1), "ops"),
+])
+def test_random_cognate_pair_refuses_junk_arguments(args, name):
+    """n and ops must be ints and not bools, and wgd a bool; 1 == True and
+    2.0 == 2 would otherwise pass the range checks."""
+    with pytest.raises(GenomeError, match="^random_cognate_pair needs an? (int|bool) %s, got %s="
+                       % (name, name)):
+        random_cognate_pair(*args)
+
+
+@pytest.mark.parametrize("args, name", [
+    ((5, True, 0), "linear_count"),
+    ((5, 1.0, 0), "linear_count"),
+    ((5, 1, False), "circular_count"),
+    ((5, 1, "1"), "circular_count"),
+    ((True, 1, 0), "n"),
+    ((5.0, 1, 0), "n"),
+])
+def test_random_genome_refuses_junk_arguments(args, name):
+    rng = random.Random(3)
+    state = rng.getstate()
+    with pytest.raises(GenomeError, match="^random_genome needs an int %s, got %s=" % (name, name)):
+        random_genome(*args, seed=None, rng=rng)
+    assert rng.getstate() == state  # refused before any draw
+
+
 def test_random_cognate_pair_deterministic():
     assert random_cognate_pair(4, True, 3, seed=5) == random_cognate_pair(4, True, 3, seed=5)
 

@@ -221,6 +221,29 @@ def test_dd_classifies_the_pair_once(monkeypatch, engine, k):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("engine", ["naive", "mis"])
+def test_dd_refuses_a_d_that_is_not_duplicated(engine):
+    # what singularize refused when dd built its graph on singularize(d)
+    for s, d in (("[1 1]", "[1]"), ("[1 2]", "[1 2]"), ("[1 2]", "[1 1 2]")):
+        with pytest.raises(GenomeError, match="dd needs a duplicated second genome"):
+            dd(parse_genome(s), parse_genome(d), 4, engine=engine)
+
+
+@pytest.mark.parametrize("engine, k", [("naive", 2), ("naive", 4), ("naive", 8),
+                                       ("naive", INFINITY), ("mis", 2), ("mis", 4),
+                                       ("mis", 8)])
+def test_dd_of_a_plain_d_is_dd_of_its_singularization(engine, k):
+    """dd labels a plain D's copies while it reads D; the answer is the one
+    on the singularized D, witness included."""
+    for seed in range(80):
+        n = 2 + seed % 24
+        s, d = random_cognate_pair(n, wgd=True, ops=seed % (n + 1), seed=seed)
+        plain = d.erase_indices()
+        got = dd(s, plain, k, engine=engine)
+        want = dd(s, singularize(plain), k, engine=engine)
+        assert (got.score, got.dd, got.tau) == (want.score, want.dd, want.tau), seed
+
+
 @pytest.mark.parametrize(
     "engine, budget",
     [
