@@ -17,7 +17,6 @@ from .bpgraph import (
     INFINITY,
     BreakpointGraph,
     BudgetExceeded,
-    Component,
     ComponentCensus,
     NotCanonicalError,
     build_breakpoint_graph,

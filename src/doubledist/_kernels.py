@@ -1,9 +1,9 @@
 """Kernels for the hot graph loops; callers reach them as `_kernels.<fn>`.
 
 None of them calls another, so a wrapper set on an attribute of this module
-sees every call the library makes.  `best_resolution` sweeps the resolutions
-and scores them incrementally; `walk_components` walks one resolved graph,
-for the re-score of a witness.
+sees every call the library makes.  `best_resolution` sweeps the resolutions,
+one component of the free squares at a time, and scores them incrementally;
+`walk_components` walks one resolved graph, for the re-score of a witness.
 
 The functions read a (possibly ambiguous) breakpoint graph as its squares
 and flat integer lists:
@@ -72,25 +72,39 @@ def walk_components(pa, pb):
     return cycles, paths
 
 
-def best_resolution(d_part, squares, kcap, forced):
-    """Exhaustively maximize doubled sigma over the resolutions that keep the
-    forced bits: forced[s] is square s's bit, or -1 when s is free.  With f
-    free squares there are 2^f of them.
+def best_resolution(d_part, squares, kcap, forced, budget):
+    """Maximize doubled sigma over the resolutions that keep the forced bits:
+    forced[s] is square s's bit, or -1 when s is free.
 
-    Returns (best_doubled_sigma, best_tau_int, explored) where bit i of
-    best_tau_int is square i's choice and explored counts the resolutions
-    scored, 2^f.  Ties keep the lowest tau integer among the resolutions
-    that keep the forced bits.
+    Returns (best_doubled_sigma, best_tau_int, explored, sizes): bit i of
+    best_tau_int is square i's choice, the lowest tau integer on ties;
+    sizes lists the free squares of each component, in the order of its
+    lowest square; explored counts the resolutions scored, 2^size summed
+    over the components (1 when no square is free).  When that is over
+    budget, nothing is scored and explored is 0.
 
-    The forced squares' edges are placed once, before the search, and their
-    gain is added to the base score.  A depth-first search then decides the
-    free squares, the highest index first, bit 0 before bit 1, so it reaches
-    the resolutions in ascending tau order.  It keeps the path segments of
-    the edges placed so far: at each segment end, the other end and the
-    segment's length.  A square edge x-y either closes x's segment into a
-    cycle or joins two segments into one path, which is scored once both its
-    ends are final (have no square edge left to place).  Every change the
-    search makes is undone on backtrack.
+    The kernel keeps the path segments of the edges placed so far: at each
+    segment end, the other end and the segment's length.  `place` puts a
+    square edge x-y, which closes x's segment into a cycle or joins two
+    segments into a path, scored once both its ends are final (have no
+    square edge left to place); `unplace` undoes the latest place.
+
+    The forced squares' edges are placed first, for good.  Every vertex of a
+    free square then ends a segment, and two free squares share a component
+    when a vertex of one ends a segment whose other end lies in the other.
+    A square edge joins only segments whose ends are final or lie in its own
+    component, so the score is the forced part plus one gain per component,
+    each set by that component's bits alone.  A depth-first search sweeps
+    each component, the highest square first, bit 0 before bit 1: it
+    reaches the component's bits in ascending order and keeps the first
+    best.
+
+    The OR m of the components' bits is the lowest optimal tau.  A tau is
+    optimal exactly when its bits in each component c are optimal for c,
+    and m's are m_c, the lowest such.  For any other optimal tau t, the
+    highest bit where t and m differ lies in some c, where it is also the
+    highest bit where t's bits of c and m_c differ; as m_c is the lowest, t
+    has a 1 there and m a 0, so t > m.
     """
     n = len(d_part)
     ccap = n if kcap < 0 else kcap  # no component has more than n edges
@@ -98,12 +112,9 @@ def best_resolution(d_part, squares, kcap, forced):
     other = list(range(n))  # at a segment end: the segment's other end
     size = [0] * n  # at a segment end: the segment's length
     final = bytearray(b"\x01") * n
-    # plans[s][bit]: the two edges (x1, y1, x2, y2) square s places
-    plans = []
     for sq in squares:
         for v in sq:
             final[v] = 0
-        plans.append([a + b for a, b in (sq.edges(0), sq.edges(1))])
     base = 0  # the score of the paths that hold no square vertex
     for v in range(n):
         w = d_part[v]
@@ -112,96 +123,90 @@ def best_resolution(d_part, squares, kcap, forced):
             size[v] = 1
         elif final[v]:
             base += 1  # a lone vertex, an even path of length 0 <= k - 2
-    free = [s for s, bit in enumerate(forced) if bit < 0]
-    tau0 = 0
+    joins = []  # per place: the two ends it joined and their lengths, or None
+
+    def place(x, y):
+        """Place the square edge x-y; returns the doubled score it adds."""
+        final[x] = final[y] = 1
+        a = other[x]
+        if a == y:
+            joins.append(None)
+            return 2 if size[x] < ccap else 0
+        b = other[y]
+        joins.append((a, size[a], b, size[b]))
+        length = size[a] + size[b] + 1
+        other[a] = b
+        other[b] = a
+        size[a] = size[b] = length
+        return 1 if final[a] and final[b] and not length & 1 and length <= pcap else 0
+
+    def unplace(x, y):
+        """Undo place(x, y), the latest place not undone."""
+        final[x] = final[y] = 0
+        join = joins.pop()
+        if join:
+            a, la, b, lb = join
+            other[a] = x
+            size[a] = la
+            other[b] = y
+            size[b] = lb
+
+    tau = 0
+    owner = {}  # a free square's vertex -> the square
     for s, bit in enumerate(forced):
         if bit < 0:
+            for v in squares[s]:
+                owner[v] = s
+        else:
+            tau |= bit << s
+            for x, y in squares[s].edges(bit):
+                base += place(x, y)
+    joins.clear()
+    comps = []
+    seen = set()
+    for s, bit in enumerate(forced):
+        if bit >= 0 or s in seen:
             continue
-        tau0 |= bit << s
-        x1, y1, x2, y2 = plans[s][bit]
-        for x, y in ((x1, y1), (x2, y2)):
-            final[x] = final[y] = 1
-            a = other[x]
-            if a == y:
-                if size[x] < ccap:
-                    base += 2
-                continue
-            b = other[y]
-            length = size[a] + size[b] + 1
-            other[a] = b
-            other[b] = a
-            size[a] = size[b] = length
-            if final[a] and final[b] and not length & 1 and length <= pcap:
-                base += 1
-    best = -1
-    best_tau = 0
-    explored = 0
+        seen.add(s)
+        comp = [s]
+        for t in comp:  # comp grows while it is read: a breadth-first search
+            for v in squares[t]:
+                u = owner.get(other[v], -1)
+                if u >= 0 and u not in seen:
+                    seen.add(u)
+                    comp.append(u)
+        comp.sort()
+        comps.append(comp)
+    sizes = [len(comp) for comp in comps]
+    explored = sum(1 << f for f in sizes) or 1
+    if explored > budget:
+        return -1, 0, 0, sizes
+    top = top_bits = 0
 
-    def visit(i, tau, score):
-        """Try both bits of free square free[i] below the choices in tau."""
-        nonlocal best, best_tau, explored
-        s = free[i]
+    def visit(comp, i, bits, gain):
+        """Try both bits of square comp[i] below the choices in bits."""
+        nonlocal top, top_bits
+        s = comp[i]
         for bit in (0, 1):
-            x1, y1, x2, y2 = plans[s][bit]
-            gain = 0
-            final[x1] = final[y1] = 1
-            a1 = other[x1]
-            if a1 == y1:
-                if size[x1] < ccap:
-                    gain = 2
-            else:
-                b1 = other[y1]
-                la1 = size[a1]
-                lb1 = size[b1]
-                length = la1 + lb1 + 1
-                other[a1] = b1
-                other[b1] = a1
-                size[a1] = size[b1] = length
-                if final[a1] and final[b1] and not length & 1 and length <= pcap:
-                    gain = 1
-            final[x2] = final[y2] = 1
-            a2 = other[x2]
-            if a2 == y2:
-                if size[x2] < ccap:
-                    gain += 2
-            else:
-                b2 = other[y2]
-                la2 = size[a2]
-                lb2 = size[b2]
-                length = la2 + lb2 + 1
-                other[a2] = b2
-                other[b2] = a2
-                size[a2] = size[b2] = length
-                if final[a2] and final[b2] and not length & 1 and length <= pcap:
-                    gain += 1
+            (x1, y1), (x2, y2) = squares[s].edges(bit)
+            score = gain + place(x1, y1) + place(x2, y2)
             if i:
-                visit(i - 1, tau | bit << s, score + gain)
-            else:
-                explored += 1
-                if score + gain > best:
-                    best = score + gain
-                    best_tau = tau | bit << s
-            # undo the second edge, then the first
-            final[x1] = final[y1] = final[x2] = final[y2] = 0
-            if a2 != y2:
-                other[a2] = x2
-                size[a2] = la2
-                other[b2] = y2
-                size[b2] = lb2
-            if a1 != y1:
-                other[a1] = x1
-                size[a1] = la1
-                other[b1] = y1
-                size[b1] = lb1
+                visit(comp, i - 1, bits | bit << s, score)
+            elif score > top:
+                top = score
+                top_bits = bits | bit << s
+            unplace(x2, y2)
+            unplace(x1, y1)
 
-    if free:
-        visit(len(free) - 1, tau0, base)
-    else:
-        best, best_tau, explored = base, tau0, 1
+    for comp in comps:
+        top = -1
+        visit(comp, len(comp) - 1, 0, 0)
+        base += top
+        tau |= top_bits
     # visit reaches itself through its closure; unbinding it lets the search
     # state go at return instead of waiting for the cycle collector
     del visit
-    return best, best_tau, explored
+    return base, tau, explored, sizes
 
 
 def alternating_cycles(sq_id, e_part, t_part, d_part, kcap, forced=None):

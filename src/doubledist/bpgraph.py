@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from typing import NamedTuple
 
 from .genomes import Genome, GenomeError
 
@@ -39,12 +38,6 @@ def check_k(k):
 
 def _kcap(k) -> int:
     return -1 if isinstance(k, _Infinity) else k
-
-
-class Component(NamedTuple):
-    kind: str  # "cycle" | "path"
-    length: int
-    endpoint_tags: tuple  # () for cycles; sorted genome tags for paths
 
 
 class ComponentCensus:
@@ -107,7 +100,7 @@ class NotCanonicalError(GenomeError):
 class BreakpointGraph:
     """Breakpoint graph of two genomes that are singular per (id, copy)."""
 
-    __slots__ = ("vertices", "edges1", "edges2", "components", "census")
+    __slots__ = ("vertices", "edges1", "edges2", "census")
 
     def __init__(self, s1: Genome, s2: Genome):
         if not (s1.is_identity_singular() and s2.is_identity_singular()):
@@ -129,9 +122,8 @@ class BreakpointGraph:
         object.__setattr__(self, "vertices", tuple(verts))
         object.__setattr__(self, "edges1", tuple(sorted(s1.adjacencies)))
         object.__setattr__(self, "edges2", tuple(sorted(s2.adjacencies)))
-        components = []
-        t1 = set(s1.telomeres)
-        t2 = set(s2.telomeres)
+        cycles = []
+        paths = []
         seen = [False] * n
         for v in range(n):
             if seen[v] or (p1[v] >= 0 and p2[v] >= 0):
@@ -148,14 +140,7 @@ class BreakpointGraph:
                 cur = nxt
                 seen[cur] = True
                 use1 = not use1
-            ends = [verts[v]] if cur == v else [verts[v], verts[cur]]
-            tags = []
-            for e in ends:
-                if e in t1:
-                    tags.append("s1")
-                if e in t2:
-                    tags.append("s2")
-            components.append(Component("path", length, tuple(sorted(tags))))
+            paths.append(length)
         for v in range(n):
             if seen[v]:
                 continue
@@ -169,17 +154,8 @@ class BreakpointGraph:
                 use1 = not use1
                 if cur == v and use1:
                     break
-            components.append(Component("cycle", length, ()))
-        components.sort()
-        object.__setattr__(self, "components", tuple(components))
-        object.__setattr__(
-            self,
-            "census",
-            ComponentCensus.from_lengths(
-                [c.length for c in components if c.kind == "cycle"],
-                [c.length for c in components if c.kind == "path"],
-            ),
-        )
+            cycles.append(length)
+        object.__setattr__(self, "census", ComponentCensus.from_lengths(cycles, paths))
 
     def __setattr__(self, *a):
         raise AttributeError("BreakpointGraph is immutable")

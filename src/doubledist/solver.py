@@ -1,10 +1,10 @@
 """Exact engines for the k-score maximization and the double distance.
 
 Two independent routes, both after `abg.forced_choices` fixes the forced
-squares: `ss_naive` sweeps the 2^free resolutions of the free squares;
-`ss_mis` enumerates short candidate components and solves a maximum-weight
-independent set on their conflict graph by branch and reduce, one connected
-component of that graph at a time.  Both return the same scores;
+squares: `ss_naive` sweeps the resolutions of the free squares, one
+component of them at a time; `ss_mis` enumerates short candidate components
+and solves a maximum-weight independent set on their conflict graph by
+branch and reduce, one connected component of that graph at a time.  Both return the same scores;
 `dd_definition_oracle` re-derives the double distance from its definition
 without touching the ambiguous-graph machinery at all.
 """
@@ -40,16 +40,17 @@ from .genomes import (
 
 @dataclass
 class SolveStats:
-    """Search record: nodes visited, the candidates the `mis` conflict graph
-    is built on (the forced bits keep every other one from being built),
-    wall time, the squares whose bit `forced_choices` fixes before the
-    search, and for `mis` the conflict-graph components searched one by one,
-    the candidates in the largest of them, and the time spent getting the
-    candidates (about 0 when the graph already holds them).  When a budget
-    stops the `mis` search, upper_bound bounds the optimal score: the scores
-    of the candidates the forced bits settle and of the components it
-    closed, plus the root clique-cover bound of the rest; it stays None
-    otherwise."""
+    """Search record: nodes visited (for `naive`, the resolutions scored),
+    the candidates the `mis` conflict graph is built on (the forced bits
+    keep every other one from being built), wall time, the squares whose bit
+    `forced_choices` fixes before the search, the components searched one
+    by one and the size of the largest (for `naive`, components of the free
+    squares and their free squares; for `mis`, conflict-graph components and
+    their candidates), and the time spent getting the candidates (about 0
+    when the graph already holds them).  When a budget stops the `mis`
+    search, upper_bound bounds the optimal score: the scores of the
+    candidates the forced bits settle and of the components it closed, plus
+    the root clique-cover bound of the rest; it stays None otherwise."""
     nodes: int = 0
     candidates: int = 0
     wall_ms: float = 0.0
@@ -86,26 +87,30 @@ def ss_naive(
     k,
     budget_nodes: int = 1 << 25,
 ) -> SolveResult:
-    """Exact k-score maximum by exhausting the 2^free resolutions that keep
-    the forced squares' bits (`forced_choices`; every optimal resolution
-    keeps them); ties keep the lowest bit pattern.  A graph is refused
-    before the sweep unless 2^free <= budget_nodes."""
+    """Exact k-score maximum by exhausting the resolutions that keep the
+    forced squares' bits (`forced_choices`; every optimal resolution keeps
+    them), one component of the free squares at a time; ties keep the
+    lowest bit pattern.  A graph is refused before the sweep unless the sum
+    over its components of 2^free <= budget_nodes."""
     check_k(k)
     _check_budgets(budget_nodes)
     t0 = time.monotonic()
     forced = forced_choices(abg)
+    best2x, tau_int, explored, sizes = _kernels.best_resolution(
+        abg.d_part, abg.squares, _kcap(k), forced, budget_nodes)
     free = forced.count(-1)
-    if 1 << free > budget_nodes:
+    largest = max(sizes, default=0)
+    if not explored:
         raise BudgetExceeded(
-            "ss_naive has %d free squares (%d forced): 2^%d resolutions are "
-            "over the budget of %d" % (free, abg.a_star - free, free, budget_nodes)
+            "ss_naive's largest component has %d free squares (%d free in %d "
+            "components, %d forced): their resolutions are over the budget of %d"
+            % (largest, free, len(sizes), abg.a_star - free, budget_nodes)
         )
-    best2x, tau_int, explored = _kernels.best_resolution(
-        abg.d_part, abg.squares, _kcap(k), forced)
     # built from lists, as in AmbiguousBreakpointGraph.check_resolution
     tau = tuple([(tau_int >> i) & 1 for i in range(abg.a_star)])
     stats = SolveStats(nodes=explored, candidates=0,
                        wall_ms=(time.monotonic() - t0) * 1000.0,
+                       components=len(sizes), largest_component=largest,
                        forced=abg.a_star - free)
     return _result(abg, tau, k, "naive", True, stats, best2x)
 
@@ -294,10 +299,15 @@ def _mwis_connected(weights, neighbor_masks, avail, budget):
 
 
 def _check_budgets(budget_nodes, budget_ms=None) -> None:
-    """Refuse a budget an engine cannot honour, before any work: a missing
-    or negative node count, or a negative time (None: no deadline)."""
-    if budget_nodes is None:
-        raise ValueError("budget_nodes must be a node count, got None")
+    """Refuse a budget an engine cannot honour, before any work: a node count
+    that is not an int (bool and None included) or is negative, or a time
+    that is not an int or float, is NaN or is negative (None: no deadline)."""
+    if isinstance(budget_nodes, bool) or not isinstance(budget_nodes, int):
+        raise ValueError("budget_nodes must be a node count, got %r" % (budget_nodes,))
+    if budget_ms is not None and (isinstance(budget_ms, bool)
+                                  or not isinstance(budget_ms, (int, float))
+                                  or budget_ms != budget_ms):
+        raise ValueError("budget_ms must be a number of milliseconds, got %r" % (budget_ms,))
     for name, value in (("budget_nodes", budget_nodes), ("budget_ms", budget_ms)):
         if value is not None and value < 0:
             raise ValueError("%s must not be negative, got %r" % (name, value))
@@ -360,6 +370,14 @@ def _require_cognate(s: Genome, d: Genome, who: str) -> None:
         raise GenomeError("%s needs a singular genome and its duplicated cognate" % who)
 
 
+def _dd_graph(s: Genome, d: Genome) -> AmbiguousBreakpointGraph:
+    """The graph `dd` solves: s against d's singularization, built without
+    making it.  The builder's classify_pair is the cognate check."""
+    if not d.is_duplicated():
+        raise GenomeError("dd needs a duplicated second genome")
+    return _build_abg(s, d)
+
+
 def dd(
     s: Genome,
     d: Genome,
@@ -381,12 +399,8 @@ def dd(
     if engine == "greedy2" and k != 2:
         raise ValueError("greedy2 engine only computes k=2")
     if engine in _ENGINES:
-        # the graph of d's singularization, built without making it; the
-        # builder's classify_pair is the cognate check, and negative budgets
-        # are the engine's to refuse
-        if not d.is_duplicated():
-            raise GenomeError("dd needs a duplicated second genome")
-        return _ENGINES[engine](_build_abg(s, d), k, **budgets)
+        # bad budgets are the engine's to refuse
+        return _ENGINES[engine](_dd_graph(s, d), k, **budgets)
     value = dd_greedy_2(s, d) if engine == "greedy2" else dd_definition_oracle(s, d, k)
     return SolveResult(
         score=2 * len(s.identities) - value,

@@ -39,12 +39,6 @@ def test_census_swapped_linear_pair():
     assert bg.census == ComponentCensus({}, {1: 2})
 
 
-def test_path_endpoint_tags():
-    bg = build_breakpoint_graph(S1, S2)
-    tags = sorted(c.endpoint_tags for c in bg.components if c.kind == "path")
-    assert tags == [("s1", "s2"), ("s1", "s2")]
-
-
 def test_sigma_series_worked_example():
     census = build_breakpoint_graph(S1, S2).census
     assert sigma(census, 2) == Fraction(3, 2)

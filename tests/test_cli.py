@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from doubledist.abg import build_abg
+from doubledist.abg import build_abg, to_dot
 from doubledist.cli import fmt_half, run
-from doubledist.genomes import parse_genome, singularize
+from doubledist.genomes import format_genome, parse_genome, random_cognate_pair, singularize
 
 MIXED_A = "(1 2)\n[3 -4]\n"
 MIXED_B = "(1 -3 2)\n[4]\n"
@@ -118,6 +118,20 @@ def test_dd_rejects_negative_budget(files, capsys):
     argv = ["dd", "--k", "8", "--engine", "mis", "--budget-nodes", "-1"]
     assert run(argv + [files["S.genome"], files["D.genome"]]) == 1
     assert "budget_nodes must not be negative" in capsys.readouterr().err
+
+
+def test_dd_rejects_a_nan_time_budget(tmp_path, capsys):
+    # the parent answered this pair with a non-optimal 29 and exit 0
+    s, d = random_cognate_pair(60, True, 30, 3)
+    paths = []
+    for name, genome in (("S.genome", s), ("D.genome", d)):
+        paths.append(str(tmp_path / name))
+        (tmp_path / name).write_text(format_genome(genome) + "\n")
+    argv = ["dd", "--k", "8", "--engine", "mis"]
+    assert run(argv + paths) == 0
+    assert capsys.readouterr().out.split()[0] == "27"
+    assert run(argv + ["--budget-ms", "nan"] + paths) == 1
+    assert "budget_ms must be a number of milliseconds, got nan" in capsys.readouterr().err
 
 
 def test_reduce_golden(files, tmp_path, capsys):
@@ -270,6 +284,15 @@ def test_error_exit_codes(files, capsys):
         run(["nope"])
     assert run(["dist", "--k", "2", "missing.genome", files["b.genome"]]) == 1
     capsys.readouterr()
+
+
+def test_export_dot_builds_the_graph_dd_solves(files, capsys):
+    s, d = parse_genome(TRIO_S), parse_genome(TRIO_D)
+    assert run(["export-dot", files["S.genome"], files["D.genome"]]) == 0
+    assert capsys.readouterr().out == to_dot(build_abg(s, singularize(d))) + "\n"
+    # the pair the other way round is refused as dd refuses it
+    assert run(["export-dot", files["D.genome"], files["S.genome"]]) == 1
+    assert capsys.readouterr().err == "error: dd needs a duplicated second genome\n"
 
 
 def test_export_dot_to_file(files, tmp_path, capsys):

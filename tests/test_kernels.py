@@ -110,13 +110,54 @@ def _brute_best(g, k, count):
     return best
 
 
+def _free_components(g, forced):
+    """Free squares per component, in the order of its lowest square, found
+    without the kernel: union-find over the fixed edges, the chosen edges of
+    the forced squares and both matchings of each free square."""
+    parent = list(range(g.n_vertices))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    edges = list(g.d_edges)
+    for sq, bit in zip(g.squares, forced):
+        edges += sq.edges(0) + sq.edges(1) if bit < 0 else sq.edges(bit)
+    for x, y in edges:
+        parent[find(x)] = find(y)
+    sizes = {}  # root -> free squares; a dict keeps the order of first sight
+    for sq, bit in zip(g.squares, forced):
+        if bit < 0:
+            root = find(sq.u)
+            sizes[root] = sizes.get(root, 0) + 1
+    return list(sizes.values())
+
+
+def _sweep_count(g, forced):
+    """The resolutions the kernel scores: 2^free summed over the components,
+    or 1 when no square is free."""
+    return sum(1 << f for f in _free_components(g, forced)) or 1
+
+
+def _check_sweep(g, kcap, forced, want):
+    """The kernel's best and tau are want's, and it scores each component's
+    resolutions once."""
+    best, tau, explored, sizes = _kernels.best_resolution(
+        g.d_part, g.squares, kcap, forced, _sweep_count(g, forced))
+    assert (best, tau) == want[:2], (forced, kcap)
+    assert sizes == _free_components(g, forced) and explored == _sweep_count(g, forced)
+
+
 def test_best_resolution_equivalent():
     for g in small_graphs(8):
+        free = (-1,) * g.a_star
         for k in (2, 6, 8, INFINITY):
-            best2x, tau, explored = _kernels.best_resolution(
-                g.d_part, g.squares, -1 if k is INFINITY else k, (-1,) * g.a_star)
+            best2x, tau, explored, _ = _kernels.best_resolution(
+                g.d_part, g.squares, -1 if k is INFINITY else k, free, 1 << g.a_star)
             assert (Fraction(best2x, 2), tau) == _brute_best(g, k, 1 << g.a_star)
-            assert explored == 1 << g.a_star
+            assert explored == _sweep_count(g, free)
 
 
 def _resolved_components(g):
@@ -352,12 +393,13 @@ def test_sweep_matches_sweep_by_walk():
              for p in _kernels.walk_components(_resolution(g, [0] * g.a_star), g.d_part)[1]]
     assert 0 in paths and any(p % 2 for p in paths)
     assert max(g.a_star for g in graphs) == 12
+    # and graphs whose squares fall into more than one component
+    assert any(len(_free_components(g, (-1,) * g.a_star)) > 1 for g in graphs)
     for g in graphs:
         for kcap in (2, 4, 6, 8, 10, 12, -1):
             want = _sweep_by_walk(g.sq_id, g.e_part, g.t_part, g.d_part, g.a_star, kcap,
                                   1 << g.a_star)
-            got = _kernels.best_resolution(g.d_part, g.squares, kcap, (-1,) * g.a_star)
-            assert got == want, (g.a_star, kcap)
+            _check_sweep(g, kcap, (-1,) * g.a_star, want)
 
 
 def _restricted_sweep_by_walk(g, kcap, node_budget, forced):
@@ -398,23 +440,23 @@ def test_forced_sweep_matches_restricted_sweep_by_walk():
         for forced in tuples:
             for kcap in (2, 4, 6, 8, 10, 12, -1):
                 want = _restricted_sweep_by_walk(g, kcap, 1 << forced.count(-1), forced)
-                got = _kernels.best_resolution(g.d_part, g.squares, kcap, forced)
-                assert got == want, (forced, kcap)
+                _check_sweep(g, kcap, forced, want)
                 cases += 1
     assert any(0 < forced_choices(g).count(-1) < g.a_star for g in graphs)
+    assert any(len(_free_components(g, forced_choices(g))) > 1 for g in graphs)
     assert cases > 4000
 
 
 def _check_rule_keeps_the_optimum(g):
     """With the rule's forced bits the sweep finds the all-free optimum and
-    its lowest tau, in 2^free resolutions."""
+    its lowest tau, scoring 2^free resolutions per component."""
     forced = forced_choices(g)
     for kcap in (2, 4, 6, 8, 10, -1):
         args = (g.d_part, g.squares, kcap)
-        best, tau, explored = _kernels.best_resolution(*args, forced)
-        assert (best, tau) == _kernels.best_resolution(*args, (-1,) * g.a_star)[:2], (
-            forced, kcap)
-        assert explored == 1 << forced.count(-1)
+        best, tau, explored, _ = _kernels.best_resolution(*args, forced, 1 << g.a_star)
+        assert (best, tau) == _kernels.best_resolution(
+            *args, (-1,) * g.a_star, 1 << g.a_star)[:2], (forced, kcap)
+        assert explored == _sweep_count(g, forced)
 
 
 def test_forced_sweep_keeps_the_all_free_optimum_seeded():
@@ -461,20 +503,23 @@ def test_sweep_leaves_no_cyclic_garbage():
     gc.disable()
     try:
         for forced in ((-1,) * g.a_star, (0, -1, 1, -1)):
-            _kernels.best_resolution(g.d_part, g.squares, -1, forced)
+            _kernels.best_resolution(g.d_part, g.squares, -1, forced, 1 << g.a_star)
         assert gc.collect() == 0
     finally:
         gc.enable()
 
 
 def test_naive_budget_counts_complete_resolutions():
-    """budget_nodes counts the 2^free resolutions that keep the forced bits."""
+    """budget_nodes counts the resolutions that keep the forced bits, 2^free
+    per component of the free squares."""
     mixed = [g for g in sweep_graphs() if 0 < forced_choices(g).count(-1) < g.a_star]
     most_free = max(mixed, key=lambda g: forced_choices(g).count(-1))
     assert forced_choices(most_free).count(-1) >= 6
-    for g in (build_closed_flower(5), most_free):
+    split = [g for g in mixed if len(_free_components(g, forced_choices(g))) > 1]
+    assert split
+    for g in (build_closed_flower(5), most_free, split[0]):
         free = forced_choices(g).count(-1)
-        total = 1 << free
+        total = _sweep_count(g, forced_choices(g))
         for k in (8, INFINITY):
             with pytest.raises(BudgetExceeded):
                 ss_naive(g, k, budget_nodes=total - 1)

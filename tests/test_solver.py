@@ -80,23 +80,25 @@ def test_naive_refuses_more_than_25_squares():
         ss_naive(build_closed_flower(26), 8)
 
 
-class _SweepReached(Exception):
-    pass
-
-
 def test_naive_limit_is_the_budget_alone(monkeypatch):
-    """2^free <= budget_nodes is the only limit: 25 free squares reach the
-    sweep under the default budget, and 26 do under a budget of 2^26
-    (`test_naive_refuses_more_than_25_squares` has the default refusing 26)."""
+    """The resolutions to sweep, 2^free summed over the components, against
+    budget_nodes is the only limit, and the kernel refuses before it scores
+    any: a closed flower of 5 squares, one component, is swept under a
+    budget of 32 and refused under 31."""
+    real = solver._kernels.best_resolution
+    returned = []
 
-    def reached(*args):
-        raise _SweepReached
+    def spy(*args):
+        returned.append(real(*args))
+        return returned[-1]
 
-    monkeypatch.setattr(solver._kernels, "best_resolution", reached)
-    with pytest.raises(_SweepReached):
-        ss_naive(build_closed_flower(25), 8)
-    with pytest.raises(_SweepReached):
-        ss_naive(build_closed_flower(26), 8, budget_nodes=1 << 26)
+    monkeypatch.setattr(solver._kernels, "best_resolution", spy)
+    g = build_closed_flower(5)
+    r = ss_naive(g, 10, budget_nodes=32)
+    assert r.optimal and r.stats.nodes == 32 and returned[-1][2] == 32
+    with pytest.raises(BudgetExceeded, match="5 free squares .* over the budget of 31"):
+        ss_naive(g, 10, budget_nodes=31)
+    assert returned[-1][2:] == (0, [5])
 
 
 def test_naive_witness_mismatch_raises(monkeypatch):
@@ -104,8 +106,8 @@ def test_naive_witness_mismatch_raises(monkeypatch):
     real = solver._kernels.best_resolution
 
     def overstated(*args):
-        best, tau, explored = real(*args)
-        return best + 1, tau, explored
+        best, tau, explored, sizes = real(*args)
+        return best + 1, tau, explored, sizes
 
     monkeypatch.setattr(solver._kernels, "best_resolution", overstated)
     with pytest.raises(RuntimeError, match="re-scores"):
@@ -606,6 +608,35 @@ def test_engines_refuse_a_missing_node_budget(monkeypatch):
     assert dd(TRIO_S, TRIO_D, 8, engine="mis", budget_nodes=None).optimal
 
 
+@pytest.mark.parametrize("bad", [True, False, 2.5, float("nan"), "9"])
+def test_engines_refuse_a_node_budget_that_is_not_an_int(bad):
+    # a bool ran as a count of 0 or 1, 2.5 as 2, NaN as no limit, and "9"
+    # raised a bare TypeError
+    for solve in (ss_naive, ss_mis):
+        with pytest.raises(ValueError, match="budget_nodes must be a node count, got"):
+            solve(trio_graph(), 8, budget_nodes=bad)
+    for engine in ("naive", "mis"):
+        with pytest.raises(ValueError, match="budget_nodes must be a node count, got"):
+            dd(TRIO_S, TRIO_D, 8, engine=engine, budget_nodes=bad)
+
+
+@pytest.mark.parametrize("bad", [True, False, float("nan"), "5", Fraction(1, 2)])
+def test_mis_refuses_a_time_budget_that_is_not_a_number(bad):
+    # NaN compares false with every deadline, so the search stopped at its
+    # first node and returned a witness that is not optimal
+    with pytest.raises(ValueError, match="budget_ms must be a number of milliseconds, got"):
+        ss_mis(trio_graph(), 8, budget_ms=bad)
+    with pytest.raises(ValueError, match="budget_ms must be a number of milliseconds, got"):
+        dd(TRIO_S, TRIO_D, 8, engine="mis", budget_ms=bad)
+
+
+def test_budgets_of_either_number_type_are_honoured():
+    g = trio_graph()
+    assert ss_naive(g, 8, budget_nodes=2).optimal
+    for ms in (1000, 1000.0, float("inf")):
+        assert ss_mis(g, 8, budget_ms=ms).optimal
+
+
 def test_mis_node_count_on_a_split_graph():
     # 174 conflict components, the largest of 7 candidates; searched as one
     # graph this pair took 26,511 nodes
@@ -687,22 +718,50 @@ def test_square_order_does_not_change_the_optimum():
 def test_naive_sweeps_only_the_free_squares_at_scale():
     s, d = random_cognate_pair(1000, wgd=True, ops=100, seed=1)
     r = dd(s, d, INFINITY, engine="naive")
-    assert r.optimal and r.stats.forced == 999 - 8 and r.stats.nodes == 2 ** 8
+    # 8 free squares in 7 components, one of them with 2: 6 * 2 + 2^2
+    assert r.optimal and r.stats.forced == 999 - 8 and r.stats.nodes == 16
+    assert (r.stats.components, r.stats.largest_component) == (7, 2)
     fresh = build_abg(s, singularize(d))
     assert fresh.a_star == 999
     assert score(fresh, r.tau, INFINITY) == r.score
     assert r.dd == fresh.n_star_doubled - r.score
 
 
-def test_naive_refuses_too_many_free_squares_before_the_sweep(monkeypatch):
+def test_naive_refuses_too_many_free_squares_before_the_sweep():
+    """27 free squares, more than a whole-graph sweep of 2^25 resolutions
+    takes, fall into 26 components of at most 2: the sweep scores
+    25 * 2 + 2^2 resolutions and answers exactly."""
     s, d = random_cognate_pair(5000, wgd=True, ops=500, seed=1)
+    r = dd(s, d, INFINITY, engine="naive")
+    assert r.optimal and r.dd == 537
+    assert (r.stats.forced, r.stats.nodes) == (4999 - 27, 54)
+    assert (r.stats.components, r.stats.largest_component) == (26, 2)
+    fresh = build_abg(s, singularize(d))
+    assert score(fresh, r.tau, INFINITY) == r.score == fresh.n_star_doubled - 537
 
-    def never(*args):
-        raise AssertionError("the sweep must not start")
 
-    monkeypatch.setattr(solver._kernels, "best_resolution", never)
-    with pytest.raises(BudgetExceeded, match="27 free squares .* over the budget of 33554432"):
-        dd(s, d, INFINITY, engine="naive")
+def _disjoint_union(g, h):
+    """One graph holding g and, on vertices shifted past g's, h."""
+    shift = g.n_vertices
+    squares = list(g.squares) + [Square(*(v + shift for v in sq)) for sq in h.squares]
+    d_edges = list(g.d_edges) + [(x + shift, y + shift) for x, y in h.d_edges]
+    labels = ["v%d" % v for v in range(shift + h.n_vertices)]
+    return AmbiguousBreakpointGraph(labels, squares, d_edges)
+
+
+def test_naive_sweeps_each_component_on_its_own():
+    """Two closed flowers of 13 squares: 26 free squares, which a sweep of
+    the whole graph refuses under the default budget, in two components of
+    2^13 resolutions each."""
+    flower = build_closed_flower(13)
+    g = _disjoint_union(flower, flower)
+    for k in (26, INFINITY):
+        one = ss_naive(flower, k)
+        r = ss_naive(g, k)
+        assert r.optimal and one.score == 2 and r.score == 4, k
+        assert r.stats.nodes == 2 * 2 ** 13 == 16384
+        assert (r.stats.components, r.stats.largest_component) == (2, 13)
+        assert r.tau == one.tau * 2
 
 
 def test_repeated_solves_keep_no_memory():
