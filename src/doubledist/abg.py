@@ -21,7 +21,7 @@ from .genomes import (
     Genome,
     GenomeError,
     PairClass,
-    _adjacency_ids,
+    _id_partners,
     _new,
     classify_pair,
 )
@@ -50,10 +50,12 @@ class AmbiguousBreakpointGraph:
     cannot be rebound, so the candidate sets that `enumerate_candidates`
     memoizes per (k, forced bits) in `_candidates` can never go stale.
 
-    A constructed graph keeps the labels it is given.  A genome-built one is
-    given its genes, the sorted gene ids, in place of labels: it has four
-    vertices per gene, and its labels are made when first read (only
-    `to_dot` and the tests read them), then kept."""
+    A constructed graph keeps the labels it is given, and its constructor
+    checks each square and fixed edge, naming the first faulty vertex.  A
+    genome-built one (`build_abg`) is valid by construction and skips those
+    checks; it is given its genes, the sorted gene ids, in place of labels:
+    it has four vertices per gene, and its labels are made when first read
+    (only `to_dot` and the tests read them), then kept."""
 
     __slots__ = (
         "n_vertices",
@@ -69,14 +71,10 @@ class AmbiguousBreakpointGraph:
         "_candidates",
     )
 
-    def __init__(self, labels, squares, d_edges, *, genes=None):
-        if genes is None:
-            labels = tuple(labels)
-            n = len(labels)
-        else:
-            genes = tuple(genes)
-            n = 4 * len(genes)
-            labels = None  # made from genes when first read
+    def __init__(self, labels, squares, d_edges):
+        labels = tuple(labels)
+        n = len(labels)
+        squares = tuple(squares)
         sq_id = [-1] * n
         e_part = [-1] * n
         t_part = [-1] * n
@@ -113,13 +111,20 @@ class AmbiguousBreakpointGraph:
                         raise GenomeError("vertex %d has two fixed edges" % w)
             d_part[x] = y
             d_part[y] = x
+        # built from lists, as in check_resolution
+        d_edges = tuple([tuple(e) for e in d_edges])
+        self._fill(labels, None, squares, d_edges, sq_id, e_part, t_part, d_part)
+
+    def _fill(self, labels, genes, squares, d_edges, sq_id, e_part, t_part, d_part):
+        """Set every slot from the checked parts: squares and d_edges are
+        tuples, the four vertex arrays lists."""
+        n = len(sq_id)
         init = object.__setattr__
         init(self, "n_vertices", n)
         init(self, "_genes", genes)
         init(self, "_labels", labels)
-        init(self, "squares", tuple(squares))
-        # built from lists, as in check_resolution
-        init(self, "d_edges", tuple([tuple(e) for e in d_edges]))
+        init(self, "squares", squares)
+        init(self, "d_edges", d_edges)
         init(self, "sq_id", tuple(sq_id))
         init(self, "e_part", tuple(e_part))
         init(self, "t_part", tuple(t_part))
@@ -224,32 +229,69 @@ def build_abg(s: Genome, d_check: Genome) -> AmbiguousBreakpointGraph:
 
 
 def _build_abg(s: Genome, d: Genome) -> AmbiguousBreakpointGraph:
-    """`build_abg` for a duplicated d, indexed or not.  `_adjacency_ids`
+    """`build_abg` for a duplicated d, indexed or not.  `_id_partners`
     labels the copies of a d with plain copies as `singularize` would, so
-    the graph of a plain d is that of its singularization."""
+    the graph of a plain d is that of its singularization.
+
+    One reading of each genome gives its id partner map.  s is singular,
+    so its ids are even (copy a) and each lies in at most one adjacency:
+    one pass over the even ids x whose partner y is larger makes the
+    squares in the order of their least vertex, and d's map is the fixed
+    edges' partner array as it stands.  The cognate pair makes every part
+    valid, so no square or fixed edge is checked on its own; a count of
+    the filled entries guards the reading instead."""
     if classify_pair(s, d) != PairClass.ONE_TWO_COGNATE:
         raise GenomeError("genomes do not form a [1.2]-cognate pair")
 
     gids = sorted(s.ids)
     rank = {gid: r for r, gid in enumerate(gids)}
-    squares = [
-        _new(Square, (x, y, x + 1, y + 1)) for x, y in _adjacency_ids(s, rank)
-    ]
-    return AmbiguousBreakpointGraph(None, squares, _adjacency_ids(d, rank), genes=gids)
+    n = 4 * len(gids)
+    s_part = _id_partners(s, rank, n)
+    d_part = _id_partners(d, rank, n)
+    squares = []
+    sq_id = [-1] * n
+    e_part = [-1] * n
+    t_part = [-1] * n
+    for x in range(0, n, 2):
+        y = s_part[x]
+        if y > x:
+            # the square (x, y, x + 1, y + 1) and its two matchings
+            sq_id[x] = sq_id[y] = sq_id[x + 1] = sq_id[y + 1] = len(squares)
+            squares.append(_new(Square, (x, y, x + 1, y + 1)))
+            e_part[x] = y
+            e_part[y] = x
+            e_part[x + 1] = y + 1
+            e_part[y + 1] = x + 1
+            t_part[x] = y + 1
+            t_part[y + 1] = x
+            t_part[x + 1] = y
+            t_part[y] = x + 1
+    d_edges = tuple([(x, y) for x, y in enumerate(d_part) if x < y])
+    square_ends = n - sq_id.count(-1)
+    fixed_ends = n - d_part.count(-1)
+    if square_ends != 4 * len(squares) or fixed_ends != 2 * len(d_edges):
+        raise RuntimeError(
+            "the genome reading gave %d square vertices for %d squares and "
+            "%d fixed-edge ends for %d fixed edges"
+            % (square_ends, len(squares), fixed_ends, len(d_edges)))
+    graph = AmbiguousBreakpointGraph.__new__(AmbiguousBreakpointGraph)
+    graph._fill(None, tuple(gids), tuple(squares), d_edges, sq_id, e_part, t_part, d_part)
+    return graph
 
 
 def resolve(abg: AmbiguousBreakpointGraph, tau) -> ComponentCensus:
     """Census of the breakpoint graph induced by the resolution tau."""
     tau = abg.check_resolution(tau)
-    n = abg.n_vertices
-    pa = [-1] * n
-    sq_id = abg.sq_id
-    e_part = abg.e_part
-    t_part = abg.t_part
-    for v in range(n):
-        s = sq_id[v]
-        if s >= 0:
-            pa[v] = t_part[v] if tau[s] else e_part[v]
+    # e_part holds every square's solid pair; rewrite the squares at bit 1
+    pa = list(abg.e_part)
+    squares = abg.squares
+    for index, bit in enumerate(tau):
+        if bit:
+            u, v, uhat, vhat = squares[index]  # Square.edges(1)
+            pa[u] = vhat
+            pa[vhat] = u
+            pa[uhat] = v
+            pa[v] = uhat
     cycles, paths = _kernels.walk_components(pa, abg.d_part)
     return ComponentCensus.from_lengths(cycles, paths)
 

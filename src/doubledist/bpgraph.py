@@ -51,7 +51,11 @@ class ComponentCensus:
 
     @classmethod
     def from_lengths(cls, cycle_lengths, path_lengths):
-        return cls(Counter(cycle_lengths), Counter(path_lengths))
+        # counted once each; __init__ would copy both counts again
+        census = cls.__new__(cls)
+        census.c = Counter(cycle_lengths)
+        census.p = Counter(path_lengths)
+        return census
 
     @property
     def c_total(self) -> int:

@@ -575,20 +575,21 @@ def _trace(partner, ids):
     return chroms
 
 
-def _adjacency_ids(g: Genome, rank) -> list:
-    """The adjacencies of g as sorted id pairs (x, y), x < y, where rank[gid]
-    is the rank of gene gid.  A gene read forward has its tail on the left;
-    a circular chromosome adds the pair that closes it.
+def _id_partners(g: Genome, rank, n) -> list:
+    """The id partner map of g over n ids, where rank[gid] is the rank of
+    gene gid: one reading of the chromosomes that writes each adjacency
+    x-y as part[x] = y and part[y] = x.  A gene read forward has its tail
+    on the left; a circular chromosome adds the pair that closes it.
 
     An indexed g keeps its copy letters.  Otherwise the copies are labeled
     as `singularize` labels them, in canonical chromosome order: the first
     occurrence of a gene id is copy a and the second copy b.  Those ids do
     not depend on how the relabeled chromosomes are then written, so a
     duplicated g gives the ids of its singularization."""
-    out = []
+    part = [-1] * n
     seen = set() if "" in g.copies else None  # the heads of the copies a read
     for shape, genes in g.chromosomes:
-        ends = []  # the ids in reading order, two per gene
+        first = last = -1  # the chromosome's left end, the last gene's right end
         for gid, copy, rev in genes:
             v = 4 * rank[gid]  # copy a's head; the tail is v + 2
             if seen is None:
@@ -597,11 +598,20 @@ def _adjacency_ids(g: Genome, rank) -> list:
                 v += 1
             else:
                 seen.add(v)
-            ends += (v, v + 2) if rev else (v + 2, v)
-        inner = iter(ends[1:] + ends[:1] if shape == CIRCULAR else ends[1:-1])
-        out += [(x, y) if x < y else (y, x) for x, y in zip(inner, inner)]
-    out.sort()
-    return out
+            if rev:
+                left, right = v, v + 2
+            else:
+                left, right = v + 2, v
+            if last < 0:
+                first = left
+            else:
+                part[last] = left
+                part[left] = last
+            last = right
+        if shape == CIRCULAR:
+            part[last] = first
+            part[first] = last
+    return part
 
 
 def _erased_chroms(partner):

@@ -82,6 +82,18 @@ def _result(abg, tau, k, engine, optimal, stats, best2x) -> SolveResult:
     return SolveResult(actual, dd_value, tau, optimal, engine, stats)
 
 
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _tau_bits(tau_int, a_star):
+    """The low a_star bits of tau_int, least significant first, as a tuple
+    of 0s and 1s: bin() reads the integer once, where shifting it per bit
+    would cost O(a_star^2)."""
+    # a bytes object iterates as its byte values, and tuple() sizes itself
+    # from it, as in AmbiguousBreakpointGraph.check_resolution
+    return tuple(bin(tau_int)[:1:-1].ljust(a_star, "0")[:a_star].encode().translate(_BITS))
+
+
 def ss_naive(
     abg: AmbiguousBreakpointGraph,
     k,
@@ -106,8 +118,7 @@ def ss_naive(
             "components, %d forced): their resolutions are over the budget of %d"
             % (largest, free, len(sizes), abg.a_star - free, budget_nodes)
         )
-    # built from lists, as in AmbiguousBreakpointGraph.check_resolution
-    tau = tuple([(tau_int >> i) & 1 for i in range(abg.a_star)])
+    tau = _tau_bits(tau_int, abg.a_star)
     stats = SolveStats(nodes=explored, candidates=0,
                        wall_ms=(time.monotonic() - t0) * 1000.0,
                        components=len(sizes), largest_component=largest,

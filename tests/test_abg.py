@@ -30,7 +30,7 @@ from doubledist.genomes import (
     random_cognate_pair,
     singularize,
 )
-from doubledist import genomes, solver
+from doubledist import _kernels, abg as abg_module, genomes, solver
 from doubledist.reduction import build_closed_flower, build_reduction, extract_genomes
 from doubledist.solver import dd
 
@@ -185,6 +185,81 @@ def test_dd_builds_the_graph_of_the_singularization(monkeypatch):
     assert covered["mixed"] >= 200 and covered["relabeled"] >= 10, covered
 
 
+def _reference_adjacency_ids(g, rank):
+    """The adjacencies of g as sorted id pairs (x, y), x < y, read by
+    listing each chromosome's ends and sorting the pairs, as `build_abg`
+    did before it wrote the partner map in one pass: the reference of the
+    one-pass reading.  Copies are labeled by the same rule."""
+    out = []
+    seen = set() if "" in g.copies else None  # the heads of the copies a read
+    for shape, genes in g.chromosomes:
+        ends = []  # the ids in reading order, two per gene
+        for gid, copy, rev in genes:
+            v = 4 * rank[gid]  # copy a's head; the tail is v + 2
+            if seen is None:
+                v += copy == "b"
+            elif v in seen:
+                v += 1
+            else:
+                seen.add(v)
+            ends += (v, v + 2) if rev else (v + 2, v)
+        inner = iter(ends[1:] + ends[:1] if shape == "circular" else ends[1:-1])
+        out += [(x, y) if x < y else (y, x) for x, y in zip(inner, inner)]
+    out.sort()
+    return out
+
+
+def test_id_partners_match_the_sorted_pair_reading():
+    covered = Counter()
+    for s, d_check in _differential_pairs():
+        rank = {gid: r for r, gid in enumerate(sorted(s.ids))}
+        n = 4 * len(rank)
+        plain = d_check.erase_indices()
+        for name, g in (("singular", s), ("indexed", d_check), ("plain", plain),
+                        ("half-erased", _half_erased(d_check))):
+            part = genomes._id_partners(g, rank, n)
+            assert len(part) == n
+            assert all(part[y] == x for x, y in enumerate(part) if y >= 0), (name, g)
+            pairs = [(x, y) for x, y in enumerate(part) if x < y]
+            assert pairs == _reference_adjacency_ids(g, rank), (name, g)
+            covered[name] += 1
+        covered["ids not 1..n"] += max(s.ids) != len(s.ids)
+        covered["one-gene circular"] += any(
+            len(ch.genes) == 1 and ch.shape == "circular"
+            for ch in s.chromosomes + d_check.chromosomes)
+    assert all(covered[name] == 256 for name in ("singular", "indexed", "plain",
+                                                 "half-erased")), covered
+    assert covered["ids not 1..n"] >= 40 and covered["one-gene circular"] >= 10, covered
+
+
+@pytest.mark.parametrize("reading", [0, 1])  # s's, then d's
+@pytest.mark.parametrize("pair", [(TRIO_S, TRIO_D_CHECK),
+                                  random_cognate_pair(12, wgd=True, ops=4, seed=3)])
+def test_build_refuses_a_reading_that_writes_a_pair_twice(monkeypatch, reading, pair):
+    """The count that guards a genome-built graph: a reading that writes
+    its first adjacency x-y again, as y-t at the last even telomere t,
+    builds no graph."""
+    real = genomes._id_partners
+    calls = []
+
+    def twice(g, rank, n):
+        part = real(g, rank, n)
+        if len(calls) == reading:
+            y = next(y for x, y in enumerate(part) if x < y)
+            t = max(t for t in range(0, n, 2) if part[t] < 0)
+            part[t] = y
+            part[y] = t
+        calls.append(g)
+        return part
+
+    monkeypatch.setattr(abg_module, "_id_partners", twice)
+    with pytest.raises(RuntimeError, match="the genome reading gave"):
+        abg_module._build_abg(*pair)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    abg_module._build_abg(*pair)  # the real reading builds
+
+
 def test_dd_solves_without_singularizing(monkeypatch):
     pairs = [(TRIO_S, TRIO_D_CHECK.erase_indices()),
              random_cognate_pair(12, wgd=True, ops=4, seed=3)]
@@ -260,6 +335,33 @@ def test_square_parts_are_the_two_matchings_of_each_square():
         assert all(g.e_part[v] == g.t_part[v] == -1
                    for v in range(g.n_vertices) if g.sq_id[v] < 0)
     assert len(graphs) == 68 and squares > 7000, squares
+
+
+def _reference_resolve(g, tau):
+    """The census of the resolution tau, its partner array filled vertex by
+    vertex from e_part or t_part, as `resolve` did before it started from
+    e_part and rewrote the squares at bit 1."""
+    tau = g.check_resolution(tau)
+    pa = [-1] * g.n_vertices
+    for v in range(g.n_vertices):
+        s = g.sq_id[v]
+        if s >= 0:
+            pa[v] = g.t_part[v] if tau[s] else g.e_part[v]
+    cycles, paths = _kernels.walk_components(pa, g.d_part)
+    return ComponentCensus.from_lengths(cycles, paths)
+
+
+def test_resolve_matches_the_per_vertex_reference():
+    rng = random.Random(24)
+    graphs = _seeded_graphs() + [trio_graph(), build_closed_flower(5)]
+    resolved = 0
+    for g in graphs:
+        taus = [(0,) * g.a_star, (1,) * g.a_star]
+        taus += [tuple(rng.randint(0, 1) for _ in range(g.a_star)) for _ in range(20)]
+        for tau in taus:
+            assert resolve(g, tau) == _reference_resolve(g, tau), tau
+            resolved += 1
+    assert len(graphs) == 20 and resolved == 20 * 22
 
 
 def test_resolve_worked_example():

@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -23,6 +25,20 @@ S2 = parse_genome("(1 -3 2)\n[4]")
 def test_census_worked_example():
     bg = build_breakpoint_graph(S1, S2)
     assert bg.census == ComponentCensus({2: 1}, {0: 1, 4: 1})
+
+
+def test_census_from_lengths_counts_each_list_once():
+    rng = random.Random(24)
+    for _ in range(300):
+        cycles = [rng.randint(1, 12) for _ in range(rng.randint(0, 8))]
+        paths = [rng.randint(0, 12) for _ in range(rng.randint(0, 8))]
+        census = ComponentCensus.from_lengths(cycles, paths)
+        assert type(census.c) is Counter and type(census.p) is Counter
+        assert census.c == Counter(cycles) and census.p == Counter(paths)
+        assert census == ComponentCensus(dict(Counter(cycles)), dict(Counter(paths)))
+        for k in (2, 4, 8, INFINITY):
+            assert census.sigma2x(k) == ComponentCensus(
+                dict(Counter(cycles)), dict(Counter(paths))).sigma2x(k)
 
 
 def test_census_identical_genomes():

@@ -800,11 +800,7 @@ def _tuple_genome(adjs, telos):
 def _id_partner(g):
     """g's partner map over the integer extremity ids, genes ranked by id."""
     rank = {gid: r for r, gid in enumerate(sorted(g.ids))}
-    partner = [-1] * (4 * len(rank))
-    for x, y in genomes_module._adjacency_ids(g, rank):
-        partner[x] = y
-        partner[y] = x
-    return partner, sorted(g.ids)
+    return genomes_module._id_partners(g, rank, 4 * len(rank)), sorted(g.ids)
 
 
 def test_trace_matches_the_tuple_walk():

@@ -27,6 +27,7 @@ from doubledist import abg, genomes, solver
 from doubledist.reduction import build_closed_flower, build_reduction, sat_brute, score_bound
 from doubledist.solver import (
     _clique_cover_bound,
+    _tau_bits,
     dd,
     dd_definition_oracle,
     dd_greedy_2,
@@ -783,3 +784,20 @@ def test_repeated_solves_keep_no_memory():
     finally:
         gc.enable()
     assert grown < 400
+
+
+def test_tau_bits_read_the_integer_as_the_shifts_do():
+    """`ss_naive`'s witness: bit i of tau_int is square i's bit, read once
+    through bin(); the a*-fold shift is the reference."""
+    rng = random.Random(24)
+    cases = 0
+    for a_star in (0, 1, 2, 7, 64, 65, 10000):
+        ints = [0, (1 << a_star) - 1] + [rng.getrandbits(a_star) for _ in range(5)]
+        # zero bits above the top set bit, down to a single low bit
+        ints += [rng.getrandbits(max(0, a_star - 10)), 1 if a_star else 0]
+        for tau_int in ints:
+            got = _tau_bits(tau_int, a_star)
+            assert got == tuple([(tau_int >> i) & 1 for i in range(a_star)])
+            assert type(got) is tuple and all(type(b) is int for b in got)
+            cases += 1
+    assert cases == 63
