@@ -27,9 +27,11 @@ from __future__ import annotations
 
 
 def walk_components(pa, pb):
-    """Component lengths of a resolved graph: (cycle_lengths, path_lengths)."""
+    """Component lengths of a resolved graph: (cycle_lengths, path_lengths).
+    A walk that meets a vertex again, other than the closing return to its
+    start, shows that pa or pb is not an involution: it raises RuntimeError."""
     n = len(pa)
-    seen = bytearray(n)
+    seen = [0] * n  # a list, not a bytearray: CPython 3.11+ indexes lists faster
     cycles = []
     paths = []
     for v in range(n):
@@ -50,6 +52,8 @@ def walk_components(pa, pb):
             nxt = pa[cur] if use_a else pb[cur]
             if nxt < 0:
                 break
+            if seen[nxt]:
+                raise RuntimeError("path walk from %d met vertex %d again" % (v, nxt))
             length += 1
             cur = nxt
             seen[cur] = 1
@@ -66,8 +70,10 @@ def walk_components(pa, pb):
             cur = pa[cur] if use_a else pb[cur]
             length += 1
             use_a = not use_a
-            if cur == v and use_a:
-                break
+            if seen[cur]:
+                if cur == v and use_a:
+                    break
+                raise RuntimeError("cycle walk from %d met vertex %d again" % (v, cur))
         cycles.append(length)
     return cycles, paths
 

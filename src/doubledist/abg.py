@@ -214,24 +214,17 @@ def forced_choices(abg: AmbiguousBreakpointGraph) -> tuple:
     return tuple(out)
 
 
-def build_abg(s: Genome, d_check: Genome) -> AmbiguousBreakpointGraph:
-    """Ambiguous breakpoint graph of a singular genome and an indexed
-    singularization of its duplicated cognate.
+def build_abg(s: Genome, d: Genome) -> AmbiguousBreakpointGraph:
+    """Ambiguous breakpoint graph of a singular genome s and its duplicated
+    cognate d, indexed or not: an indexed d keeps its letters, and
+    `_id_partners` labels the plain copies of d as `singularize` would, so
+    the graph of a plain d is that of its singularization.
 
     Each vertex is its extremity's id in the numbering that `genomes` states
     (integer extremity ids), ranking the genes by their ids in s; an
     extremity of s counts as copy a.  So `labels` lists the extremities in
     sorted order, and copy b's vertex is copy a's plus 1: the adjacency x-y
-    of s gives the square (x, y, x + 1, y + 1)."""
-    if not d_check.is_indexed():
-        raise GenomeError("second genome must carry a/b copy indices")
-    return _build_abg(s, d_check)
-
-
-def _build_abg(s: Genome, d: Genome) -> AmbiguousBreakpointGraph:
-    """`build_abg` for a duplicated d, indexed or not.  `_id_partners`
-    labels the copies of a d with plain copies as `singularize` would, so
-    the graph of a plain d is that of its singularization.
+    of s gives the square (x, y, x + 1, y + 1).
 
     One reading of each genome gives its id partner map.  s is singular,
     so its ids are even (copy a) and each lies in at most one adjacency:
@@ -240,8 +233,9 @@ def _build_abg(s: Genome, d: Genome) -> AmbiguousBreakpointGraph:
     edges' partner array as it stands.  The cognate pair makes every part
     valid, so no square or fixed edge is checked on its own; a count of
     the filled entries guards the reading instead."""
-    if classify_pair(s, d) != PairClass.ONE_TWO_COGNATE:
-        raise GenomeError("genomes do not form a [1.2]-cognate pair")
+    # with d duplicated, a [1.2]-cognate pair has s singular
+    if not d.is_duplicated() or classify_pair(s, d) != PairClass.ONE_TWO_COGNATE:
+        raise GenomeError("build_abg needs a singular genome and its duplicated cognate")
 
     gids = sorted(s.ids)
     rank = {gid: r for r, gid in enumerate(gids)}

@@ -13,7 +13,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .abg import bp_to_dot, score, to_dot
+from .abg import bp_to_dot, build_abg, score, to_dot
 from .bpgraph import (
     INFINITY,
     BudgetExceeded,
@@ -43,7 +43,7 @@ from .reduction import (
     verify_flower,
     verify_structure,
 )
-from .solver import _dd_graph, dd
+from .solver import dd
 
 
 def fmt_half(value) -> str:
@@ -307,7 +307,7 @@ def _cmd_export_dot(args) -> int:
     g1 = _load_genome(args.genome1)
     g2 = _load_genome(args.genome2)
     if classify_pair(g1, g2) == PairClass.ONE_TWO_COGNATE:
-        text = to_dot(_dd_graph(g1, g2))
+        text = to_dot(build_abg(g1, g2))
     else:
         text = bp_to_dot(build_breakpoint_graph(g1, g2))
     if args.out:

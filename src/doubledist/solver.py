@@ -19,8 +19,7 @@ from typing import Optional
 from . import _kernels
 from .abg import (
     AmbiguousBreakpointGraph,
-    _build_abg,
-    build_abg,  # noqa: F401  not called here; perfbench's tracer wraps solver.build_abg
+    build_abg,
     conflict_masks,
     enumerate_candidates,
     forced_choices,
@@ -381,14 +380,6 @@ def _require_cognate(s: Genome, d: Genome, who: str) -> None:
         raise GenomeError("%s needs a singular genome and its duplicated cognate" % who)
 
 
-def _dd_graph(s: Genome, d: Genome) -> AmbiguousBreakpointGraph:
-    """The graph `dd` solves: s against d's singularization, built without
-    making it.  The builder's classify_pair is the cognate check."""
-    if not d.is_duplicated():
-        raise GenomeError("dd needs a duplicated second genome")
-    return _build_abg(s, d)
-
-
 def dd(
     s: Genome,
     d: Genome,
@@ -410,8 +401,9 @@ def dd(
     if engine == "greedy2" and k != 2:
         raise ValueError("greedy2 engine only computes k=2")
     if engine in _ENGINES:
-        # bad budgets are the engine's to refuse
-        return _ENGINES[engine](_dd_graph(s, d), k, **budgets)
+        # bad budgets are the engine's to refuse; build_abg's classify_pair
+        # is the cognate check
+        return _ENGINES[engine](build_abg(s, d), k, **budgets)
     value = dd_greedy_2(s, d) if engine == "greedy2" else dd_definition_oracle(s, d, k)
     return SolveResult(
         score=2 * len(s.identities) - value,

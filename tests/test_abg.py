@@ -73,10 +73,18 @@ def test_build_single_circular_gene():
 
 
 def test_build_rejects_bad_pairs():
-    with pytest.raises(GenomeError):
-        build_abg(parse_genome("[1 2]"), parse_genome("[1.a 1.b]"))
-    with pytest.raises(GenomeError):
-        build_abg(TRIO_S, TRIO_D_CHECK.erase_indices())
+    refusal = "build_abg needs a singular genome and its duplicated cognate"
+    for s, d in ((parse_genome("[1 2]"), parse_genome("[1.a 1.b]")),  # other ids
+                 (TRIO_D_CHECK, TRIO_S),  # the pair the other way round
+                 (TRIO_S, TRIO_S),  # canonical
+                 (TRIO_S, parse_genome("[1 1 2 3 3]"))):  # d not duplicated
+        with pytest.raises(GenomeError, match=refusal):
+            build_abg(s, d)
+    # a plain D builds the graph of its singularization
+    plain = TRIO_D_CHECK.erase_indices()
+    g, ref = build_abg(TRIO_S, plain), build_abg(TRIO_S, singularize(plain))
+    for name in GRAPH_FIELDS:
+        assert getattr(g, name) == getattr(ref, name), name
 
 
 GRAPH_FIELDS = ("labels", "squares", "d_edges", "sq_id", "e_part", "t_part",
@@ -254,10 +262,10 @@ def test_build_refuses_a_reading_that_writes_a_pair_twice(monkeypatch, reading, 
 
     monkeypatch.setattr(abg_module, "_id_partners", twice)
     with pytest.raises(RuntimeError, match="the genome reading gave"):
-        abg_module._build_abg(*pair)
+        build_abg(*pair)
     assert len(calls) == 2
     monkeypatch.undo()
-    abg_module._build_abg(*pair)  # the real reading builds
+    build_abg(*pair)  # the real reading builds
 
 
 def test_dd_solves_without_singularizing(monkeypatch):

@@ -292,7 +292,8 @@ def test_export_dot_builds_the_graph_dd_solves(files, capsys):
     assert capsys.readouterr().out == to_dot(build_abg(s, singularize(d))) + "\n"
     # the pair the other way round is refused as dd refuses it
     assert run(["export-dot", files["D.genome"], files["S.genome"]]) == 1
-    assert capsys.readouterr().err == "error: dd needs a duplicated second genome\n"
+    assert capsys.readouterr().err == (
+        "error: build_abg needs a singular genome and its duplicated cognate\n")
 
 
 def test_export_dot_to_file(files, tmp_path, capsys):

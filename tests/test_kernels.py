@@ -4,6 +4,7 @@ search and the incremental sweep against the slower code they replaced."""
 
 import gc
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -97,6 +98,25 @@ def test_walk_components_equivalent():
             _same_walk(_resolution(g, tau), g.d_part)
     for n in range(40):  # two partial matchings: 2-cycles and lone vertices too
         _same_walk(_matching(rng, n), _matching(rng, n))
+
+
+def _timeout(signum, frame):
+    raise TimeoutError("walk_components did not return")
+
+
+@pytest.mark.parametrize("pa, pb", [([1, 2, 1], [2, 2, 0]),  # spins in the cycle loop
+                                    ([1, 2, 1], [-1, 2, 1])])  # spins in the path loop
+def test_walk_refuses_partners_that_are_not_an_involution(pa, pb):
+    """A partner array that is not an involution raises, where the walk
+    once went round for ever; the alarm makes a regression fail, not hang."""
+    previous = signal.signal(signal.SIGALRM, _timeout)
+    signal.alarm(5)
+    try:
+        with pytest.raises(RuntimeError, match="met vertex 1 again"):
+            _kernels.walk_components(pa, pb)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _brute_best(g, k, count):

@@ -228,8 +228,33 @@ def test_dd_classifies_the_pair_once(monkeypatch, engine, k):
 def test_dd_refuses_a_d_that_is_not_duplicated(engine):
     # what singularize refused when dd built its graph on singularize(d)
     for s, d in (("[1 1]", "[1]"), ("[1 2]", "[1 2]"), ("[1 2]", "[1 1 2]")):
-        with pytest.raises(GenomeError, match="dd needs a duplicated second genome"):
+        with pytest.raises(GenomeError, match="build_abg needs a singular genome "
+                                              "and its duplicated cognate"):
             dd(parse_genome(s), parse_genome(d), 4, engine=engine)
+
+
+def test_dd_builds_through_the_module_name_the_tracer_wraps(monkeypatch):
+    """The engine solves build their graph by calling `solver.build_abg`,
+    once per solve, whether D is indexed or plain; greedy2 and oracle
+    build none."""
+    s, d = random_cognate_pair(6, wgd=True, ops=2, seed=5)
+    built = []
+
+    def recording(*args):
+        built.append(args)
+        return build_abg(*args)
+
+    monkeypatch.setattr(solver, "build_abg", recording)
+    for engine in ("naive", "mis"):
+        for second in (d, d.erase_indices()):
+            del built[:]
+            dd(s, second, 4, engine=engine)
+            assert built == [(s, second)], (engine, second)
+    del built[:]
+    for second in (d, d.erase_indices()):
+        dd(s, second, 2, engine="greedy2")
+        dd(s, second, 4, engine="oracle")
+    assert built == []
 
 
 @pytest.mark.parametrize("engine, k", [("naive", 2), ("naive", 4), ("naive", 8),

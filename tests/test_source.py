@@ -105,6 +105,30 @@ def test_every_definition_is_referenced():
     assert not unused, "defined but never referenced: %s" % ", ".join(unused)
 
 
+def test_no_unused_imports():
+    """Every name a library module imports is read in that module.  The
+    re-exports of `__init__.py` and `from __future__` imports are skipped."""
+    checked, found = 0, []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    # `import a.b` binds a
+                    imported[alias.asname or alias.name.partition(".")[0]] = alias.lineno
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        checked += len(imported)
+        found += ["%s:%d %s" % (path.relative_to(SRC), line, name)
+                  for name, line in sorted(imported.items()) if name not in read]
+    assert checked, "no imports found under %s" % SRC
+    assert not found, "imported but never read: %s" % ", ".join(found)
+
+
 def test_regexes_need_no_newer_python():
     """pyproject.toml accepts Python 3.10, whose `re` has no possessive
     quantifiers (`*+`, `++`, `?+`, `}+`) and no atomic groups (`(?>`): a
