@@ -321,25 +321,28 @@ def conflict(c1: Candidate, c2: Candidate) -> bool:
 
 def conflict_masks(candidates) -> list:
     """The conflict graph as bitmasks: bit j of masks[i] is set iff
-    candidates i and j conflict, i != j (the rule of `conflict`)."""
+    candidates i and j conflict, i != j (the rule of `conflict`).  Each
+    vertex, and each square choice, gets one mask of the candidates that
+    hold it; a candidate ORs in the masks of its vertices and of the
+    choices opposite to its own, then clears its own bit.  So the cost is
+    one OR per vertex and choice of a candidate, not one per conflicting
+    pair."""
     vert_touch = {}
     choice_touch = {}
     for i, c in enumerate(candidates):
+        bit = 1 << i
         for v in c.vertices:
-            vert_touch.setdefault(v, []).append(i)
+            vert_touch[v] = vert_touch.get(v, 0) | bit
         for choice in c.choices:
-            choice_touch.setdefault(choice, []).append(i)
-    masks = [0] * len(candidates)
-    for group in vert_touch.values():
-        for i in group:
-            for j in group:
-                if i != j:
-                    masks[i] |= 1 << j
-    # a candidate forces one bit per square, so j never equals i here
-    for (sq, bit), group in choice_touch.items():
-        for j in choice_touch.get((sq, 1 - bit), ()):
-            for i in group:
-                masks[i] |= 1 << j
+            choice_touch[choice] = choice_touch.get(choice, 0) | bit
+    masks = []
+    for i, c in enumerate(candidates):
+        mask = 0
+        for v in c.vertices:
+            mask |= vert_touch[v]
+        for sq, bit in c.choices:
+            mask |= choice_touch.get((sq, 1 - bit), 0)
+        masks.append(mask & ~(1 << i))
     return masks
 
 

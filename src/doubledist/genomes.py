@@ -12,10 +12,11 @@ from __future__ import annotations
 import math
 import random
 import re
+from bisect import bisect_right
 from collections import Counter, namedtuple
 from functools import cached_property
-from itertools import chain, islice, product
-from operator import itemgetter
+from itertools import accumulate, chain, compress, count, islice, product
+from operator import gt, itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 HEAD = "h"
@@ -794,81 +795,268 @@ def _nth_move(elems, adjs, r):
     return elems[i], elems[i + 1 + r - row_start]
 
 
-def _dcj_step(chroms, rng):
-    """One random DCJ on a genome held as its sorted list of Chromosomes,
-    drawn exactly as on its singularized Genome: copies labeled a/b in
-    canonical order, the move drawn from the sorted adjacencies and
-    telomeres.  The extremities are ids whose rank is the gene id, so they
-    sort as the extremity tuples do.  Only the chromosomes that own a cut
-    extremity are walked again; the others are kept as they are."""
-    owner = {}  # the head id of each gene copy -> index of its chromosome
-    links = []  # each chromosome's labeled adjacencies and telomeres
-    adjs, telos = [], []
-    for i, (shape, genes) in enumerate(chroms):
-        row = []  # the labeled extremities in reading order
-        for gid, _, rev in genes:
-            v = 4 * gid  # copy a's head
-            if v in owner:
-                v += 1  # copy b's
-            owner[v] = i
-            row += (v, v + 2) if rev else (v + 2, v)
-        if shape == LINEAR:
-            tips, inner = (row[0], row[-1]), iter(row[1:-1])
-        else:
-            tips, inner = (), iter(row[1:] + row[:1])
-        pairs = [(x, y) if x < y else (y, x) for x, y in zip(inner, inner)]
-        links.append((pairs, tips))
-        adjs += pairs
-        telos += tips
-    adjs.sort()
-    telos.sort()
-    elems = [("adjacency", a) for a in adjs] + [("telomere", t) for t in telos]
-    m = len(elems)
-    n_moves = m * (m - 1) // 2 + len(adjs)
-    if not n_moves:
-        return chroms
-    first, second = _nth_move(elems, adjs, rng.randrange(n_moves))
-    kind1, v1 = first
-    cut = list(v1) if kind1 == "adjacency" else [v1]
-    new_adjs = []  # the cut ends left out become telomeres
-    if second is not None:
-        kind2, v2 = second
-        cut += list(v2) if kind2 == "adjacency" else [v2]
-        rng.shuffle(cut)
-        ends = list(cut)
-        while ends:
-            if len(ends) >= 2 and rng.random() < 0.8:
-                new_adjs.append((ends.pop(), ends.pop()))
+# _SortedIds counts its items per block of 1 << _BLOCK ids: 16 whole genes.
+_BLOCK = 6
+
+
+class _SortedIds:
+    """The adjacency low ends (the ids x with part[x] > x) or the telomeres
+    (part[x] == -1) of a partner list, in ascending order, as a sequence.
+    Since each id lies in at most one adjacency or telomere, these are the
+    sorted adjacency and telomere lists read off by their least ids.  It
+    keeps a count per block of ids and reads an item off its block.
+    Relabeling a gene's copies moves ids only within the gene, so only a
+    DCJ's own cuts and joins change a count, through ``add``."""
+
+    __slots__ = ("part", "telomeres", "counts", "size")
+
+    def __init__(self, part, telomeres):
+        self.part = part
+        self.telomeres = telomeres
+        self.counts = [sum(self._flags(lo)) for lo in range(0, len(part), 1 << _BLOCK)]
+        self.size = sum(self.counts)
+
+    def _flags(self, lo):
+        """Whether each id of the block that starts at lo is an item."""
+        block = self.part[lo : lo + (1 << _BLOCK)]
+        if self.telomeres:
+            return map((-1).__eq__, block)
+        return map(gt, block, range(lo, lo + len(block)))
+
+    def add(self, x, step):
+        self.counts[x >> _BLOCK] += step
+        self.size += step
+
+    def __len__(self):
+        return self.size
+
+    def __getitem__(self, r):
+        prefix = list(accumulate(self.counts))
+        b = bisect_right(prefix, r)
+        if b:
+            r -= prefix[b - 1]
+        lo = b << _BLOCK
+        return next(islice(compress(count(lo), self._flags(lo)), r, None))
+
+
+class _Elems:
+    """Every adjacency, then every telomere, as the items ("adjacency", x)
+    for low end x and ("telomere", x): the move list's element order."""
+
+    __slots__ = ("lows", "telos")
+
+    def __init__(self, lows, telos):
+        self.lows = lows
+        self.telos = telos
+
+    def __len__(self):
+        return self.lows.size + self.telos.size
+
+    def __getitem__(self, i):
+        n = self.lows.size
+        return ("adjacency", self.lows[i]) if i < n else ("telomere", self.telos[i - n])
+
+
+class _Scramble:
+    """A genome being scrambled, held between two moves as its singularized
+    Genome would label it: copies a/b in canonical chromosome order, the
+    gene id as the rank.
+
+    ``chroms`` maps a serial number to each chromosome, erased.  ``part`` is
+    the partner list over the ids 4·gid + 2·[tail] + [copy b]: a telomere
+    reads -1 and an id that no copy has reads -2.  For the head id v of each
+    copy, ``owner[v]`` is the serial of its chromosome and ``pos[v]`` its
+    position there.  ``lows`` and ``telos`` count the adjacency low ends and
+    the telomeres of ``part``."""
+
+    __slots__ = ("chroms", "part", "owner", "pos", "serial", "lows", "telos", "elems")
+
+    def __init__(self, chroms, n_ids):
+        self.chroms = {}
+        self.part = [-2] * n_ids
+        self.owner = [-1] * n_ids
+        self.pos = [0] * n_ids
+        self.serial = 0
+        for ch in sorted(chroms):
+            self.place(ch, {-1}, 0)
+        self.lows = _SortedIds(self.part, False)
+        self.telos = _SortedIds(self.part, True)
+        self.elems = _Elems(self.lows, self.telos)
+
+    def place(self, ch, unplaced, base):
+        """Add chromosome ch under the next serial and write its copies.  The
+        chromosomes placed from serial base on come after those kept from
+        before, in the order placed; a copy whose owner is in unplaced is on
+        a chromosome not placed yet.  So an occurrence is copy a unless the
+        gene's other copy comes first: placed before it, or kept on a lesser
+        chromosome (an equal one counts as first).  A kept copy that holds the
+        slot an occurrence takes moves to the other slot."""
+        serial = self.serial
+        self.serial += 1
+        self.chroms[serial] = ch
+        chroms, part, owner, pos = self.chroms, self.part, self.owner, self.pos
+        ahead = {}  # kept serial x -> whether ch comes before chromosome x
+        shape, genes = ch
+        first = last = -1  # the first gene's left end, the last gene's right end
+        for p, (gid, _, rev) in enumerate(genes):
+            v = 4 * gid
+            x = owner[v]
+            if x >= base:  # copy a was placed before this occurrence
+                v += 1
             else:
-                ends.pop()
+                slot = 0  # of the gene's other copy
+                if x in unplaced:
+                    x = owner[v + 1]
+                    slot = 1
+                if x not in unplaced:  # the other copy is kept, on chromosome x
+                    before = ahead.get(x)
+                    if before is None:
+                        before = ahead[x] = ch < chroms[x]
+                    if before != slot:  # the kept copy holds the slot this one takes
+                        self._move_copy(v + slot, v + 1 - slot)
+                    if not before:
+                        v += 1
+            owner[v] = serial
+            pos[v] = p
+            if rev:
+                left = v
+                right = v + 2
+            else:
+                left = v + 2
+                right = v
+            if p:
+                part[last] = left
+                part[left] = last
+            else:
+                first = left
+            last = right
+        if shape == CIRCULAR:
+            part[last] = first
+            part[first] = last
+        else:
+            part[first] = part[last] = -1
 
-    hit = {owner[e & ~2] for e in cut}
-    partner = {}
-    for i in hit:
-        pairs, tips = links[i]
-        for x, y in pairs:
-            partner[x] = y
-            partner[y] = x
-        for e in tips:
-            partner[e] = -1
+    def _move_copy(self, old, new):
+        """Relabel the copy with head id old as new, on its own chromosome."""
+        part = self.part
+        for end in (0, 2):
+            y = part[old + end]
+            part[new + end] = y
+            if y >= 0:
+                part[y] = new + end
+        self.owner[new] = self.owner[old]
+        self.pos[new] = self.pos[old]
+
+
+def _dcj_step(d, rng):
+    """One random DCJ on a _Scramble, drawn exactly as on its singularized
+    Genome: the move list holds the adjacencies sorted, then the telomeres
+    sorted, and the extremity ids sort as the extremity tuples do.  Each
+    chromosome that owns a cut end is cut into its slices between the cuts,
+    the slices are joined as the move says, and only the new chromosomes'
+    genes are labeled again."""
+    part, owner, pos, lows, telos = d.part, d.owner, d.pos, d.lows, d.telos
+    m = lows.size + telos.size
+    n_moves = m * (m - 1) // 2 + lows.size
+    if not n_moves:
+        return d
+    first, second = _nth_move(d.elems, lows, rng.randrange(n_moves))
+    cut = []
+    for kind, x in (first,) if second is None else (first, second):
+        if kind == "adjacency":
+            lows.add(x, -1)
+            cut += (x, part[x])
+        else:
+            telos.add(x, -1)
+            cut.append(x)
+    joined = {}  # the new adjacencies; the cut ends left out become telomeres
+    if second is None:
+        ends = cut
+    else:
+        ends = []
+        rng.shuffle(cut)
+        left = list(cut)
+        while left:
+            if len(left) >= 2 and rng.random() < 0.8:
+                x, y = left.pop(), left.pop()
+                joined[x] = y
+                joined[y] = x
+                lows.add(min(x, y), 1)
+            else:
+                ends.append(left.pop())
+    for e in ends:
+        telos.add(e, 1)
+
+    # each cut chromosome's cut ends, by the boundary they stand at: a piece
+    # starts at p with the left end of gene p and stops at p + 1 with its right end
+    cuts = {}
     for e in cut:
-        partner[e] = -1
-    for x, y in new_adjs:
-        partner[x] = y
-        partner[y] = x
-
-    rebuilt = _erased_chroms(partner)
-    replaced = [chroms[i] for i in hit]
-    if _gene_ids(rebuilt) != _gene_ids(replaced):
+        v = e & ~2
+        p = pos[v]
+        s = owner[v]
+        if s not in cuts:
+            cuts[s] = ({}, {})
+        starts, stops = cuts[s]
+        if (e & 2 == 0) != d.chroms[s].genes[p][2]:
+            stops[p + 1] = e
+        else:
+            starts[p] = e
+    # the slices between the cuts, each a gene with head 4q and tail 4q + 2
+    # to _trace; end[e] is the piece end that cut end e is
+    pieces = []
+    end = {}
+    for serial, (starts, stops) in cuts.items():
+        ch = d.chroms.pop(serial)
+        genes = ch.genes
+        n = len(genes)
+        if ch.shape == CIRCULAR:  # read it as a line from a cut
+            b0 = min(starts)
+            genes = genes[b0:] + genes[:b0]
+            starts = {(b - b0) % n: e for b, e in starts.items()}
+            stops = {(b - b0 - 1) % n + 1: e for b, e in stops.items()}
+        bounds = sorted({0, n, *starts, *stops})
+        for lo, hi in zip(bounds, bounds[1:]):
+            q = 4 * len(pieces)
+            pieces.append(genes[lo:hi])
+            if lo in starts:
+                end[starts[lo]] = q + 2
+            if hi in stops:
+                end[stops[hi]] = q
+    ppart = [-1] * (4 * len(pieces))
+    for e, t in end.items():
+        if e in joined:
+            ppart[t] = end[joined[e]]
+    traced = _trace(ppart, range(0, len(ppart), 2))
+    # the slices partition the cut chromosomes, so the new ones hold the
+    # genes cut exactly when they use each slice once
+    if sorted(t >> 2 for _, entries in traced for t in entries) != list(range(len(pieces))):
         raise RuntimeError(
             "a DCJ rebuilt chromosomes with other genes than the ones it cut"
         )
-    kept = [ch for i, ch in enumerate(chroms) if i not in hit]
-    return sorted(kept + rebuilt)
+    rebuilt = []
+    for shape, entries in traced:
+        if shape == LINEAR:
+            # read it from the end with the lesser gene id, where its
+            # canonical form starts, so that Chromosome turns it round only
+            # when both ends are the same gene
+            t, u = entries[0], entries[-1]
+            if pieces[t >> 2][0 if t & 2 else -1][0] > pieces[u >> 2][-1 if u & 2 else 0][0]:
+                entries = [t ^ 2 for t in reversed(entries)]
+        genes = []
+        for t in entries:
+            genes += pieces[t >> 2] if t & 2 else _revcomp(pieces[t >> 2])
+        rebuilt.append(Chromosome(shape, genes))
+    base = d.serial
+    unplaced = {-1, *cuts}
+    for ch in sorted(rebuilt):
+        d.place(ch, unplaced, base)
+    return d
 
 
 def _gene_ids(chroms):
-    return Counter(g.gid for ch in chroms for g in ch.genes)
+    """How often each gene id occurs in chroms, as a plain dict: a Counter
+    compares through a Python-level generator."""
+    return dict(Counter(map(_GID, chain.from_iterable(map(_GENES, chroms)))))
 
 
 def random_cognate_pair(n: int, wgd: bool, ops: int, seed):
@@ -901,13 +1089,15 @@ def random_cognate_pair(n: int, wgd: bool, ops: int, seed):
                 raise RuntimeError("doubled telomere %s occurs %d times, not 2" % (t, cnt))
             x = 4 * t.gid + 2 * (t.end == TAIL)
             partner[x] = partner[x + 1] = -1
-        chroms = sorted(_erased_chroms(partner))
+        chroms = _erased_chroms(partner)
         content = s.ids + s.ids
     else:
-        chroms = list(s.chromosomes)
+        chroms = s.chromosomes
         content = s.ids
+    d = _Scramble(chroms, 4 * (n + 1))
     for _ in range(ops):
-        chroms = _dcj_step(chroms, rng)
-    if _gene_ids(chroms) != content:
+        d = _dcj_step(d, rng)
+    chroms = d.chroms.values()
+    if _gene_ids(chroms) != dict(content):
         raise RuntimeError("scrambling D changed its gene content")
     return s, Genome(chroms)

@@ -45,8 +45,9 @@ class SolveStats:
     `forced_choices` fixes before the search, the components searched one
     by one and the size of the largest (for `naive`, components of the free
     squares and their free squares; for `mis`, conflict-graph components and
-    their candidates), and the time spent getting the candidates (about 0
-    when the graph already holds them).  When a budget stops the `mis`
+    their candidates), the time spent getting the candidates (about 0
+    when the graph already holds them) and, for `mis`, building their
+    conflict graph.  When a budget stops the `mis`
     search, upper_bound bounds the optimal score: the scores of the
     candidates the forced bits settle and of the components it closed, plus
     the root clique-cover bound of the rest; it stays None otherwise."""
@@ -58,6 +59,7 @@ class SolveStats:
     upper_bound: Optional[Fraction] = None
     enumerate_ms: float = 0.0
     forced: int = 0
+    conflict_ms: float = 0.0
 
 
 @dataclass
@@ -345,7 +347,9 @@ def ss_mis(
     cset = enumerate_candidates(abg, k, forced)
     enumerate_ms = (time.monotonic() - t1) * 1000.0
     cands = sorted(cset.candidates, key=lambda c: (-c.weight2, c.vertices))
+    t1 = time.monotonic()
     masks = conflict_masks(cands)
+    conflict_ms = (time.monotonic() - t1) * 1000.0
     budget = _SearchBudget(budget_nodes, budget_ms)
     weights = [c.weight2 for c in cands]
     best2x, best_mask, closed = _max_weight_independent_set(weights, masks, budget)
@@ -362,6 +366,7 @@ def ss_mis(
         largest_component=budget.largest,
         enumerate_ms=enumerate_ms,
         forced=abg.a_star - forced.count(-1),
+        conflict_ms=conflict_ms,
     )
     fixed2x = cset.settled2x + len(abg.isolated)
     if not closed:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -505,6 +506,20 @@ def test_conflict_masks_state_the_conflict_rule():
                         seen[expected] += 1
                 assert not masks[i] >> i & 1
     assert seen[True] > 1000 and seen[False] > 10000, seen
+    # a graph whose masks span many machine words: a seeded sample of rows,
+    # each against the rule for every other candidate
+    s, d = random_cognate_pair(200, wgd=True, ops=600, seed=1)
+    cands = enumerate_candidates(build_abg(s, d), 40).candidates
+    t0 = time.perf_counter()
+    masks = conflict_masks(cands)
+    assert time.perf_counter() - t0 < 1.0  # pairwise ORs took about 1 s here
+    assert len(cands) > 1000
+    rows = Counter()
+    for i in random.Random(40).sample(range(len(cands)), 25):
+        row = [j for j, c in enumerate(cands) if j != i and conflict(cands[i], c)]
+        assert masks[i] == sum(1 << j for j in row), i
+        rows[bool(row)] += 1
+    assert rows[True] >= 5, rows
 
 
 def test_candidates_are_enumerated_once_per_graph_and_k():

@@ -82,9 +82,10 @@ def test_dd_stats_on_stderr(files, capsys):
     assert record["candidates"] >= record["largest_component"] >= 1
     assert record["components"] >= 1 and record["nodes"] >= record["components"]
     assert set(record) == {"nodes", "candidates", "wall_ms", "components",
-                           "largest_component", "upper_bound", "enumerate_ms", "forced"}
+                           "largest_component", "upper_bound", "enumerate_ms", "forced",
+                           "conflict_ms"}
     assert record["upper_bound"] is None
-    assert 0 <= record["enumerate_ms"] <= record["wall_ms"]
+    assert 0 <= record["enumerate_ms"] + record["conflict_ms"] <= record["wall_ms"]
     assert run(argv) == 0
     assert capsys.readouterr() == (out, "")
 

@@ -1028,6 +1028,64 @@ def test_random_cognate_pair_matches_the_per_move_rebuild():
             ch.shape == CIRCULAR and len(ch.genes) == 1 for ch in d.chromosomes
         )
     assert min(cases.values()) >= 10, cases
+    # chromosomes of a few hundred genes, where a move rebuilds only part of D
+    for n, ops, seed in ((100, 200, 1), (200, 200, 2), (300, 150, 3)):
+        assert random_cognate_pair(n, True, ops, seed) == _per_move_cognate_pair(n, True, ops, seed)
+
+
+def _fresh_labeling(chroms, n_ids):
+    """The partner list, copy owners and positions of the chromosomes chroms
+    labeled afresh: the ids of `_id_partners`, which labels copies as
+    `singularize` does, with -2 for an id that no copy has."""
+    g = Genome(chroms)
+    part = genomes_module._id_partners(g, range(n_ids // 4), n_ids)
+    owner, pos = {}, {}
+    for ch in g.chromosomes:
+        for p, gene in enumerate(ch.genes):
+            v = 4 * gene.gid + (4 * gene.gid in owner)
+            owner[v], pos[v] = ch, p
+    return [x if e & ~2 in owner else -2 for e, x in enumerate(part)], owner, pos
+
+
+def test_kept_state_matches_a_fresh_labeling(monkeypatch):
+    """After every move, the generator's labeled partner list, copy owners,
+    positions and move lists are those of its chromosomes labeled afresh."""
+    step = genomes_module._dcj_step
+    move_copy = genomes_module._Scramble._move_copy
+    cases = Counter()
+
+    def checked_step(d, rng):
+        circles = sum(ch.shape == CIRCULAR for ch in d.chroms.values())
+        d = step(d, rng)
+        chroms = list(d.chroms.values())
+        part, owner, pos = _fresh_labeling(chroms, len(d.part))
+        assert d.part == part
+        kept = {v: s for v, s in enumerate(d.owner) if s >= 0}
+        assert {v: d.chroms[s] for v, s in kept.items()} == owner
+        assert {v: d.pos[v] for v in kept} == pos
+        assert [d.lows[r] for r in range(len(d.lows))] == [x for x, y in enumerate(part) if y > x]
+        assert [d.telos[r] for r in range(len(d.telos))] == [x for x, y in enumerate(part) if y == -1]
+        cases["moves"] += 1
+        cases["a new circle"] += sum(ch.shape == CIRCULAR for ch in chroms) > circles
+        cases["one-gene circular"] += any(ch.shape == CIRCULAR and len(ch.genes) == 1
+                                          for ch in chroms)
+        cases["two equal chromosomes"] += len(set(chroms)) < len(chroms)
+        return d
+
+    def counted_move_copy(d, old, new):
+        cases["a kept copy relabeled"] += 1
+        move_copy(d, old, new)
+
+    monkeypatch.setattr(genomes_module, "_dcj_step", checked_step)
+    monkeypatch.setattr(genomes_module._Scramble, "_move_copy", counted_move_copy)
+    rng = random.Random(27)
+    for seed in range(300):
+        n = 1 if seed % 25 == 0 else rng.randint(1, 40 if seed % 5 == 0 else 10)
+        ops = 2 * n if seed % 10 == 1 else rng.randint(0, 2 * n)
+        random_cognate_pair(n, seed % 3 != 0, ops, seed)
+        cases["n = 1"] += n == 1
+        cases["ops = 2n"] += ops == 2 * n
+    assert min(cases.values()) >= 10, cases
 
 
 def test_seeded_cognate_stream_is_pinned():
@@ -1060,7 +1118,12 @@ def test_random_cognate_pair_checks_each_rebuilt_chromosome(monkeypatch):
 
 
 def test_random_cognate_pair_checks_the_scrambled_genome(monkeypatch):
-    monkeypatch.setattr(genomes_module, "_dcj_step", lambda chroms, rng: chroms + chroms[:1])
+    def duplicating(d, rng):  # a step that adds a copy of a chromosome
+        d.chroms[d.serial] = d.chroms[0]
+        d.serial += 1
+        return d
+
+    monkeypatch.setattr(genomes_module, "_dcj_step", duplicating)
     with pytest.raises(RuntimeError, match="changed its gene content"):
         random_cognate_pair(4, wgd=True, ops=1, seed=1)
 
