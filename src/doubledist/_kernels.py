@@ -231,9 +231,20 @@ def alternating_cycles(sq_id, e_part, t_part, d_part, kcap, forced=None):
     settled2x = 0
     if kcap < 2:
         return out, settled2x
+    starts = range(n)
     if forced is None:
         forced = (-1,) * n  # a graph has fewer than n squares
-    for s in range(n):
+        # The tests the loop below makes first, in one pass: a square vertex
+        # whose fixed-edge partner is a larger square vertex, and a first
+        # square edge, under either bit, to a larger vertex whose fixed edge
+        # does not go below s.  A start that fails them lists nothing.
+        starts = [
+            s for s in range(n)
+            if d_part[s] > s and sq_id[s] >= 0 and sq_id[d_part[s]] >= 0
+            and (e_part[s] > s and d_part[e_part[s]] >= s
+                 or t_part[s] > s and d_part[t_part[s]] >= s)
+        ]
+    for s in starts:
         if sq_id[s] < 0:
             continue
         # The cycle closes through the last square edge into sd = d_part[s],

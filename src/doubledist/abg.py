@@ -10,6 +10,7 @@ complementary pair.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from typing import NamedTuple
 
 from . import _kernels
@@ -50,12 +51,13 @@ class AmbiguousBreakpointGraph:
     cannot be rebound, so the candidate sets that `enumerate_candidates`
     memoizes per (k, forced bits) in `_candidates` can never go stale.
 
-    A constructed graph keeps the labels it is given, and its constructor
-    checks each square and fixed edge, naming the first faulty vertex.  A
-    genome-built one (`build_abg`) is valid by construction and skips those
-    checks; it is given its genes, the sorted gene ids, in place of labels:
-    it has four vertices per gene, and its labels are made when first read
-    (only `to_dot` and the tests read them), then kept."""
+    A graph built by this constructor keeps the labels it is given, and the
+    constructor checks each square and fixed edge, naming the first faulty
+    vertex.  A graph that the library makes valid by construction
+    (`build_abg`, and the reduction's builder) skips those checks under a
+    count guard (`_trusted_graph`); it is given a function that makes its
+    labels in place of labels, and they are made when first read (only
+    `to_dot` and the tests read them), then kept."""
 
     __slots__ = (
         "n_vertices",
@@ -66,7 +68,7 @@ class AmbiguousBreakpointGraph:
         "t_part",
         "d_part",
         "isolated",
-        "_genes",
+        "_make_labels",
         "_labels",
         "_candidates",
     )
@@ -115,13 +117,14 @@ class AmbiguousBreakpointGraph:
         d_edges = tuple([tuple(e) for e in d_edges])
         self._fill(labels, None, squares, d_edges, sq_id, e_part, t_part, d_part)
 
-    def _fill(self, labels, genes, squares, d_edges, sq_id, e_part, t_part, d_part):
-        """Set every slot from the checked parts: squares and d_edges are
+    def _fill(self, labels, make_labels, squares, d_edges, sq_id, e_part, t_part, d_part):
+        """Set every slot from the checked parts: labels is a tuple, or None
+        with make_labels a function that makes it; squares and d_edges are
         tuples, the four vertex arrays lists."""
         n = len(sq_id)
         init = object.__setattr__
         init(self, "n_vertices", n)
-        init(self, "_genes", genes)
+        init(self, "_make_labels", make_labels)
         init(self, "_labels", labels)
         init(self, "squares", squares)
         init(self, "d_edges", d_edges)
@@ -140,15 +143,11 @@ class AmbiguousBreakpointGraph:
     @property
     def labels(self) -> tuple:
         """The display name of each vertex; for a genome-built graph, the
-        extremities in the sorted order of their ids."""
+        extremities in the sorted order of their ids, and for a reduction's,
+        the names its builder gave."""
         labels = self._labels
         if labels is None:
-            labels = tuple([
-                _new(Extremity, (gid, end, copy))
-                for gid in self._genes
-                for end in (HEAD, TAIL)
-                for copy in ("a", "b")
-            ])
+            labels = tuple(self._make_labels())
             object.__setattr__(self, "_labels", labels)
         return labels
 
@@ -261,15 +260,37 @@ def build_abg(s: Genome, d: Genome) -> AmbiguousBreakpointGraph:
             t_part[x + 1] = y
             t_part[y] = x + 1
     d_edges = tuple([(x, y) for x, y in enumerate(d_part) if x < y])
+    return _trusted_graph("the genome reading", partial(_extremity_labels, tuple(gids)),
+                          tuple(squares), d_edges, sq_id, e_part, t_part, d_part)
+
+
+def _extremity_labels(gids):
+    """The extremities of the genes gids, in the order of their ids."""
+    return [
+        _new(Extremity, (gid, end, copy))
+        for gid in gids
+        for end in (HEAD, TAIL)
+        for copy in ("a", "b")
+    ]
+
+
+def _trusted_graph(maker, make_labels, squares, d_edges, sq_id, e_part, t_part, d_part):
+    """The graph of parts that maker built valid by construction, with no
+    check per square or fixed edge: squares and d_edges are tuples, the
+    vertex arrays lists.  A count of the filled entries guards the parts
+    instead: a vertex in two squares, a vertex on two fixed edges or a
+    fixed-edge loop leaves fewer entries than the squares and fixed edges
+    fill, and raises RuntimeError."""
+    n = len(sq_id)
     square_ends = n - sq_id.count(-1)
     fixed_ends = n - d_part.count(-1)
     if square_ends != 4 * len(squares) or fixed_ends != 2 * len(d_edges):
         raise RuntimeError(
-            "the genome reading gave %d square vertices for %d squares and "
+            "%s gave %d square vertices for %d squares and "
             "%d fixed-edge ends for %d fixed edges"
-            % (square_ends, len(squares), fixed_ends, len(d_edges)))
+            % (maker, square_ends, len(squares), fixed_ends, len(d_edges)))
     graph = AmbiguousBreakpointGraph.__new__(AmbiguousBreakpointGraph)
-    graph._fill(None, tuple(gids), tuple(squares), d_edges, sq_id, e_part, t_part, d_part)
+    graph._fill(None, make_labels, squares, d_edges, sq_id, e_part, t_part, d_part)
     return graph
 
 

@@ -15,8 +15,8 @@ import re
 from bisect import bisect_right
 from collections import Counter, namedtuple
 from functools import cached_property
-from itertools import accumulate, chain, compress, count, islice, product
-from operator import gt, itemgetter
+from itertools import accumulate, chain, compress, count, islice, product, repeat
+from operator import add, gt, itemgetter, lt
 from typing import Iterable, NamedTuple, Optional
 
 HEAD = "h"
@@ -399,10 +399,57 @@ _SCAN = re.compile(
 )
 
 
+# The characters of a plain text: one with no comment and no copy letter.
+_NOT_PLAIN = re.compile(r"[^0-9()\[\] \t\r\n-]")
+_BRACKET = re.compile(r"([()\[\]])")
+_SHAPES = {"()": CIRCULAR, "[]": LINEAR}
+
+
 def parse_genome(text: str) -> Genome:
     """Parse the on-disk genome format: one `[..]` or `(..)` group per
     chromosome, whitespace-separated signed ids with optional .a/.b
-    suffix, `#` comments."""
+    suffix, `#` comments.  A text with no comment and no copy letter is
+    read by `_plain_chromosomes`, and any other, or one that it finds
+    faulty, by the compiled scan."""
+    chroms = None if _NOT_PLAIN.search(text) else _plain_chromosomes(text)
+    return Genome(_scanned_chromosomes(text) if chroms is None else chroms)
+
+
+def _plain_chromosomes(text):
+    """The chromosomes of a text made only of ASCII digits, `-`, brackets
+    and whitespace, read with no Python code per token; None when it is
+    not a well-formed genome text, so that `_scanned_chromosomes` names
+    the fault.
+
+    One split at the brackets gives gap, opener, body, closer, ..., gap.
+    The grammar is unchanged: the gaps must be whitespace, each bracket
+    pair match, and each body hold at least one token.  Over these
+    characters `int` accepts exactly the tokens -?[0-9]+, so with 0
+    refused it accepts the scanner's gene tokens that have no copy letter,
+    leading zeros included."""
+    parts = _BRACKET.split(text)
+    if len(parts) % 4 != 1 or "".join(parts[::4]).strip():
+        return None
+    chroms = []
+    for brackets, body in zip(map(add, parts[1::4], parts[3::4]), parts[2::4]):
+        shape = _SHAPES.get(brackets)
+        try:
+            ids = [*map(int, body.split())]
+        except ValueError:
+            return None
+        if shape is None or not ids or 0 in ids:
+            return None
+        if len(ids) == 1:  # canonical: its gene read forward
+            chroms.append(_new(Chromosome, (shape, (_new(Gene, (abs(ids[0]), "", False)),))))
+        else:
+            chroms.append(Chromosome(shape, [*map(
+                _new, repeat(Gene), zip(map(abs, ids), repeat(""), map(lt, ids, repeat(0))))]))
+    return chroms or None
+
+
+def _scanned_chromosomes(text):
+    """The chromosomes of any text, read by the compiled scan: the
+    grammar's reference, which raises ParseError naming every fault."""
     chroms = []
     genes = None  # of the open chromosome
     closer = None  # the bracket that closes it
@@ -438,7 +485,7 @@ def parse_genome(text: str) -> Genome:
         last = text[text.rfind("\n") + 1 :]
         col = last.index("#") + 1 if "#" in last else len(last)
         raise ParseError("no chromosomes in input", text.count("\n") + 1, max(col, 1))
-    return Genome(chroms)
+    return chroms
 
 
 def _token_at(text, t):
@@ -485,7 +532,16 @@ def double(s: Genome):
 
 def singularize(d: Genome) -> Genome:
     """Index a duplicated genome: in canonical traversal order the first
-    occurrence of each gene id gets copy a, the second copy b."""
+    occurrence of each gene id gets copy a, the second copy b.
+
+    A relabeled chromosome keeps d's rotation unless it holds both copies
+    of a gene.  Proof: when its gene ids are distinct, each id gets one
+    letter, so the relabeling maps every gene (gid, "", rev) to
+    (gid, f(gid), rev) for one function f.  Two such genes compare as
+    before: by gid when the ids differ, else, with equal letters, by rev.
+    The map also commutes with rotation and reverse complement, so it keeps
+    the order of the chromosome's readings, and the least of them, d's
+    canonical one, stays least."""
     if not d.is_duplicated():
         raise GenomeError("singularize() needs a duplicated genome")
     if d.is_indexed():
@@ -493,12 +549,21 @@ def singularize(d: Genome) -> Genome:
     seen = set()
     chroms = []
     for shape, genes in d.chromosomes:
+        if len(genes) == 1:  # read forward, as d's genes are canonical
+            gid = genes[0][0]
+            copy = "b" if gid in seen else "a"
+            seen.add(gid)
+            chroms.append(_new(Chromosome, (shape, (_new(Gene, (gid, copy, False)),))))
+            continue
         relabeled = []
         for gid, _, rev in genes:
             copy = "b" if gid in seen else "a"
             seen.add(gid)
             relabeled.append(_new(Gene, (gid, copy, rev)))
-        chroms.append(Chromosome(shape, relabeled))
+        if len({*map(_GID, genes)}) < len(genes):  # both copies of a gene
+            chroms.append(Chromosome(shape, relabeled))
+        else:
+            chroms.append(_new(Chromosome, (shape, tuple(relabeled))))
     return Genome(chroms)
 
 

@@ -15,9 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
-from .abg import AmbiguousBreakpointGraph, Square, enumerate_candidates, resolve
+from .abg import (
+    AmbiguousBreakpointGraph,
+    Square,
+    _trusted_graph,
+    enumerate_candidates,
+    resolve,
+)
 from .bpgraph import ComponentCensus
 from .genomes import (
     CIRCULAR,
@@ -326,34 +333,59 @@ class ReductionOutput:
 
 
 class _Builder:
+    """Builds a reduction graph valid by construction.  The vertices are
+    numbered by a counter: square i's corners v1..v4 are 4i..4i + 3, and the
+    padding vertices come after the squares'.  The builder fills the vertex
+    arrays as it goes and keeps one name per square, from which the labels
+    are made when first read."""
+
     def __init__(self, ell=0, p=0):
-        self.labels = []
+        self.names = []  # per square
         self.squares = []
         self.d_edges = []
+        self.sq_id = []
+        self.e_part = []
+        self.t_part = []
         self.ell = ell  # squares per extension chain
         self.p = p  # squares per open flower
         self.flowers = []
         self.extensions = []
 
-    def vertex(self, label) -> int:
-        self.labels.append(label)
-        return len(self.labels) - 1
-
     def square(self, name, solid="12"):
         """Four corners v1..v4; choice 0 keeps {v1-v2, v3-v4} when solid is
         "12", or {v1-v4, v3-v2} when solid is "14"."""
-        c = [self.vertex("%s.v%d" % (name, i)) for i in (1, 2, 3, 4)]
         idx = len(self.squares)
+        c = c1, c2, c3, c4 = (4 * idx, 4 * idx + 1, 4 * idx + 2, 4 * idx + 3)
+        # each corner's partner under choice 0 and under choice 1
         if solid == "12":
-            self.squares.append(Square(u=c[0], v=c[1], uhat=c[2], vhat=c[3]))
+            square, solid_pair, other_pair = (c1, c2, c3, c4), (c2, c1, c4, c3), (c4, c3, c2, c1)
         elif solid == "14":
-            self.squares.append(Square(u=c[0], v=c[3], uhat=c[2], vhat=c[1]))
+            square, solid_pair, other_pair = (c1, c4, c3, c2), (c4, c3, c2, c1), (c2, c1, c4, c3)
         else:
             raise ValueError(solid)
+        self.names.append(name)
+        self.squares.append(_new(Square, square))
+        self.sq_id += (idx, idx, idx, idx)
+        self.e_part += solid_pair
+        self.t_part += other_pair
         return idx, c
 
     def edge(self, a, b):
         self.d_edges.append((a, b))
+
+    def graph(self, padding=0) -> AmbiguousBreakpointGraph:
+        """The graph built so far, with `padding` more vertices, in no square
+        and on no fixed edge, after the squares' vertices."""
+        n = len(self.sq_id) + padding
+        d_part = [-1] * n
+        for x, y in self.d_edges:
+            d_part[x] = y
+            d_part[y] = x
+        pad = [-1] * padding
+        return _trusted_graph(
+            "the reduction builder", partial(_square_labels, tuple(self.names), padding),
+            tuple(self.squares), tuple(self.d_edges),
+            self.sq_id + pad, self.e_part + pad, self.t_part + pad, d_part)
 
     def open_flower(self, host, attach_a, attach_b):
         p = self.p
@@ -389,6 +421,14 @@ class _Builder:
         self.edge(prev, v)
         self.extensions.append(ExtChain(squares))
         return squares
+
+
+def _square_labels(names, padding):
+    """The labels of a built graph: each square's corners as
+    <square name>.v1 .. .v4, then the padding vertices as iso.<i>."""
+    labels = ["%s.v%d" % (name, i) for name in names for i in (1, 2, 3, 4)]
+    labels += ["iso.%d" % i for i in range(padding)]
+    return labels
 
 
 def _six_square_block(b, name, solids):
@@ -605,12 +645,10 @@ def build_reduction(inst: SatInstance, k: int = 8, shape: str = CIRCULAR) -> Red
                 )
             )
 
-    nu = len(b.labels)
+    nu = len(b.sq_id)
     isolated_count = nu if shape == LINEAR else 0
-    for i in range(isolated_count):
-        b.vertex("iso.%d" % i)
     return ReductionOutput(
-        graph=AmbiguousBreakpointGraph(b.labels, b.squares, b.d_edges),
+        graph=b.graph(isolated_count),
         instance=inst,
         k=k,
         shape=shape,
@@ -747,7 +785,7 @@ def build_closed_flower(p: int) -> AmbiguousBreakpointGraph:
         j = (i + 1) % p
         b.edge(corners[i][1], corners[j][0])
         b.edge(corners[i][3], corners[j][2])
-    return AmbiguousBreakpointGraph(b.labels, b.squares, b.d_edges)
+    return b.graph()
 
 
 def verify_flower(p: int) -> FlowerReport:
@@ -898,7 +936,8 @@ def extract_genomes(r: ReductionOutput):
             ext_of[uhat] = beta + 1
             ext_of[v] = gamma
             ext_of[vhat] = gamma + 1
-        s = Genome([Chromosome(CIRCULAR, [Gene(i) for i in range(1, n_sq + 1)])])
+        genes = [_new(Gene, (i, "", False)) for i in range(1, n_sq + 1)]
+        s = Genome([Chromosome(CIRCULAR, genes)])
     else:
         n = 2 * n_sq
         for i, (u, v, uhat, vhat) in enumerate(graph.squares):
@@ -911,7 +950,8 @@ def extract_genomes(r: ReductionOutput):
         for j, v in enumerate(padding):
             ext_of[v] = 4 * (j >> 1) + 2 + (j & 1)
         s = Genome([
-            Chromosome(LINEAR, [Gene(2 * i + 1), Gene(2 * i + 2, rev=True)])
+            Chromosome(LINEAR, [_new(Gene, (2 * i + 1, "", False)),
+                                _new(Gene, (2 * i + 2, "", True))])
             for i in range(n_sq)
         ])
         if len(s.identities) != n:
@@ -938,6 +978,13 @@ def extract_genomes(r: ReductionOutput):
     indexed = []
     erased = []
     for shape, entries in _trace(partner, range(n_vertices)):
+        if len(entries) == 1:  # canonical: its gene read forward
+            e = entries[0]
+            gid = (e >> 2) + 1
+            gene = _new(Gene, (gid, "b" if e & 1 else "a", False))
+            indexed.append(_new(Chromosome, (shape, (gene,))))
+            erased.append(_new(Chromosome, (shape, (_new(Gene, (gid, "", False)),))))
+            continue
         genes = []
         plain = []
         for e in entries:

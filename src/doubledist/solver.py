@@ -129,7 +129,9 @@ def ss_naive(
 
 class _SearchBudget:
     """Node and wall-clock allowance shared by every component of one search.
-    The clock is read on every node; budget_ms=0 stops at the first node."""
+    The clock is read on every node, and by `_mwis_connected` after every
+    64 domination tests of a node's reductions; budget_ms=0 stops at the
+    first node."""
 
     def __init__(self, nodes, ms):
         self.nodes_left = nodes
@@ -144,6 +146,9 @@ class _SearchBudget:
         self.nodes_left -= 1
         if self.nodes_left < 0:
             return False
+        return self.in_time()
+
+    def in_time(self) -> bool:
         return self.deadline is None or time.monotonic() < self.deadline
 
 
@@ -246,7 +251,11 @@ def _mwis_connected(weights, neighbor_masks, avail, budget):
 
     Branching picks the most-conflicted vertex; the bound covers the
     available vertices greedily with cliques, each contributing its
-    heaviest member.
+    heaviest member.  The clock is read at every node and again after
+    every 64 domination tests of its reductions: on a conflict graph of
+    thousands of vertices one pass of them can take seconds.  A stop there
+    keeps the node's taken vertices, an independent set, as the witness
+    when they weigh more than the best.
     Returns (best_weight, best_mask, closed)."""
     best = 0
     best_mask = 0
@@ -257,8 +266,9 @@ def _mwis_connected(weights, neighbor_masks, avail, budget):
         if not budget.tick():
             closed = False
             break
-        # the two reductions, until neither fires
-        while True:
+        # the two reductions, until neither fires or the time runs out
+        tested = 0  # the node's domination tests: a clock reading every 64
+        while closed:
             rem = avail
             reduced = False
             while rem:
@@ -267,11 +277,16 @@ def _mwis_connected(weights, neighbor_masks, avail, budget):
                 v = low.bit_length() - 1
                 near = neighbor_masks[v] & avail
                 if not near:
+                    # v is no vertex's available neighbour, so taking it
+                    # lets no other reduction fire: no pass more is needed
                     cur += weights[v]
                     chosen |= low
                     avail ^= low
-                    reduced = True
                     continue
+                tested += 1
+                if not tested & 63 and not budget.in_time():
+                    closed = False
+                    break
                 # drop v if a neighbour at least as heavy has N[u] within N[v]
                 closed_v = near | low
                 w = weights[v]
@@ -288,6 +303,8 @@ def _mwis_connected(weights, neighbor_masks, avail, budget):
         if cur > best:
             best = cur
             best_mask = chosen
+        if not closed:
+            break
         if not avail:
             continue
         if cur + _clique_cover_bound(weights, neighbor_masks, avail) <= best:
@@ -333,7 +350,8 @@ def ss_mis(
 ) -> SolveResult:
     """Exact k-score maximum via maximum-weight independent set over the
     candidate components; finite k only.  budget_nodes caps the search nodes
-    and budget_ms the wall time, read at every node; a search that either
+    and budget_ms the wall time, read at every node and after every 64
+    domination tests of a node's reductions; a search that either
     budget stops returns its best witness so far with optimal=False and an
     upper bound on the optimum in stats.upper_bound."""
     _check_budgets(budget_nodes, budget_ms)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import time
@@ -32,10 +33,11 @@ from doubledist.genomes import (
     singularize,
 )
 from doubledist import _kernels, abg as abg_module, genomes, solver
+from doubledist import reduction as reduction_module
 from doubledist.reduction import build_closed_flower, build_reduction, extract_genomes
 from doubledist.solver import dd
 
-from satgen import random_normalized_instance
+from satgen import random_normalized_instance, reduction_corpus
 
 TRIO_S = parse_genome("[1 2 3]")
 TRIO_D_CHECK = parse_genome("[1.a 2.a -3.a 1.b]\n[-3.b 2.b]")
@@ -724,6 +726,54 @@ def test_dot_reduction_graph_well_formed():
             assert a.strip('"') in names
             assert b.split(" [")[0].strip('"') in names
 
+
+
+# sha256 over the labels of the graphs below, in their order, each label
+# list joined by newlines and ended by a NUL; the reduction builder gave
+# these strings when it kept a label per vertex
+REDUCTION_LABELS_SHA256 = "234646abc25abae5bf2a22521cdaa86cd755abd95e089b625a580614e98e725b"
+
+
+def test_built_reductions_equal_the_checked_construction():
+    """The builder fills a reduction's graph with no check per square or
+    fixed edge; the checking constructor gives the same graph from its
+    labels, squares and fixed edges, and the labels it makes on first read
+    are the strings the builder named the vertices by."""
+    graphs = [build_reduction(inst, k=k, shape=shape).graph
+              for inst in reduction_corpus()
+              for k in (8, 10, 12)
+              for shape in ("circular", "linear")]
+    graphs += [build_closed_flower(p) for p in range(3, 11)]
+    digest = hashlib.sha256()
+    for g in graphs:
+        assert g._labels is None
+        labels = g.labels
+        assert labels is g.labels  # made once, then kept
+        checked = AmbiguousBreakpointGraph(labels, g.squares, g.d_edges)
+        for name in GRAPH_FIELDS + ("n_vertices",):
+            assert getattr(g, name) == getattr(checked, name), name
+        assert all(type(sq) is Square for sq in g.squares)
+        digest.update("\n".join(labels).encode() + b"\0")
+    assert len(graphs) == 194
+    assert digest.hexdigest() == REDUCTION_LABELS_SHA256
+
+
+def test_reduction_builder_guard_counts_the_filled_entries():
+    """A fixed-edge loop, a vertex on two fixed edges or a vertex in two
+    squares leaves fewer filled entries than the builder's parts fill."""
+    for fault in ("loop", "two fixed edges", "two squares"):
+        b = reduction_module._Builder()
+        _, c = b.square("a")
+        _, e = b.square("b")
+        b.edge(c[1], e[0])
+        if fault == "loop":
+            b.edge(c[0], c[0])
+        elif fault == "two fixed edges":
+            b.edge(c[1], e[2])
+        else:  # a third square on the first one's vertices
+            b.squares.append(b.squares[0])
+        with pytest.raises(RuntimeError, match="^the reduction builder gave"):
+            b.graph()
 
 def test_bp_dot():
     bg = build_breakpoint_graph(parse_genome("(1 2)\n[3 -4]"), parse_genome("(1 -3 2)\n[4]"))

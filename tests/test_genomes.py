@@ -238,6 +238,63 @@ def test_parse_edge_cases_match_the_character_scanner(text, outcome):
         assert got == (ParseError, "line %d, column %d: %s" % (line, column, message), line, column)
 
 
+_PLAIN_FAULTS = ("-0", "+1", "1_0", "٣", "５", "5-", "--5", "[]", "[ ]",
+                 "[1 (2)]", "(1]", "[1 2", " \t\r\n", "\x0b", "\x0c")
+
+
+def _parse_path_texts():
+    """Seeded genome texts in the forms the plain path reads and in the
+    forms it leaves to the scanner, each valid and with a fault put in."""
+    rng = random.Random(28)
+    for seed in range(60):
+        n = rng.randint(1, 30)
+        s, d = random_cognate_pair(n, True, rng.randint(0, 2 * n), seed)
+        for g in (s, d, singularize(d)):  # plain, duplicated and indexed
+            text = format_genome(g)
+            valid = [
+                text,
+                text.replace("\n", "\r\n"),
+                text.replace(" ", "\t") + "\n",
+                text.replace("\n", ""),  # [1 2](3), no space between
+                " ".join("0" * rng.randint(1, 2) + t if t[0].isdigit() else t
+                         for t in text.split(" ")),  # leading zeros
+                "# a comment\n" + text + "  # and one more",
+            ]
+            yield from valid
+            for fault in _PLAIN_FAULTS:
+                base = rng.choice(valid)
+                at = rng.choice([i for i, c in enumerate(base) if c in " \t])"])
+                yield base[:at] + " " + fault + " " + base[at:]
+                if fault in ("\x0b", "\x0c"):  # between two genes, alone
+                    yield base.replace(" ", fault, 1)
+    yield from _PLAIN_FAULTS
+
+
+def test_plain_parse_path_matches_the_scanner():
+    """parse_genome reads a text of digits, '-', brackets and whitespace
+    without the compiled scan.  Every text the scanner accepts must give
+    the same chromosomes, and every text it refuses the same error at the
+    same line and column."""
+    def scanned(text):
+        return Genome(genomes_module._scanned_chromosomes(text))
+
+    covered = Counter()
+    for text in _parse_path_texts():
+        want = _parse_outcome(scanned, text)
+        got = _parse_outcome(parse_genome, text)
+        if isinstance(want, Genome):
+            assert isinstance(got, Genome) and got.chromosomes == want.chromosomes, text
+            _assert_exact_genes(got)
+            covered["accepted"] += 1
+            covered["plain path"] += genomes_module._plain_chromosomes(text) is not None
+            covered["one-gene"] += any(len(ch.genes) == 1 for ch in got.chromosomes)
+        else:
+            assert got == want, text
+            covered[want[0].__name__] += 1
+    assert covered["plain path"] >= 600 and covered["accepted"] > covered["plain path"], covered
+    assert covered["one-gene"] >= 100 and covered["ParseError"] >= 2000, covered
+
+
 def _copy_list_error(genes):
     """Reference rule: each gene id's sorted copy list is one of three."""
     copies = {}
@@ -639,6 +696,51 @@ def test_singularize_two_chromosomes():
     got = singularize(parse_genome("[1 2]\n[2 1]"))
     assert got == parse_genome("[1.a 2.a]\n[2.b 1.b]")
 
+
+
+def _reference_singularize(d):
+    """singularize as it was before it trusted d's rotations: relabel each
+    chromosome, then canonicalize it again."""
+    seen = set()
+    chroms = []
+    for ch in d.chromosomes:
+        relabeled = []
+        for gene in ch.genes:
+            relabeled.append(Gene(gene.gid, "b" if gene.gid in seen else "a", gene.rev))
+            seen.add(gene.gid)
+        chroms.append(Chromosome(ch.shape, relabeled))
+    return Genome(chroms)
+
+
+def _assert_canonical(genome):
+    for ch in genome.chromosomes:
+        assert type(ch) is Chromosome and ch == Chromosome(ch.shape, ch.genes), ch
+
+
+def test_singularize_builds_canonical_chromosomes():
+    """singularize keeps the rotation of a chromosome whose gene ids are
+    distinct and builds a one-gene chromosome as its gene read forward;
+    each chromosome equals its rebuild and the result the reference's."""
+    rng = random.Random(5)
+    covered = Counter()
+    for seed in range(300):
+        n = rng.randint(1, 12)
+        occurrences = [gid for gid in range(1, n + 1) for _ in (0, 1)]
+        rng.shuffle(occurrences)
+        chroms = []
+        while occurrences:
+            size = min(len(occurrences), rng.choice((1, 1, 2, 3, 5)))
+            genes = [Gene(gid, rev=rng.random() < 0.5) for gid in occurrences[:size]]
+            del occurrences[:size]
+            chroms.append(Chromosome(rng.choice((LINEAR, CIRCULAR)), genes))
+            covered["one gene read reversed"] += size == 1 and genes[0].rev
+            covered["both copies"] += len({g.gid for g in genes}) < size
+        d = Genome(chroms)
+        got = singularize(d)
+        _assert_canonical(got)
+        _assert_exact_genes(got)
+        assert got.chromosomes == _reference_singularize(d).chromosomes, d
+    assert covered["one gene read reversed"] >= 300 and covered["both copies"] >= 100, covered
 
 def test_singularize_needs_duplicated():
     with pytest.raises(GenomeError):

@@ -677,6 +677,27 @@ def test_extract_matches_the_extremity_keyed_reference(monkeypatch):
     assert not hasattr(reduction, "genome_from_adjacencies")
 
 
+
+def test_extracted_chromosomes_are_canonical():
+    """extract_genomes builds a one-gene chromosome as its gene read
+    forward, whichever end the walk entered it by; every chromosome of S,
+    D and the indexed D equals its rebuild by the Chromosome constructor."""
+    covered = collections.Counter()
+    instances = [random_normalized_instance(n_vars, seed)
+                 for n_vars in (3, 4, 5) for seed in range(2)] + unsat_instances()
+    for inst in instances:
+        for k in (8, 10, 12):
+            for shape in ("circular", "linear"):
+                for g in extract_genomes(build_reduction(inst, k=k, shape=shape)):
+                    for ch in g.chromosomes:
+                        assert type(ch) is Chromosome and ch == Chromosome(ch.shape, ch.genes)
+                        assert all(type(gene) is Gene and type(gene.rev) is bool
+                                   for gene in ch.genes)
+                        covered[ch.shape, len(ch.genes) == 1] += 1
+                        covered["both copies"] += len({gene.gid for gene in ch.genes}) < len(ch.genes)
+    kinds = (("circular", True), ("circular", False), ("linear", False), "both copies")
+    assert min(covered[kind] for kind in kinds) >= 100, covered
+
 def _with_two_more_vertices(r, d_edges=()):
     g = r.graph
     graph = AmbiguousBreakpointGraph(

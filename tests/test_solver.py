@@ -1,6 +1,7 @@
 import gc
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -465,6 +466,39 @@ def test_stopped_split_search_bounds_the_optimum():
             stopped += 1
             assert best <= opt <= budget.upper
     assert stopped > 100
+
+
+def _slow_fixpoint_graph(rng, length):
+    """Equal weights on a path hung from a 5-cycle.  The path's free end
+    has the highest index, and each pass of the reductions, which scans the
+    indices upwards, drops and takes only the two vertices at that end; the
+    5-cycle and the vertex hung on it reduce never.  So the root's
+    reductions take length / 2 passes over the whole path."""
+    n = length + 5
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    path = range(n - 1, 4, -1)  # from the free end to the vertex on the cycle
+    edges += zip(path, path[1:])
+    edges.append((5, rng.randrange(5)))
+    masks = [0] * n
+    for a, b in edges:
+        masks[a] |= 1 << b
+        masks[b] |= 1 << a
+    return [2] * n, masks
+
+
+def test_time_budget_stops_the_reductions_of_a_node():
+    """The root's reductions on this graph took over 1 s to settle when the
+    clock was read only at each node."""
+    weights, masks = _slow_fixpoint_graph(random.Random(3), 3000)
+    budget = solver._SearchBudget(1 << 22, 50)
+    t0 = time.monotonic()
+    best, mask, closed = solver._max_weight_independent_set(weights, masks, budget)
+    assert time.monotonic() - t0 < 0.5
+    assert not closed and budget.spent == 1
+    assert 0 < best <= budget.upper
+    chosen = solver._bits(mask)
+    assert all(masks[v] & mask == 0 for v in chosen)
+    assert sum(weights[v] for v in chosen) == best
 
 
 def _conflict_graph(g, k, forced):
