@@ -225,6 +225,12 @@ def alternating_cycles(sq_id, e_part, t_part, d_part, kcap, forced=None):
     with its square edge, and choices as a sorted tuple of (square, bit) over
     the cycle's free squares; each cycle is listed exactly once.  A cycle
     whose squares are all forced is not listed: settled2x sums 2 for each.
+
+    A walk is cut once it cannot close: a walk must end in the square of
+    its start's fixed-edge partner, so one with 1 square edge left must
+    stand in that square, one with 2 left must be in it or reach it in one
+    hop, and one with 3 left within two hops (a hop being a square edge,
+    either bit, and the fixed edge after it).
     """
     n = len(sq_id)
     out = []
@@ -258,7 +264,7 @@ def alternating_cycles(sq_id, e_part, t_part, d_part, kcap, forced=None):
         # last square edge ends at sd, so it starts in sd's square: a walk
         # that may take j more square edges can close only if it reaches
         # that square within j - 1 hops (or fewer: it may close early).
-        # Only states with a square edge left are pushed, and, for j <= 2,
+        # Only states with a square edge left are pushed, and, for j <= 3,
         # only those that pass this test with bits and visited vertices
         # ignored, a superset of the states that close.
         # choices holds the free squares' bits only; a forced square's bit is
@@ -287,12 +293,24 @@ def alternating_cycles(sq_id, e_part, t_part, d_part, kcap, forced=None):
                     if sq_id[d] != last_sq:
                         if left == 1:
                             continue
-                        if left == 2:
+                        if left <= 3:
+                            # the one-hop ends from d, x and y
                             x = d_part[e_part[d]]
                             y = d_part[t_part[d]]
                             if not ((x >= 0 and sq_id[x] == last_sq)
                                     or (y >= 0 and sq_id[y] == last_sq)):
-                                continue
+                                if left == 2:
+                                    continue
+                                # with 3 left, a second hop from x or y
+                                for z in (x, y):
+                                    if z >= 0 and sq_id[z] >= 0:
+                                        x2 = d_part[e_part[z]]
+                                        y2 = d_part[t_part[z]]
+                                        if ((x2 >= 0 and sq_id[x2] == last_sq)
+                                                or (y2 >= 0 and sq_id[y2] == last_sq)):
+                                            break
+                                else:
+                                    continue
                     stack.append((d, npath, nchoices, left - 1))
     return out, settled2x
 

@@ -175,10 +175,7 @@ class AmbiguousBreakpointGraph:
 
     def degree_sequence_ok(self) -> bool:
         """Every vertex has degree 3 (circular-derived graphs)."""
-        return all(
-            self.sq_id[v] >= 0 and self.d_part[v] >= 0
-            for v in range(self.n_vertices)
-        )
+        return -1 not in self.sq_id and -1 not in self.d_part
 
 
 def forced_choices(abg: AmbiguousBreakpointGraph) -> tuple:
@@ -406,9 +403,10 @@ def enumerate_candidates(abg: AmbiguousBreakpointGraph, k: int,
     at a square vertex whose fixed-edge partner is a larger square vertex,
     the one it must close through, and is extended only while it can still
     close.  Its last square edge lies in that partner's square, so with one
-    square edge left it must stand in that square, and with two it must be
-    in it or reach it in one hop (a square edge, either bit, and the fixed
-    edge after it); a walk that closes early passes both tests.
+    square edge left it must stand in that square, with two it must be in
+    it or reach it in one hop (a square edge, either bit, and the fixed
+    edge after it), and with three within two hops; a walk that closes
+    early passes every test.
     A walk still branches up to twice per free square step, so the worst
     case stays O(V * 2^(k/2)) walks; the pruning cuts the walks that cannot
     close."""

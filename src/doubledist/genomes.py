@@ -103,6 +103,8 @@ _GID = itemgetter(0)
 _COPY = itemgetter(1)  # of a Gene
 _GENES = itemgetter(1)  # of a Chromosome
 _IDENTITY = itemgetter(0, 1)  # (gid, copy) of a Gene
+_PLAIN = frozenset([""])  # the copies of a plain genome
+_INDEXED = frozenset(["a", "b"])  # the copies of an indexed genome
 
 
 def _revcomp(genes):
@@ -235,6 +237,25 @@ class Genome:
         init(self, "ids", Counter(map(_GID, self._genes())))
         init(self, "copies", frozenset(map(_COPY, self._genes())))
         self._validate()
+
+    @classmethod
+    def _built(cls, chroms, ids, copies):
+        """The genome of a list of canonical chromosomes whose content the
+        caller built valid, with no validation: ids is the Counter that
+        counting would give (the genome then owns it), copies the frozenset.
+        A count guards the build instead: the chromosomes must hold
+        sum(ids.values()) genes, or RuntimeError is raised."""
+        genes = sum(map(len, map(_GENES, chroms)))
+        if genes != sum(ids.values()):
+            raise RuntimeError("a built genome holds %d genes, its ids count %d"
+                               % (genes, sum(ids.values())))
+        chroms.sort()
+        g = cls.__new__(cls)
+        init = object.__setattr__
+        init(g, "chromosomes", tuple(chroms))
+        init(g, "ids", ids)
+        init(g, "copies", copies)
+        return g
 
     def __setattr__(self, *a):
         raise AttributeError("Genome is immutable")
@@ -513,8 +534,19 @@ def _parse_gene_token(token: str, line: int, col: int) -> Gene:
 
 
 def format_genome(g: Genome) -> str:
-    """Inverse of parse_genome up to canonical equality; one chromosome per line."""
-    return "\n".join(str(ch) for ch in g.chromosomes)
+    """Inverse of parse_genome up to canonical equality; one chromosome per
+    line.  A plain genome is written from its signed ids, the text that
+    `str` of each chromosome gives; any other through `str`."""
+    if g.copies != _PLAIN:
+        return "\n".join(map(str, g.chromosomes))
+    lines = []
+    for shape, genes in g.chromosomes:
+        if len(genes) == 1:  # canonical: its gene read forward
+            lines.append(("(%d)" if shape == CIRCULAR else "[%d]") % genes[0][0])
+        else:
+            body = " ".join(map(str, [-gid if rev else gid for gid, _, rev in genes]))
+            lines.append(("(%s)" if shape == CIRCULAR else "[%s]") % body)
+    return "\n".join(lines)
 
 
 # -- doubling and singularization ----------------------------------------
@@ -534,14 +566,25 @@ def singularize(d: Genome) -> Genome:
     """Index a duplicated genome: in canonical traversal order the first
     occurrence of each gene id gets copy a, the second copy b.
 
-    A relabeled chromosome keeps d's rotation unless it holds both copies
-    of a gene.  Proof: when its gene ids are distinct, each id gets one
-    letter, so the relabeling maps every gene (gid, "", rev) to
-    (gid, f(gid), rev) for one function f.  Two such genes compare as
-    before: by gid when the ids differ, else, with equal letters, by rev.
-    The map also commutes with rotation and reverse complement, so it keeps
-    the order of the chromosome's readings, and the least of them, d's
-    canonical one, stays least."""
+    Every relabeled chromosome keeps d's reading, which stays canonical.
+    Proof, when its gene ids are distinct: each id gets one letter, so the
+    relabeling maps every gene (gid, "", rev) to (gid, f(gid), rev) for
+    one function f.  Two such genes compare as before: by gid when the ids
+    differ, else, with equal letters, by rev.  The map also commutes with
+    rotation and reverse complement, so it keeps the order of the
+    chromosome's readings, and the least of them, d's canonical one, stays
+    least.
+
+    When it holds both copies of a gene: a circular one's canonical
+    reading starts with its least gene (g0, "", False).  That occurrence
+    becomes (g0, a, False), or (g0, b, False) when g0's other copy lies in
+    an earlier chromosome; either way no other gene of the relabeled
+    chromosome has as small an id and copy, so one reading starts there,
+    the one that shows it forward, and that reading is d's.  A linear one
+    whose ends have different ids is decided by the ids, as in d.  If both
+    ends have the same id, they are the two copies of that gene: the left
+    end becomes a and the right end b, so the ends decide in favour of the
+    reading as it stands."""
     if not d.is_duplicated():
         raise GenomeError("singularize() needs a duplicated genome")
     if d.is_indexed():
@@ -560,11 +603,8 @@ def singularize(d: Genome) -> Genome:
             copy = "b" if gid in seen else "a"
             seen.add(gid)
             relabeled.append(_new(Gene, (gid, copy, rev)))
-        if len({*map(_GID, genes)}) < len(genes):  # both copies of a gene
-            chroms.append(Chromosome(shape, relabeled))
-        else:
-            chroms.append(_new(Chromosome, (shape, tuple(relabeled))))
-    return Genome(chroms)
+        chroms.append(_new(Chromosome, (shape, tuple(relabeled))))
+    return Genome._built(chroms, Counter(d.ids), _INDEXED)
 
 
 def genome_from_adjacencies(adjs, telos) -> Genome:

@@ -13,6 +13,7 @@ the flowers grow accordingly.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -29,6 +30,8 @@ from .bpgraph import ComponentCensus
 from .genomes import (
     CIRCULAR,
     LINEAR,
+    _INDEXED,
+    _PLAIN,
     Chromosome,
     Gene,
     Genome,
@@ -912,10 +915,13 @@ def extract_genomes(r: ReductionOutput):
     Every vertex maps to its extremity's id in the numbering that `genomes`
     states (integer extremity ids), gene gid having rank gid - 1.  The D
     partner of an extremity is its vertex's fixed-edge partner, mapped
-    back; an extremity with none is a telomere.  `genomes._trace` walks D's
-    chromosomes over these ids, and each entry gives a gene of the indexed
-    D and its erased copy in D, so extraction builds no Extremity and no
-    second genome to erase.
+    back; an extremity with none is a telomere.  A gene copy whose ends
+    are each other's partners is a one-gene circle, and all of these are
+    made at once; `genomes._trace` walks D's other chromosomes over these
+    ids, and each entry gives a gene of the indexed D and its erased copy
+    in D, so extraction builds no Extremity and no second genome to erase.
+    Both D genomes hold every gene id twice by construction, so they are
+    built with no validation (`Genome._built`), under its gene count.
 
     Every vertex must map to exactly one extremity and every extremity have
     a vertex, and every square vertex needs a fixed edge; otherwise
@@ -975,16 +981,15 @@ def extract_genomes(r: ReductionOutput):
     for v, w in enumerate(d_part):
         if w >= 0:
             partner[ext_of[v]] = ext_of[w]
-    indexed = []
-    erased = []
-    for shape, entries in _trace(partner, range(n_vertices)):
-        if len(entries) == 1:  # canonical: its gene read forward
-            e = entries[0]
-            gid = (e >> 2) + 1
-            gene = _new(Gene, (gid, "b" if e & 1 else "a", False))
-            indexed.append(_new(Chromosome, (shape, (gene,))))
-            erased.append(_new(Chromosome, (shape, (_new(Gene, (gid, "", False)),))))
-            continue
+    # A copy whose tail's partner is its own head is a one-gene circle: all
+    # of these are made at once, and _trace walks the other ids.
+    loops = [e for e in range(n_vertices) if e & 2 and partner[e] == e ^ 2]
+    indexed = [_new(Chromosome, (CIRCULAR, (_new(Gene, ((e >> 2) + 1, "ab"[e & 1], False)),)))
+               for e in loops]
+    erased = [_new(Chromosome, (CIRCULAR, (_new(Gene, ((e >> 2) + 1, "", False)),)))
+              for e in loops]
+    rest = [e for e in range(n_vertices) if partner[e ^ 2] != e]
+    for shape, entries in _trace(partner, rest):
         genes = []
         plain = []
         for e in entries:
@@ -994,4 +999,7 @@ def extract_genomes(r: ReductionOutput):
             plain.append(_new(Gene, (gid, "", rev)))
         indexed.append(Chromosome(shape, genes))
         erased.append(Chromosome(shape, plain))
-    return s, Genome(erased), Genome(indexed)
+    # D holds every gene id twice: plain in D, as a and b in the indexed D
+    ids = dict.fromkeys(range(1, n_vertices // 4 + 1), 2)
+    return (s, Genome._built(erased, Counter(ids), _PLAIN),
+            Genome._built(indexed, Counter(ids), _INDEXED))

@@ -323,6 +323,20 @@ def test_graph_refusals_name_the_fault(squares, d_edges, message):
         AmbiguousBreakpointGraph(["v%d" % i for i in range(6)], squares, d_edges)
 
 
+def test_degree_sequence_needs_a_square_and_a_fixed_edge_at_every_vertex():
+    square = [Square(0, 1, 2, 3)]
+    d_edges = [(0, 3), (1, 2)]
+    assert AmbiguousBreakpointGraph(["v%d" % i for i in range(4)], square, d_edges
+                                    ).degree_sequence_ok()
+    lone = AmbiguousBreakpointGraph(["v%d" % i for i in range(5)], square, d_edges)
+    assert lone.isolated == (4,) and not lone.degree_sequence_ok()
+    no_square = AmbiguousBreakpointGraph(["v%d" % i for i in range(6)], square,
+                                         d_edges + [(4, 5)])
+    assert not no_square.degree_sequence_ok()
+    no_fixed = AmbiguousBreakpointGraph(["v%d" % i for i in range(4)], square, d_edges[:1])
+    assert not no_fixed.degree_sequence_ok()
+
+
 def test_square_parts_are_the_two_matchings_of_each_square():
     graphs = []
     for seed in range(50):

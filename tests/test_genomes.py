@@ -742,6 +742,73 @@ def test_singularize_builds_canonical_chromosomes():
         assert got.chromosomes == _reference_singularize(d).chromosomes, d
     assert covered["one gene read reversed"] >= 300 and covered["both copies"] >= 100, covered
 
+
+def _assert_equals_the_checked_build(g):
+    """g, built with no validation, equals the genome that the validating
+    constructor builds from its chromosomes, in ids and copies too."""
+    checked = Genome(g.chromosomes)
+    assert g.chromosomes == checked.chromosomes
+    assert type(g.ids) is Counter and g.ids == checked.ids
+    assert type(g.copies) is frozenset and g.copies == checked.copies
+
+
+def test_singularize_builds_the_checked_genome():
+    rng = random.Random(29)
+    for seed in range(300):
+        n = rng.randint(1, 40)
+        _, d = random_cognate_pair(n, True, rng.randint(0, 2 * n), seed)
+        got = singularize(d)
+        _assert_equals_the_checked_build(got)
+        assert got.ids is not d.ids
+
+
+def test_built_genome_guard_counts_the_genes():
+    d = parse_genome("(1 2)\n[1 -2]\n(3)\n(3)")
+    chroms = list(d.chromosomes)
+    assert Genome._built(list(chroms), Counter(d.ids), d.copies) == d
+    dropped = [Chromosome(LINEAR, [Gene(1)])] + chroms[1:]
+    repeated = chroms + [Chromosome(CIRCULAR, [Gene(3)])]
+    for bad in (dropped, repeated):
+        with pytest.raises(RuntimeError, match="genes"):
+            Genome._built(bad, Counter(d.ids), d.copies)
+
+
+def test_plain_format_matches_the_chromosome_text():
+    """A plain genome is written from its signed ids, any other through
+    str: either way the text is each chromosome's str, one a line, and
+    parses back to the genome."""
+    rng = random.Random(31)
+    texts = ("[1]", "(1)", "[-1 2]\n(-3)", "(1 -2 3)\n[4]",
+             "[1000000 -1000001]\n(2000000)\n[-3000000 5]",
+             "[1 2.a -2.b]\n(3)", "(1 1)\n[-2.b 2.a]")
+    cases = [parse_genome(text) for text in texts]
+    for seed in range(100):
+        n = rng.randint(1, 30)
+        s, d = random_cognate_pair(n, seed % 2 == 0, rng.randint(0, 2 * n), seed)
+        big = dict(zip(sorted(s.ids), rng.sample(range(10**6, 10**9), n)))
+        cases += [s, d, Genome(
+            Chromosome(ch.shape, [Gene(big[g.gid], g.copy, g.rev) for g in ch.genes])
+            for ch in d.chromosomes)]
+        if seed % 2 == 0:  # a duplicated d
+            cases.append(singularize(d))
+    covered = Counter()
+    for g in cases:
+        text = format_genome(g)
+        assert text == "\n".join(map(str, g.chromosomes))
+        assert parse_genome(text) == g
+        plain = g.copies == {""}
+        covered["plain" if plain else "general"] += 1
+        covered["half-indexed"] += len(g.copies) == 3
+        for shape, genes in g.chromosomes:
+            covered[shape, len(genes) == 1, plain] += 1
+            covered["reversed", plain] += any(gene.rev for gene in genes)
+            covered["large ids", plain] += max(genes)[0] >= 10**6
+    assert min(covered[kind] for kind in (
+        "general", "half-indexed", (LINEAR, True, True), (CIRCULAR, True, True),
+        ("reversed", True), ("large ids", True))) >= 2, covered
+    assert covered["plain"] >= 200, covered
+
+
 def test_singularize_needs_duplicated():
     with pytest.raises(GenomeError):
         singularize(parse_genome("[1 2]"))

@@ -18,6 +18,8 @@ from doubledist.genomes import random_cognate_pair, singularize
 from doubledist.reduction import build_closed_flower, build_reduction, normalize, parse_cnf
 from doubledist.solver import ss_naive
 
+from satgen import reduction_corpus
+
 
 def graphs():
     out = []
@@ -545,3 +547,108 @@ def test_naive_budget_counts_complete_resolutions():
                 ss_naive(g, k, budget_nodes=total - 1)
             stats = ss_naive(g, k, budget_nodes=total).stats
             assert stats.nodes == total and stats.forced == g.a_star - free
+
+
+def _reference_alternating_cycles(sq_id, e_part, t_part, d_part, kcap, forced=None):
+    """`_kernels.alternating_cycles` as it was when its walks looked at
+    most one hop ahead, kept verbatim as the reference for the two-hop
+    prune."""
+    n = len(sq_id)
+    out = []
+    settled2x = 0
+    if kcap < 2:
+        return out, settled2x
+    starts = range(n)
+    if forced is None:
+        forced = (-1,) * n  # a graph has fewer than n squares
+        # The tests the loop below makes first, in one pass: a square vertex
+        # whose fixed-edge partner is a larger square vertex, and a first
+        # square edge, under either bit, to a larger vertex whose fixed edge
+        # does not go below s.  A start that fails them lists nothing.
+        starts = [
+            s for s in range(n)
+            if d_part[s] > s and sq_id[s] >= 0 and sq_id[d_part[s]] >= 0
+            and (e_part[s] > s and d_part[e_part[s]] >= s
+                 or t_part[s] > s and d_part[t_part[s]] >= s)
+        ]
+    for s in starts:
+        if sq_id[s] < 0:
+            continue
+        # The cycle closes through the last square edge into sd = d_part[s],
+        # and no vertex below s is ever visited: skip starts that cannot close.
+        sd = d_part[s]
+        if sd <= s or sq_id[sd] < 0:
+            continue
+        last_sq = sq_id[sd]
+        # DFS over (path, choices); steps alternate square edge then d-edge.
+        # A hop is a square edge and the fixed edge after it.  The cycle's
+        # last square edge ends at sd, so it starts in sd's square: a walk
+        # that may take j more square edges can close only if it reaches
+        # that square within j - 1 hops (or fewer: it may close early).
+        # Only states with a square edge left are pushed, and, for j <= 2,
+        # only those that pass this test with bits and visited vertices
+        # ignored, a superset of the states that close.
+        # choices holds the free squares' bits only; a forced square's bit is
+        # read from forced, so a walk never contradicts it.  A state is
+        # (vertex, path so far, choices, square edges left after this step).
+        stack = [(s, (), {}, kcap // 2 - 1)]
+        while stack:
+            cur, path, choices, left = stack.pop()
+            sq = sq_id[cur]
+            known = choices.get(sq, forced[sq])
+            for bit in (0, 1) if known < 0 else (known,):
+                partner = t_part[cur] if bit else e_part[cur]
+                if partner <= s or partner in path:
+                    continue
+                nchoices = choices if known >= 0 else {**choices, sq: bit}
+                d = d_part[partner]
+                if d < 0:
+                    continue
+                npath = path + (cur, partner)
+                if d == s:
+                    if nchoices:
+                        out.append((npath, tuple(sorted(nchoices.items()))))
+                    else:
+                        settled2x += 2
+                elif d > s and left and sq_id[d] >= 0 and d not in npath:
+                    if sq_id[d] != last_sq:
+                        if left == 1:
+                            continue
+                        if left == 2:
+                            x = d_part[e_part[d]]
+                            y = d_part[t_part[d]]
+                            if not ((x >= 0 and sq_id[x] == last_sq)
+                                    or (y >= 0 and sq_id[y] == last_sq)):
+                                continue
+                    stack.append((d, npath, nchoices, left - 1))
+    return out, settled2x
+
+
+def _two_hop_inputs():
+    """The graphs the two-hop prune must leave unchanged, with their k and
+    forced bits: every corpus formula in both shapes at k 8 to 14 (every
+    square free), and seeded WGD pairs with their forced bits."""
+    for inst in reduction_corpus():
+        for k in (8, 10, 12, 14):
+            for shape in ("circular", "linear"):
+                yield build_reduction(inst, k=k, shape=shape).graph, k, None
+    rng = random.Random(29)
+    for seed in range(200):
+        n = rng.randint(4, 60)
+        s, d = random_cognate_pair(n, True, rng.randint(0, n), seed)
+        g = build_abg(s, d)
+        forced = forced_choices(g)
+        for k in (8, 10, 12, 16):
+            yield g, k, forced
+
+
+def test_two_hop_prune_matches_the_reference():
+    """The walk that looks two hops ahead lists the same cycles, in the same
+    order, and settles the same weight as the one-hop walk it replaced."""
+    found = {True: 0, False: 0}  # cycles listed, with and without forced bits
+    for g, k, forced in _two_hop_inputs():
+        args = (g.sq_id, g.e_part, g.t_part, g.d_part, k, forced)
+        want = _reference_alternating_cycles(*args)
+        assert _kernels.alternating_cycles(*args) == want
+        found[forced is not None] += len(want[0])
+    assert found[False] > 10000 and found[True] > 1000

@@ -19,6 +19,7 @@ from doubledist.genomes import (
     PairClass,
     classify_pair,
     format_genome,
+    singularize,
 )
 from doubledist.reduction import (
     Assignment,
@@ -40,7 +41,7 @@ from doubledist.abg import resolve
 from doubledist.solver import ss_mis
 
 from satgen import random_normalized_instance, reduction_corpus, unsat_instances
-from test_genomes import _tuple_genome
+from test_genomes import _assert_equals_the_checked_build, _tuple_genome
 
 DEMO_CNF = "p cnf 4 5\n1 2 0\n1 3 0\n-1 -2 4 0\n2 3 0\n-3 -4 0\n"
 DEMO_A = {1: True, 2: True, 3: False, 4: True}
@@ -697,6 +698,20 @@ def test_extracted_chromosomes_are_canonical():
                         covered["both copies"] += len({gene.gid for gene in ch.genes}) < len(ch.genes)
     kinds = (("circular", True), ("circular", False), ("linear", False), "both copies")
     assert min(covered[kind] for kind in kinds) >= 100, covered
+
+
+def test_extracted_genomes_equal_the_checked_construction():
+    """Both D genomes and D's singularization are built with no validation;
+    each equals the checked construction and owns its ids."""
+    for inst in reduction_corpus():
+        for k in (8, 10, 12):
+            for shape in ("circular", "linear"):
+                _, d, indexed = extract_genomes(build_reduction(inst, k=k, shape=shape))
+                singular = singularize(d)
+                for g in (d, indexed, singular):
+                    _assert_equals_the_checked_build(g)
+                assert len({id(d.ids), id(indexed.ids), id(singular.ids)}) == 3
+
 
 def _with_two_more_vertices(r, d_edges=()):
     g = r.graph
