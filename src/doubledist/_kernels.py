@@ -237,31 +237,25 @@ def alternating_cycles(sq_id, e_part, t_part, d_part, kcap, forced=None):
     settled2x = 0
     if kcap < 2:
         return out, settled2x
-    starts = range(n)
     if forced is None:
         forced = (-1,) * n  # a graph has fewer than n squares
-        # The tests the loop below makes first, in one pass: a square vertex
-        # whose fixed-edge partner is a larger square vertex, and a first
-        # square edge, under either bit, to a larger vertex whose fixed edge
-        # does not go below s.  A start that fails them lists nothing.
-        starts = [
-            s for s in range(n)
-            if d_part[s] > s and sq_id[s] >= 0 and sq_id[d_part[s]] >= 0
-            and (e_part[s] > s and d_part[e_part[s]] >= s
-                 or t_part[s] > s and d_part[t_part[s]] >= s)
-        ]
+    # The cycle closes through the last square edge into d_part[s], and no
+    # vertex below s is ever visited.  So a start is a square vertex whose
+    # fixed-edge partner is a larger square vertex, with a first square edge,
+    # under either bit, to a larger vertex whose fixed edge does not go
+    # below s.  The tests ignore the bits, so the starts kept are a superset
+    # of those from which a cycle closes under the forced bits.
+    starts = [
+        s for s in range(n)
+        if d_part[s] > s and sq_id[s] >= 0 and sq_id[d_part[s]] >= 0
+        and (e_part[s] > s and d_part[e_part[s]] >= s
+             or t_part[s] > s and d_part[t_part[s]] >= s)
+    ]
     for s in starts:
-        if sq_id[s] < 0:
-            continue
-        # The cycle closes through the last square edge into sd = d_part[s],
-        # and no vertex below s is ever visited: skip starts that cannot close.
-        sd = d_part[s]
-        if sd <= s or sq_id[sd] < 0:
-            continue
-        last_sq = sq_id[sd]
+        last_sq = sq_id[d_part[s]]
         # DFS over (path, choices); steps alternate square edge then d-edge.
         # A hop is a square edge and the fixed edge after it.  The cycle's
-        # last square edge ends at sd, so it starts in sd's square: a walk
+        # last square edge ends at d_part[s], so it starts in last_sq: a walk
         # that may take j more square edges can close only if it reaches
         # that square within j - 1 hops (or fewer: it may close early).
         # Only states with a square edge left are pushed, and, for j <= 3,

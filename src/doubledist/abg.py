@@ -51,13 +51,16 @@ class AmbiguousBreakpointGraph:
     cannot be rebound, so the candidate sets that `enumerate_candidates`
     memoizes per (k, forced bits) in `_candidates` can never go stale.
 
-    A graph built by this constructor keeps the labels it is given, and the
-    constructor checks each square and fixed edge, naming the first faulty
-    vertex.  A graph that the library makes valid by construction
-    (`build_abg`, and the reduction's builder) skips those checks under a
-    count guard (`_trusted_graph`); it is given a function that makes its
-    labels in place of labels, and they are made when first read (only
-    `to_dot` and the tests read them), then kept."""
+    Every graph is given its vertex count, squares and fixed edges, and
+    `_fill` alone writes the vertex arrays `sq_id`, `e_part`, `t_part` and
+    `d_part` from them.  A graph built by this constructor keeps the labels
+    it is given, and the constructor checks each square and fixed edge
+    before the fill, naming the first faulty vertex.  A graph that the
+    library makes valid by construction (`build_abg`, and the reduction's
+    builder) skips those checks under a count of what the fill wrote
+    (`_trusted_graph`); it is given a function that makes its labels in
+    place of labels, and they are made when first read (only `to_dot` and
+    the tests read them), then kept."""
 
     __slots__ = (
         "n_vertices",
@@ -77,21 +80,39 @@ class AmbiguousBreakpointGraph:
         labels = tuple(labels)
         n = len(labels)
         squares = tuple(squares)
-        sq_id = [-1] * n
-        e_part = [-1] * n
-        t_part = [-1] * n
-        d_part = [-1] * n
+        # built from lists, as in check_resolution
+        d_edges = tuple([tuple(e) for e in d_edges])
+        in_square = [False] * n
         for index, (u, v, uhat, vhat) in enumerate(squares):
             if len({u, v, uhat, vhat}) != 4:
                 raise GenomeError("square %d vertices not distinct" % index)
-            if not (0 <= u < n and 0 <= v < n and 0 <= uhat < n and 0 <= vhat < n
-                    and sq_id[u] < 0 and sq_id[v] < 0 and sq_id[uhat] < 0
-                    and sq_id[vhat] < 0):
-                for x in (u, v, uhat, vhat):  # name the first fault
-                    if not 0 <= x < n:
-                        raise GenomeError("square vertex %d out of range" % x)
-                    if sq_id[x] >= 0:
-                        raise GenomeError("vertex %d in two squares" % x)
+            for x in (u, v, uhat, vhat):  # name the first fault
+                if not 0 <= x < n:
+                    raise GenomeError("square vertex %d out of range" % x)
+                if in_square[x]:
+                    raise GenomeError("vertex %d in two squares" % x)
+                in_square[x] = True
+        on_edge = [False] * n
+        for x, y in d_edges:
+            if x == y:
+                raise GenomeError("fixed-edge loop at vertex %d" % x)
+            for w in (x, y):  # name the first fault, end by end
+                if not 0 <= w < n:
+                    raise GenomeError("fixed-edge vertex %d out of range" % w)
+                if on_edge[w]:
+                    raise GenomeError("vertex %d has two fixed edges" % w)
+                on_edge[w] = True
+        self._fill(labels, None, n, squares, d_edges)
+
+    def _fill(self, labels, make_labels, n, squares, d_edges):
+        """Set every slot, writing the four vertex arrays over n vertices
+        from the squares and fixed edges, the one place they are written:
+        labels is a tuple, or None with make_labels a function that makes
+        it; squares and d_edges are tuples."""
+        sq_id = [-1] * n
+        e_part = [-1] * n
+        t_part = [-1] * n
+        for index, (u, v, uhat, vhat) in enumerate(squares):
             sq_id[u] = sq_id[v] = sq_id[uhat] = sq_id[vhat] = index
             # the matchings of Square.edges(0) and Square.edges(1)
             e_part[u] = v
@@ -102,26 +123,10 @@ class AmbiguousBreakpointGraph:
             t_part[vhat] = u
             t_part[uhat] = v
             t_part[v] = uhat
+        d_part = [-1] * n
         for x, y in d_edges:
-            if x == y:
-                raise GenomeError("fixed-edge loop at vertex %d" % x)
-            if not (0 <= x < n and 0 <= y < n and d_part[x] < 0 and d_part[y] < 0):
-                for w in (x, y):  # name the first fault, end by end
-                    if not 0 <= w < n:
-                        raise GenomeError("fixed-edge vertex %d out of range" % w)
-                    if d_part[w] >= 0:
-                        raise GenomeError("vertex %d has two fixed edges" % w)
             d_part[x] = y
             d_part[y] = x
-        # built from lists, as in check_resolution
-        d_edges = tuple([tuple(e) for e in d_edges])
-        self._fill(labels, None, squares, d_edges, sq_id, e_part, t_part, d_part)
-
-    def _fill(self, labels, make_labels, squares, d_edges, sq_id, e_part, t_part, d_part):
-        """Set every slot from the checked parts: labels is a tuple, or None
-        with make_labels a function that makes it; squares and d_edges are
-        tuples, the four vertex arrays lists."""
-        n = len(sq_id)
         init = object.__setattr__
         init(self, "n_vertices", n)
         init(self, "_make_labels", make_labels)
@@ -224,11 +229,11 @@ def build_abg(s: Genome, d: Genome) -> AmbiguousBreakpointGraph:
 
     One reading of each genome gives its id partner map.  s is singular,
     so its ids are even (copy a) and each lies in at most one adjacency:
-    one pass over the even ids x whose partner y is larger makes the
-    squares in the order of their least vertex, and d's map is the fixed
-    edges' partner array as it stands.  The cognate pair makes every part
-    valid, so no square or fixed edge is checked on its own; a count of
-    the filled entries guards the reading instead."""
+    one pass over the ids x whose partner y is larger lists the squares in
+    the order of their least vertex, and one over d's map lists the fixed
+    edges; `_fill` writes the vertex arrays from them.  The cognate pair
+    makes every part valid, so no square or fixed edge is checked on its
+    own; a count of the filled entries guards the reading instead."""
     # with d duplicated, a [1.2]-cognate pair has s singular
     if not d.is_duplicated() or classify_pair(s, d) != PairClass.ONE_TWO_COGNATE:
         raise GenomeError("build_abg needs a singular genome and its duplicated cognate")
@@ -238,27 +243,11 @@ def build_abg(s: Genome, d: Genome) -> AmbiguousBreakpointGraph:
     n = 4 * len(gids)
     s_part = _id_partners(s, rank, n)
     d_part = _id_partners(d, rank, n)
-    squares = []
-    sq_id = [-1] * n
-    e_part = [-1] * n
-    t_part = [-1] * n
-    for x in range(0, n, 2):
-        y = s_part[x]
-        if y > x:
-            # the square (x, y, x + 1, y + 1) and its two matchings
-            sq_id[x] = sq_id[y] = sq_id[x + 1] = sq_id[y + 1] = len(squares)
-            squares.append(_new(Square, (x, y, x + 1, y + 1)))
-            e_part[x] = y
-            e_part[y] = x
-            e_part[x + 1] = y + 1
-            e_part[y + 1] = x + 1
-            t_part[x] = y + 1
-            t_part[y + 1] = x
-            t_part[x + 1] = y
-            t_part[y] = x + 1
+    squares = tuple([_new(Square, (x, y, x + 1, y + 1))
+                     for x, y in enumerate(s_part) if x < y])
     d_edges = tuple([(x, y) for x, y in enumerate(d_part) if x < y])
     return _trusted_graph("the genome reading", partial(_extremity_labels, tuple(gids)),
-                          tuple(squares), d_edges, sq_id, e_part, t_part, d_part)
+                          n, squares, d_edges)
 
 
 def _extremity_labels(gids):
@@ -271,23 +260,22 @@ def _extremity_labels(gids):
     ]
 
 
-def _trusted_graph(maker, make_labels, squares, d_edges, sq_id, e_part, t_part, d_part):
+def _trusted_graph(maker, make_labels, n, squares, d_edges):
     """The graph of parts that maker built valid by construction, with no
-    check per square or fixed edge: squares and d_edges are tuples, the
-    vertex arrays lists.  A count of the filled entries guards the parts
+    check per square or fixed edge: squares and d_edges are tuples over n
+    vertices.  A count of the entries that `_fill` filled guards the parts
     instead: a vertex in two squares, a vertex on two fixed edges or a
     fixed-edge loop leaves fewer entries than the squares and fixed edges
     fill, and raises RuntimeError."""
-    n = len(sq_id)
-    square_ends = n - sq_id.count(-1)
-    fixed_ends = n - d_part.count(-1)
+    graph = AmbiguousBreakpointGraph.__new__(AmbiguousBreakpointGraph)
+    graph._fill(None, make_labels, n, squares, d_edges)
+    square_ends = n - graph.sq_id.count(-1)
+    fixed_ends = n - graph.d_part.count(-1)
     if square_ends != 4 * len(squares) or fixed_ends != 2 * len(d_edges):
         raise RuntimeError(
             "%s gave %d square vertices for %d squares and "
             "%d fixed-edge ends for %d fixed edges"
             % (maker, square_ends, len(squares), fixed_ends, len(d_edges)))
-    graph = AmbiguousBreakpointGraph.__new__(AmbiguousBreakpointGraph)
-    graph._fill(None, make_labels, squares, d_edges, sq_id, e_part, t_part, d_part)
     return graph
 
 

@@ -720,15 +720,6 @@ def _id_partners(g: Genome, rank, n) -> list:
     return part
 
 
-def _erased_chroms(partner):
-    """The chromosomes of an id partner map whose ranks are the gene ids,
-    with the copy indices erased."""
-    return [
-        Chromosome(shape, [_new(Gene, (e >> 2, "", not e & 2)) for e in entries])
-        for shape, entries in _trace(partner, partner)
-    ]
-
-
 def enumerate_resolved_doublings(s: Genome):
     """All genomes in S^a_b(2S): every circular-chromosome layout combined
     with every per-gene copy labeling, deduplicated canonically."""
@@ -1177,24 +1168,23 @@ def random_cognate_pair(n: int, wgd: bool, ops: int, seed):
     circ = rng.randint(0, parts)
     s = random_genome(n, parts - circ, circ, None, rng=rng)
     if wgd:
-        a2, t2, _ = double(s)
-        partner = {}  # S's extremity x gives the ids x (copy a) and x + 1 (b)
-        for (b, g), cnt in sorted(a2.items()):
-            if cnt != 2:
-                raise RuntimeError("doubled adjacency %s-%s occurs %d times, not 2" % (b, g, cnt))
-            x = 4 * b.gid + 2 * (b.end == TAIL)
-            y = 4 * g.gid + 2 * (g.end == TAIL)
-            flip = 0 if rng.random() < 0.5 else 1  # 1 joins x's copy a to y's b
-            partner[x] = y + flip
-            partner[y + flip] = x
-            partner[x + 1] = y + 1 - flip
-            partner[y + 1 - flip] = x + 1
-        for t, cnt in sorted(t2.items()):
-            if cnt != 2:
-                raise RuntimeError("doubled telomere %s occurs %d times, not 2" % (t, cnt))
-            x = 4 * t.gid + 2 * (t.end == TAIL)
-            partner[x] = partner[x + 1] = -1
-        chroms = _erased_chroms(partner)
+        # S's id partner map, its gene ids as the ranks: S's extremity x
+        # gives D the ids x (copy a) and x + 1 (copy b), telomeres at both
+        s_part = _id_partners(s, range(n + 1), 4 * (n + 1))
+        part = [-1] * len(s_part)
+        for x in range(4, len(s_part), 2):  # the adjacencies x-y in sorted order
+            y = s_part[x]
+            if y > x:
+                flip = 0 if rng.random() < 0.5 else 1  # 1 joins x's copy a to y's b
+                part[x] = y + flip
+                part[y + flip] = x
+                part[x + 1] = y + 1 - flip
+                part[y + 1 - flip] = x + 1
+        # the doubled chromosomes, with the copy indices erased
+        chroms = [
+            Chromosome(shape, [_new(Gene, (e >> 2, "", not e & 2)) for e in entries])
+            for shape, entries in _trace(part, range(4, len(part)))
+        ]
         content = s.ids + s.ids
     else:
         chroms = s.chromosomes

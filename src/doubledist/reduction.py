@@ -338,17 +338,15 @@ class ReductionOutput:
 class _Builder:
     """Builds a reduction graph valid by construction.  The vertices are
     numbered by a counter: square i's corners v1..v4 are 4i..4i + 3, and the
-    padding vertices come after the squares'.  The builder fills the vertex
-    arrays as it goes and keeps one name per square, from which the labels
-    are made when first read."""
+    padding vertices come after the squares'.  The builder lists the squares
+    and fixed edges, which the graph's `_fill` turns into its vertex arrays,
+    and keeps one name per square, from which the labels are made when
+    first read."""
 
     def __init__(self, ell=0, p=0):
         self.names = []  # per square
         self.squares = []
         self.d_edges = []
-        self.sq_id = []
-        self.e_part = []
-        self.t_part = []
         self.ell = ell  # squares per extension chain
         self.p = p  # squares per open flower
         self.flowers = []
@@ -359,18 +357,14 @@ class _Builder:
         "12", or {v1-v4, v3-v2} when solid is "14"."""
         idx = len(self.squares)
         c = c1, c2, c3, c4 = (4 * idx, 4 * idx + 1, 4 * idx + 2, 4 * idx + 3)
-        # each corner's partner under choice 0 and under choice 1
         if solid == "12":
-            square, solid_pair, other_pair = (c1, c2, c3, c4), (c2, c1, c4, c3), (c4, c3, c2, c1)
+            square = (c1, c2, c3, c4)
         elif solid == "14":
-            square, solid_pair, other_pair = (c1, c4, c3, c2), (c4, c3, c2, c1), (c2, c1, c4, c3)
+            square = (c1, c4, c3, c2)
         else:
             raise ValueError(solid)
         self.names.append(name)
         self.squares.append(_new(Square, square))
-        self.sq_id += (idx, idx, idx, idx)
-        self.e_part += solid_pair
-        self.t_part += other_pair
         return idx, c
 
     def edge(self, a, b):
@@ -379,16 +373,9 @@ class _Builder:
     def graph(self, padding=0) -> AmbiguousBreakpointGraph:
         """The graph built so far, with `padding` more vertices, in no square
         and on no fixed edge, after the squares' vertices."""
-        n = len(self.sq_id) + padding
-        d_part = [-1] * n
-        for x, y in self.d_edges:
-            d_part[x] = y
-            d_part[y] = x
-        pad = [-1] * padding
         return _trusted_graph(
             "the reduction builder", partial(_square_labels, tuple(self.names), padding),
-            tuple(self.squares), tuple(self.d_edges),
-            self.sq_id + pad, self.e_part + pad, self.t_part + pad, d_part)
+            4 * len(self.squares) + padding, tuple(self.squares), tuple(self.d_edges))
 
     def open_flower(self, host, attach_a, attach_b):
         p = self.p
@@ -648,7 +635,7 @@ def build_reduction(inst: SatInstance, k: int = 8, shape: str = CIRCULAR) -> Red
                 )
             )
 
-    nu = len(b.sq_id)
+    nu = 4 * len(b.squares)
     isolated_count = nu if shape == LINEAR else 0
     return ReductionOutput(
         graph=b.graph(isolated_count),

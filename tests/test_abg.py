@@ -323,6 +323,19 @@ def test_graph_refusals_name_the_fault(squares, d_edges, message):
         AmbiguousBreakpointGraph(["v%d" % i for i in range(6)], squares, d_edges)
 
 
+def test_constructor_reads_its_parts_once():
+    """Squares and fixed edges given as generators build the graph that
+    lists give: each is read once, then checked and filled."""
+    labels = ["v%d" % i for i in range(6)]
+    squares = [Square(0, 1, 2, 3)]
+    d_edges = [(0, 3), (1, 4), (2, 5)]
+    want = AmbiguousBreakpointGraph(labels, squares, d_edges)
+    got = AmbiguousBreakpointGraph(iter(labels), iter(squares), iter(d_edges))
+    for name in GRAPH_FIELDS + ("n_vertices",):
+        assert getattr(got, name) == getattr(want, name), name
+    assert got.d_edges == ((0, 3), (1, 4), (2, 5))
+
+
 def test_degree_sequence_needs_a_square_and_a_fixed_edge_at_every_vertex():
     square = [Square(0, 1, 2, 3)]
     d_edges = [(0, 3), (1, 2)]

@@ -1297,16 +1297,6 @@ def test_random_cognate_pair_checks_the_scrambled_genome(monkeypatch):
         random_cognate_pair(4, wgd=True, ops=1, seed=1)
 
 
-def test_random_cognate_pair_self_check_raises(monkeypatch):
-    # a self-check, not an assert: it must survive python -O
-    def undoubled(s):
-        return s.adjacencies, s.telomeres + s.telomeres, 2 ** s.o
-
-    monkeypatch.setattr(genomes_module, "double", undoubled)
-    with pytest.raises(RuntimeError, match="not 2"):
-        random_cognate_pair(4, wgd=True, ops=0, seed=1)
-
-
 def test_random_cognate_pair_canonical():
     s, d = random_cognate_pair(4, wgd=False, ops=2, seed=3)
     assert classify_pair(s, d) == PairClass.CANONICAL

@@ -66,6 +66,49 @@ def test_chromosomes_are_canonicalized_in_one_place():
     assert not outside, "_canonical_genes named outside Chromosome.__new__: %s" % ", ".join(outside)
 
 
+_VERTEX_ARRAYS = ("sq_id", "e_part", "t_part")
+
+
+def _writes_a_vertex_array(node):
+    """True iff node assigns into sq_id, e_part or t_part by subscript, as a
+    name or an attribute."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return False
+    for target in targets:
+        for part in ast.walk(target):
+            if isinstance(part, ast.Subscript):
+                array = part.value
+                if getattr(array, "id", None) in _VERTEX_ARRAYS \
+                        or getattr(array, "attr", None) in _VERTEX_ARRAYS:
+                    return True
+    return False
+
+
+def test_squares_fill_the_vertex_arrays_in_one_place():
+    """Only `AmbiguousBreakpointGraph._fill` writes `sq_id`, `e_part` and
+    `t_part` by subscript, so every graph's arrays come from its squares by
+    one statement of the rule."""
+    inside, outside = 0, []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "_fill":
+                allowed |= {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if _writes_a_vertex_array(node):
+                if id(node) in allowed:
+                    inside += 1
+                else:
+                    outside.append("%s:%d" % (path.relative_to(SRC), node.lineno))
+    assert not outside, "vertex arrays written outside _fill: %s" % ", ".join(outside)
+    assert inside, "_fill does not write the vertex arrays"
+
+
 def _identifiers_used(path):
     """The names a file reads: names, attributes, imported names and string
     constants that are identifiers (as `setattr`/`getattr` take them)."""
