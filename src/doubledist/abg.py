@@ -54,8 +54,9 @@ class AmbiguousBreakpointGraph:
     Every graph is given its vertex count, squares and fixed edges, and
     `_fill` alone writes the vertex arrays `sq_id`, `e_part`, `t_part` and
     `d_part` from them.  A graph built by this constructor keeps the labels
-    it is given, and the constructor checks each square and fixed edge
-    before the fill, naming the first faulty vertex.  A graph that the
+    it is given and each square as a `Square`, however it was given, and
+    the constructor checks each square and fixed edge before the fill,
+    naming the first faulty vertex.  A graph that the
     library makes valid by construction (`build_abg`, and the reduction's
     builder) skips those checks under a count of what the fill wrote
     (`_trusted_graph`); it is given a function that makes its labels in
@@ -79,7 +80,7 @@ class AmbiguousBreakpointGraph:
     def __init__(self, labels, squares, d_edges):
         labels = tuple(labels)
         n = len(labels)
-        squares = tuple(squares)
+        squares = tuple([Square._make(sq) for sq in squares])  # a wrong arity raises
         # built from lists, as in check_resolution
         d_edges = tuple([tuple(e) for e in d_edges])
         in_square = [False] * n

@@ -364,14 +364,6 @@ class Genome:
         """Each (id, copy) pair occurs once: plain singular or singularized."""
         return max(self.identities.values()) == 1
 
-    def is_doubled(self) -> bool:
-        if not self.is_duplicated():
-            return False
-        erased = self.erase_indices() if self.is_indexed() else self
-        return all(n % 2 == 0 for n in erased.adjacencies.values()) and all(
-            n % 2 == 0 for n in erased.telomeres.values()
-        )
-
     def erase_indices(self) -> "Genome":
         return Genome(
             Chromosome(ch.shape, [g.erased() for g in ch.genes])
@@ -404,20 +396,13 @@ def classify_pair(g1: Genome, g2: Genome) -> str:
 # -- parsing / formatting ----------------------------------------------
 
 
-# Whitespace and comments, then one token: a gene in the usual form (sign,
-# id digits without leading zeros, copy letter) that ends at a delimiter, an
-# opening bracket, a closing bracket, or any other run of non-delimiters.
-# The delimiters are " \t\r\n()[]#".  At the end of the text the token
-# is empty, with every group empty.  The first match the greedy
-# quantifiers try is the only one: the longest skip is always followed by a
-# token or the end, and a gene's digits are never followed by a delimiter
-# when fewer are.
-_SKIP = re.compile(r"[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*")
-_SCAN = re.compile(
-    _SKIP.pattern
-    + r"(?:(-?)0*([1-9][0-9]*)(?:\.([ab]))?(?![^ \t\r\n()\[\]\#])"
-    + r"|([(\[])|([)\]])|([^ \t\r\n()\[\]\#]+)|\Z)"
-)
+# One token of a genome text: a comment, a bracket, or a run of
+# non-delimiters.  The delimiters are " \t\r\n()[]#", and the whitespace
+# among them, which no token holds, is what `finditer` skips.
+_TOKEN = re.compile(r"\#[^\n]*|[()\[\]]|[^ \t\r\n()\[\]\#]+")
+# The gene-token grammar: sign, ASCII id digits that are not all 0, copy
+# letter.
+_GENE = re.compile(r"(-?)0*([1-9][0-9]*)(?:\.([ab]))?")
 
 
 # The characters of a plain text: one with no comment and no copy letter.
@@ -430,8 +415,9 @@ def parse_genome(text: str) -> Genome:
     """Parse the on-disk genome format: one `[..]` or `(..)` group per
     chromosome, whitespace-separated signed ids with optional .a/.b
     suffix, `#` comments.  A text with no comment and no copy letter is
-    read by `_plain_chromosomes`, and any other, or one that it finds
-    faulty, by the compiled scan."""
+    read by `_plain_chromosomes`; any other, or one that it finds faulty,
+    by `_scanned_chromosomes`, the grammar's reference, which names the
+    fault."""
     chroms = None if _NOT_PLAIN.search(text) else _plain_chromosomes(text)
     return Genome(_scanned_chromosomes(text) if chroms is None else chroms)
 
@@ -440,14 +426,15 @@ def _plain_chromosomes(text):
     """The chromosomes of a text made only of ASCII digits, `-`, brackets
     and whitespace, read with no Python code per token; None when it is
     not a well-formed genome text, so that `_scanned_chromosomes` names
-    the fault.
+    the fault.  Every genome text that the library writes without copy
+    letters is read here.
 
     One split at the brackets gives gap, opener, body, closer, ..., gap.
     The grammar is unchanged: the gaps must be whitespace, each bracket
     pair match, and each body hold at least one token.  Over these
     characters `int` accepts exactly the tokens -?[0-9]+, so with 0
-    refused it accepts the scanner's gene tokens that have no copy letter,
-    leading zeros included."""
+    refused it accepts the gene tokens of `_GENE` that have no copy
+    letter, leading zeros included."""
     parts = _BRACKET.split(text)
     if len(parts) % 4 != 1 or "".join(parts[::4]).strip():
         return None
@@ -469,37 +456,41 @@ def _plain_chromosomes(text):
 
 
 def _scanned_chromosomes(text):
-    """The chromosomes of any text, read by the compiled scan: the
-    grammar's reference, which raises ParseError naming every fault."""
+    """The chromosomes of any text: the grammar's reference, which reads
+    one token at a time and raises ParseError naming every fault at its
+    1-based line and column (a tab counts as one column)."""
     chroms = []
     genes = None  # of the open chromosome
     closer = None  # the bracket that closes it
-    opened = 0  # the number of the token that opened it
-    for t, (sign, digits, copy, opener, close, other) in enumerate(_SCAN.findall(text)):
-        if digits and genes is not None:
-            add(_new(Gene, (int(digits), copy, sign == "-")))
-        elif opener:
+    opened = 0  # the offset of the bracket that opened it
+    for m in _TOKEN.finditer(text):
+        token = m[0]
+        if token[0] == "#":
+            continue
+        if token in ("(", "["):
             if genes is not None:
-                raise ParseError("nested chromosome bracket", *_token_at(text, t)[1:])
-            genes, closer, opened = [], ")" if opener == "(" else "]", t
-            add = genes.append
-        elif close:
-            if close != closer:
-                raise ParseError("unmatched %r" % close, *_token_at(text, t)[1:])
+                raise ParseError("nested chromosome bracket", *_position(text, m.start()))
+            genes, closer, opened = [], ")" if token == "(" else "]", m.start()
+        elif token in (")", "]"):
+            if token != closer:
+                raise ParseError("unmatched %r" % token, *_position(text, m.start()))
             if not genes:
-                raise ParseError("empty chromosome", *_token_at(text, opened)[1:])
-            chroms.append(Chromosome(CIRCULAR if close == ")" else LINEAR, genes))
+                raise ParseError("empty chromosome", *_position(text, opened))
+            chroms.append(Chromosome(CIRCULAR if token == ")" else LINEAR, genes))
             genes = closer = None
-        elif digits or other:
-            # the scan's gene form is exactly the grammar _parse_gene_token
-            # accepts, so this token is an error either way
-            token, line, col = _token_at(text, t)
-            if genes is None:
-                raise ParseError("gene %r outside chromosome" % token, line, col)
-            _parse_gene_token(token, line, col)
-            raise RuntimeError("scanner and _parse_gene_token disagree on %r" % token)
+        elif genes is None:
+            raise ParseError("gene %r outside chromosome" % token, *_position(text, m.start()))
+        else:
+            gene = _GENE.fullmatch(token)
+            if gene is None:
+                _, dot, copy = token.partition(".")
+                if dot and copy not in ("a", "b"):
+                    raise ParseError("bad copy suffix in %r" % token, *_position(text, m.start()))
+                raise ParseError("bad gene token %r" % token, *_position(text, m.start()))
+            sign, digits, copy = gene.groups("")
+            genes.append(_new(Gene, (int(digits), copy, sign == "-")))
     if genes is not None:
-        raise ParseError("unterminated chromosome", *_token_at(text, opened)[1:])
+        raise ParseError("unterminated chromosome", *_position(text, opened))
     if not chroms:
         # only whitespace and comments: the position after the last line's
         # text, or of its comment sign
@@ -509,28 +500,9 @@ def _scanned_chromosomes(text):
     return chroms
 
 
-def _token_at(text, t):
-    """Token t of the scan, with its 1-based line and column; a tab counts
-    as one column."""
-    m = next(islice(_SCAN.finditer(text), t, None))
-    start = _SKIP.match(text, m.start()).end()
-    line = text.count("\n", 0, start) + 1
-    return text[start : m.end()], line, start - text.rfind("\n", 0, start)
-
-
-def _parse_gene_token(token: str, line: int, col: int) -> Gene:
-    body = token
-    rev = body.startswith("-")
-    if rev:
-        body = body[1:]
-    copy = ""
-    if "." in body:
-        body, _, copy = body.partition(".")
-        if copy not in ("a", "b"):
-            raise ParseError("bad copy suffix in %r" % token, line, col)
-    if not (body.isascii() and body.isdigit()) or int(body) == 0:
-        raise ParseError("bad gene token %r" % token, line, col)
-    return _new(Gene, (int(body), copy, rev))
+def _position(text, offset):
+    """The 1-based line and column of an offset into text."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def format_genome(g: Genome) -> str:

@@ -491,13 +491,18 @@ def _size_model(inst: SatInstance, k: int) -> _Sizes:
     )
 
 
-def build_reduction(inst: SatInstance, k: int = 8, shape: str = CIRCULAR) -> ReductionOutput:
-    """Build the ambiguous breakpoint graph encoding the instance."""
-    check_normalized(inst)
+def _check_k_shape(k, shape):
+    """Refuse a k or shape that the construction does not cover."""
     if not (isinstance(k, int) and k >= 8 and k % 2 == 0):
         raise ValueError("k must be an even integer >= 8, got %r" % (k,))
     if shape not in (CIRCULAR, LINEAR):
         raise ValueError("shape must be circular or linear")
+
+
+def build_reduction(inst: SatInstance, k: int = 8, shape: str = CIRCULAR) -> ReductionOutput:
+    """Build the ambiguous breakpoint graph encoding the instance."""
+    check_normalized(inst)
+    _check_k_shape(k, shape)
     if not inst.clauses:
         raise SatError("instance has no clauses after normalization")
     sizes = _size_model(inst, k)
@@ -658,8 +663,10 @@ def build_reduction(inst: SatInstance, k: int = 8, shape: str = CIRCULAR) -> Red
 
 def score_bound(inst: SatInstance, shape: str = CIRCULAR, k: int = 8) -> Fraction:
     """The score reached exactly by the encodings of satisfying assignments
-    of a normalized instance (`_Sizes.bound`)."""
+    of a normalized instance (`_Sizes.bound`), for the k and shape that
+    `build_reduction` accepts."""
     check_normalized(inst)
+    _check_k_shape(k, shape)
     return _size_model(inst, k).bound(shape)
 
 

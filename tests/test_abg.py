@@ -336,6 +336,23 @@ def test_constructor_reads_its_parts_once():
     assert got.d_edges == ((0, 3), (1, 4), (2, 5))
 
 
+def test_constructor_keeps_plain_tuples_as_squares():
+    """Squares given as plain 4-tuples are kept as `Square`s, so the
+    engines and `to_dot` read the graph that `Square`s build."""
+    s, d = random_cognate_pair(8, True, 6, 3)
+    g = build_abg(s, singularize(d))
+    want = AmbiguousBreakpointGraph(g.labels, g.squares, g.d_edges)
+    got = AmbiguousBreakpointGraph(g.labels, [tuple(sq) for sq in g.squares], g.d_edges)
+    assert all(type(sq) is Square for sq in got.squares) and got.squares == want.squares
+    for solve in (solver.ss_naive, solver.ss_mis):
+        a, b = solve(got, 8), solve(want, 8)
+        assert (a.score, a.tau) == (b.score, b.tau)
+    assert to_dot(got) == to_dot(want)
+    assert to_dot(got, a.tau) == to_dot(want, a.tau)
+    with pytest.raises(TypeError):
+        AmbiguousBreakpointGraph(g.labels, [tuple(g.squares[0])[:3]], [])
+
+
 def test_degree_sequence_needs_a_square_and_a_fixed_edge_at_every_vertex():
     square = [Square(0, 1, 2, 3)]
     d_edges = [(0, 3), (1, 2)]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -6,6 +7,8 @@ import pytest
 from doubledist.abg import build_abg, to_dot
 from doubledist.cli import fmt_half, run
 from doubledist.genomes import format_genome, parse_genome, random_cognate_pair, singularize
+
+from satgen import random_normalized_instance
 
 MIXED_A = "(1 2)\n[3 -4]\n"
 MIXED_B = "(1 -3 2)\n[4]\n"
@@ -302,3 +305,37 @@ def test_export_dot_to_file(files, tmp_path, capsys):
     assert run(["export-dot", "--out", str(out), files["a.genome"], files["b.genome"]]) == 0
     assert capsys.readouterr().out == ""
     assert out.read_text().startswith("graph bg {")
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_seeded_outputs_are_the_pinned_ones(tmp_path, capsys):
+    """The seeded 5000-gene pair, the `reduce --k 10` bundle of a seeded
+    formula and that formula's `verify reduction --k 12` line, each as
+    pinned when it was first written."""
+    pair = tmp_path / "pair.txt"
+    assert run(["gen", "--n", "5000", "--pair", "--wgd", "--ops", "5000", "--seed", "1"]) == 0
+    pair.write_text(capsys.readouterr().out)
+    assert _sha256(pair) == "7404e88eec90f5be69c09ff2a15e4e4214341f1ec1023dc445642990f9907911"
+
+    inst = random_normalized_instance(4, 1)
+    formula = tmp_path / "formula.cnf"
+    formula.write_text("p cnf %d %d\n" % (inst.var_count, len(inst.clauses)) + "".join(
+        " ".join(map(str, (*clause, 0))) + "\n" for clause in inst.clauses))
+    bundle = tmp_path / "bundle"
+    assert run(["reduce", "--k", "10", str(formula), "--out", str(bundle)]) == 0
+    capsys.readouterr()
+    names = ("S.genome", "D.genome", "abg.dot", "meta.json")
+    assert {name: _sha256(bundle / name) for name in names} == {
+        "S.genome": "cc4e2e30f25cf85d1edf9e691ef4f1c114d3d2621c9885303896c973fa13b410",
+        "D.genome": "432c25bee326bacca6553a5e14de7266f82ff7c039335aa59a23f5c624e59d2a",
+        "abg.dot": "19c62c951402635bb0146d2cb7eda8c6a70c553ad42e240e211dc2279f23a396",
+        "meta.json": "438ce3d2219ede71130dddc183393e571c2c3d1662f3af29b02e4025f497f74e",
+    }
+
+    for shape in ("circular", "linear"):
+        assert run(["verify", "reduction", "--k", "12", "--shape", shape, str(formula)]) == 0
+        assert capsys.readouterr().out == (
+            "reduction k=12 shape=%s min_cycle_ok=True candidates=38/38 degree_ok=True\n" % shape)

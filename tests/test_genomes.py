@@ -107,9 +107,27 @@ def test_parse_errors():
         assert repr(token) in str(err.value)
 
 
+def _reference_parse_gene_token(token, line, col):
+    """The gene-token rule of the character scanner below, checked one
+    field at a time."""
+    body = token
+    rev = body.startswith("-")
+    if rev:
+        body = body[1:]
+    copy = ""
+    if "." in body:
+        body, _, copy = body.partition(".")
+        if copy not in ("a", "b"):
+            raise ParseError("bad copy suffix in %r" % token, line, col)
+    if not (body.isascii() and body.isdigit()) or int(body) == 0:
+        raise ParseError("bad gene token %r" % token, line, col)
+    return Gene(int(body), copy, rev)
+
+
 def _reference_parse_genome(text):
-    """The character scanner parse_genome used before its compiled scan,
-    kept as the reference its results and errors are checked against."""
+    """The character scanner parse_genome once used, kept as the
+    reference its results and errors are checked against; it reads no
+    private name of the genomes module."""
     chroms = []
     current = None  # (closer, genes, line, col)
     line = 1
@@ -155,7 +173,7 @@ def _reference_parse_genome(text):
         token = text[i:j]
         if current is None:
             raise ParseError("gene %r outside chromosome" % token, line, col)
-        current[1].append(genomes_module._parse_gene_token(token, line, col))
+        current[1].append(_reference_parse_gene_token(token, line, col))
         col += j - i - 1
         i = j
     if current is not None:
@@ -226,6 +244,12 @@ def test_parse_matches_the_character_scanner_on_genome_texts(chroms, seps):
         ("[1 \u00b2]", ("bad gene token '\u00b2'", 1, 4)),
         ("[1 \u0661\u0662]", ("bad gene token '\u0661\u0662'", 1, 4)),
         ("[1\n  -\u0663.a]", ("bad gene token '-\u0663.a'", 2, 3)),
+        ("[1 [2]]", ("nested chromosome bracket", 1, 4)),
+        ("[1 2)", ("unmatched ')'", 1, 5)),
+        ("[1]\n  ()", ("empty chromosome", 2, 3)),
+        ("[1 2.c]", ("bad copy suffix in '2.c'", 1, 4)),
+        ("(1 -2.ab)", ("bad copy suffix in '-2.ab'", 1, 4)),
+        ("[1 2]\n# c\n[3 x.a]", ("bad gene token 'x.a'", 3, 4)),
     ],
 )
 def test_parse_edge_cases_match_the_character_scanner(text, outcome):
@@ -272,7 +296,7 @@ def _parse_path_texts():
 
 def test_plain_parse_path_matches_the_scanner():
     """parse_genome reads a text of digits, '-', brackets and whitespace
-    without the compiled scan.  Every text the scanner accepts must give
+    without the token scanner.  Every text the scanner accepts must give
     the same chromosomes, and every text it refuses the same error at the
     same line and column."""
     def scanned(text):
@@ -628,9 +652,12 @@ def test_doublings_two_gene_circular():
 
 def test_doublings_all_doubled_after_erasure():
     for text in ("(1 2)", "[1 2]\n(3)", "(1)\n(2)"):
-        for b in enumerate_resolved_doublings(parse_genome(text)):
+        s = parse_genome(text)
+        a2, t2, _ = double(s)
+        for b in enumerate_resolved_doublings(s):
             assert b.is_indexed()
-            assert b.erase_indices().is_doubled()
+            erased = b.erase_indices()
+            assert erased.adjacencies == a2 and erased.telomeres == t2
 
 
 def _labeled_occurrence_doublings(s):
@@ -1028,7 +1055,9 @@ def test_random_genome_bad_params():
 def test_random_cognate_pair_wgd():
     s, d = random_cognate_pair(2, wgd=True, ops=0, seed=1)
     assert classify_pair(s, d) == PairClass.ONE_TWO_COGNATE
-    assert d.is_doubled()
+    a2, t2, _ = double(s)
+    erased = d.erase_indices()
+    assert erased.adjacencies == a2 and erased.telomeres == t2
 
 
 @pytest.mark.parametrize("wgd", [True, False])

@@ -362,6 +362,19 @@ def test_score_bound_circular_same_for_all_k():
     assert score_bound(inst, "circular", 12) == 20
 
 
+@pytest.mark.parametrize("shape, k", [
+    ("linear", 2), ("linear", 6), ("linear", 7), ("circular", 9), ("circular", 8.0),
+    ("lnear", 8), ("Circular", 10),
+])
+def test_score_bound_refuses_what_build_reduction_refuses(shape, k):
+    inst = demo_instance()
+    with pytest.raises(ValueError) as built:
+        build_reduction(inst, k=k, shape=shape)
+    with pytest.raises(ValueError) as bounded:
+        score_bound(inst, shape, k)
+    assert str(bounded.value) == str(built.value)
+
+
 def test_build_reduction_sizes_its_instance_once(monkeypatch):
     calls = []
     size_model = reduction._size_model
