@@ -5,6 +5,14 @@ positive integer gene ids.  A gene occurrence may carry a copy index
 (``a``/``b``) in singularized genomes; the empty string means "no index".
 Chromosomes are stored in canonical form (lexicographically least among
 rotations and reverse complements), so equality and hashing are structural.
+
+Gene values and one-gene chromosomes are shared immutable objects: the
+parser, `singularize` and `reduction.extract_genomes` take each one, for
+gene ids up to 2**16, from a table that builds it once (`_Shared`), and
+build larger ids fresh.  Both are tuple subclasses, which CPython's cycle
+collector keeps tracked for life (it untracks only exact tuples of
+atoms), so sharing them spares the allocations and every older-generation
+collection the tracing of their repeats.
 """
 
 from __future__ import annotations
@@ -12,11 +20,12 @@ from __future__ import annotations
 import math
 import random
 import re
+import threading
 from bisect import bisect_right
 from collections import Counter, namedtuple
-from functools import cached_property
-from itertools import accumulate, chain, compress, count, islice, product, repeat
-from operator import add, gt, itemgetter, lt
+from functools import cached_property, partial
+from itertools import accumulate, chain, compress, count, islice, product
+from operator import add, gt, itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 HEAD = "h"
@@ -47,7 +56,14 @@ class Gene(NamedTuple):
 
     The field order is the canonical gene order: genes compare by id, then
     copy index, then forward before reversed, so plain tuple comparison
-    orders genes and gene sequences canonically."""
+    orders genes and gene sequences canonically.
+
+    A gene is immutable and equal to any gene of the same fields, so the
+    library shares them: for an id up to 2**16 and a copy index of "", "a"
+    or "b", its readers and builders return the one value that a table
+    built (see `_Shared`).  As a tuple subclass a gene stays tracked by
+    the cycle collector for life, so each repeat would be traced again by
+    every older-generation collection."""
 
     gid: int
     copy: str = ""
@@ -192,6 +208,95 @@ class Chromosome(namedtuple("Chromosome", "shape genes")):
         if self.shape == CIRCULAR:
             out.append(adjacency(self.right_extremity(), self.left_extremity()))
         return out
+
+
+# -- shared values -------------------------------------------------------
+#
+# A gene, and a one-gene chromosome read forward, is fully determined by
+# its fields, so it is shared as CPython shares small ints (see the module
+# docstring).  The tables hold such values only, nothing keyed by an input,
+# and are empty until first read.
+
+# The largest gene id whose values are shared; larger ids are built fresh.
+_SHARED_IDS = 1 << 16
+_GROWING = threading.Lock()  # held while a table grows
+
+
+class _Shared:
+    """A table of shared values: key g holds make(g) and key -g make(-g),
+    each built when first asked for.  Only `take` and `one` read the
+    table.  It has a slot for each key up to the largest |key| asked for,
+    doubling as it grows, but never past _SHARED_IDS.  So whatever the
+    ids, it holds at most 2 * _SHARED_IDS + 1 slots (1 MB of list) and
+    2 * _SHARED_IDS = 131,072 values (about 15 MB when every one is built,
+    as a gene or a one-gene chromosome).  A key beyond that bound is built
+    fresh by make on each call, and so is every key of a `take` that holds
+    one."""
+
+    __slots__ = ("_make", "_values")
+
+    def __init__(self, make):
+        self._make = make
+        # make(x), or None until built, at index x for 0 < |x| <= size,
+        # where len is 2 * size + 1
+        self._values = [None]
+
+    def _holds(self, top):
+        """Whether the table has slots for the keys up to top, grown to them
+        when top is within the bound.  A growth is one slice insertion, which
+        keeps every key's slot, under a lock: so a thread that reads the
+        table while another grows it still finds each key where it was."""
+        values = self._values
+        if top <= len(values) >> 1:
+            return True
+        if top > _SHARED_IDS:
+            return False
+        with _GROWING:
+            size = len(values) >> 1
+            if top > size:  # not grown meanwhile by another thread
+                grown = min(max(top, 2 * size), _SHARED_IDS)
+                values[size + 1 : size + 1] = [None] * (2 * (grown - size))
+        return True
+
+    def take(self, keys):
+        """The values of a sequence of nonzero int keys, as a new list."""
+        values = self._values
+        top = max(max(keys, default=0), -min(keys, default=0))
+        if top > len(values) >> 1 and not self._holds(top):
+            return [*map(self._make, keys)]
+        got = [*map(values.__getitem__, keys)]
+        # every value is a nonempty tuple: a falsy item is an empty slot
+        return got if all(got) else [*map(self.one, keys)]
+
+    def one(self, key):
+        """The value of one nonzero int key."""
+        values = self._values
+        if -len(values) < 2 * key < len(values) or self._holds(abs(key)):
+            value = values[key]
+            if value is None:
+                value = values[key] = self._make(key)
+            return value
+        return self._make(key)
+
+
+def _fresh_gene(copy, x):
+    """Gene |x| with copy index copy, reversed when x < 0."""
+    return _new(Gene, (abs(x), copy, x < 0))
+
+
+def _fresh_one_gene(copy, x):
+    """The chromosome of gene |x| with copy index copy, read forward:
+    circular when x > 0, linear when x < 0."""
+    return _new(Chromosome, (CIRCULAR if x > 0 else LINEAR,
+                             (_GENE_TABLES[copy].one(abs(x)),)))
+
+
+# copy index -> its genes, keyed by the signed gene id (-g reads gene g
+# reversed)
+_GENE_TABLES = {copy: _Shared(partial(_fresh_gene, copy)) for copy in ("", "a", "b")}
+# copy index -> its one-gene chromosomes, keyed by the gene id, negated for
+# the linear one
+_ONE_GENE_TABLES = {copy: _Shared(partial(_fresh_one_gene, copy)) for copy in ("", "a", "b")}
 
 
 def linear(*genes) -> Chromosome:
@@ -434,11 +539,16 @@ def _plain_chromosomes(text):
     pair match, and each body hold at least one token.  Over these
     characters `int` accepts exactly the tokens -?[0-9]+, so with 0
     refused it accepts the gene tokens of `_GENE` that have no copy
-    letter, leading zeros included."""
+    letter, leading zeros included.
+
+    The genes, and the one-gene chromosomes, are the shared values of the
+    tables (see `_Shared`): a signed id is a key of the gene table."""
     parts = _BRACKET.split(text)
     if len(parts) % 4 != 1 or "".join(parts[::4]).strip():
         return None
+    genes = _GENE_TABLES[""]
     chroms = []
+    singles = []  # the keys of the one-gene chromosomes
     for brackets, body in zip(map(add, parts[1::4], parts[3::4]), parts[2::4]):
         shape = _SHAPES.get(brackets)
         try:
@@ -448,10 +558,12 @@ def _plain_chromosomes(text):
         if shape is None or not ids or 0 in ids:
             return None
         if len(ids) == 1:  # canonical: its gene read forward
-            chroms.append(_new(Chromosome, (shape, (_new(Gene, (abs(ids[0]), "", False)),))))
+            gid = abs(ids[0])
+            singles.append(gid if shape == CIRCULAR else -gid)
         else:
-            chroms.append(Chromosome(shape, [*map(
-                _new, repeat(Gene), zip(map(abs, ids), repeat(""), map(lt, ids, repeat(0))))]))
+            chroms.append(Chromosome(shape, genes.take(ids)))
+    if singles:
+        chroms += _ONE_GENE_TABLES[""].take(singles)
     return chroms or None
 
 
@@ -556,25 +668,38 @@ def singularize(d: Genome) -> Genome:
     whose ends have different ids is decided by the ids, as in d.  If both
     ends have the same id, they are the two copies of that gene: the left
     end becomes a and the right end b, so the ends decide in favour of the
-    reading as it stands."""
+    reading as it stands.
+
+    The relabeled genes, and the one-gene chromosomes, are the shared
+    values of the tables (see `_Shared`)."""
     if not d.is_duplicated():
         raise GenomeError("singularize() needs a duplicated genome")
     if d.is_indexed():
         return d
+    a_gene = _GENE_TABLES["a"].one
+    b_gene = _GENE_TABLES["b"].one
+    a_single = _ONE_GENE_TABLES["a"].one
+    b_single = _ONE_GENE_TABLES["b"].one
     seen = set()
     chroms = []
     for shape, genes in d.chromosomes:
         if len(genes) == 1:  # read forward, as d's genes are canonical
             gid = genes[0][0]
-            copy = "b" if gid in seen else "a"
-            seen.add(gid)
-            chroms.append(_new(Chromosome, (shape, (_new(Gene, (gid, copy, False)),))))
+            key = gid if shape == CIRCULAR else -gid
+            if gid in seen:
+                chroms.append(b_single(key))
+            else:
+                seen.add(gid)
+                chroms.append(a_single(key))
             continue
         relabeled = []
         for gid, _, rev in genes:
-            copy = "b" if gid in seen else "a"
-            seen.add(gid)
-            relabeled.append(_new(Gene, (gid, copy, rev)))
+            key = -gid if rev else gid
+            if gid in seen:
+                relabeled.append(b_gene(key))
+            else:
+                seen.add(gid)
+                relabeled.append(a_gene(key))
         chroms.append(_new(Chromosome, (shape, tuple(relabeled))))
     return Genome._built(chroms, Counter(d.ids), _INDEXED)
 

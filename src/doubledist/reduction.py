@@ -30,10 +30,11 @@ from .bpgraph import ComponentCensus
 from .genomes import (
     CIRCULAR,
     LINEAR,
+    _GENE_TABLES,
     _INDEXED,
+    _ONE_GENE_TABLES,
     _PLAIN,
     Chromosome,
-    Gene,
     Genome,
     GenomeError,
     _new,
@@ -916,6 +917,10 @@ def extract_genomes(r: ReductionOutput):
     in D, so extraction builds no Extremity and no second genome to erase.
     Both D genomes hold every gene id twice by construction, so they are
     built with no validation (`Genome._built`), under its gene count.
+    Their genes, S's, and the one-gene circles are the shared immutable
+    values of `genomes`' tables (see `genomes._Shared`): up to gene id
+    2**16 each is built once per process, not once per extraction, and no
+    collection traces its repeats.
 
     Every vertex must map to exactly one extremity and every extremity have
     a vertex, and every square vertex needs a fixed edge; otherwise
@@ -936,8 +941,7 @@ def extract_genomes(r: ReductionOutput):
             ext_of[uhat] = beta + 1
             ext_of[v] = gamma
             ext_of[vhat] = gamma + 1
-        genes = [_new(Gene, (i, "", False)) for i in range(1, n_sq + 1)]
-        s = Genome([Chromosome(CIRCULAR, genes)])
+        s = Genome([Chromosome(CIRCULAR, _GENE_TABLES[""].take(range(1, n_sq + 1)))])
     else:
         n = 2 * n_sq
         for i, (u, v, uhat, vhat) in enumerate(graph.squares):
@@ -949,11 +953,8 @@ def extract_genomes(r: ReductionOutput):
         # padding vertex j is tail copy j % 2 of gene j // 2 + 1
         for j, v in enumerate(padding):
             ext_of[v] = 4 * (j >> 1) + 2 + (j & 1)
-        s = Genome([
-            Chromosome(LINEAR, [_new(Gene, (2 * i + 1, "", False)),
-                                _new(Gene, (2 * i + 2, "", True))])
-            for i in range(n_sq)
-        ])
+        genes = _GENE_TABLES[""].take([x for i in range(n_sq) for x in (2 * i + 1, -2 * i - 2)])
+        s = Genome([Chromosome(LINEAR, pair) for pair in zip(genes[::2], genes[1::2])])
         if len(s.identities) != n:
             raise RuntimeError(
                 "linear extraction built %d genes, not %d" % (len(s.identities), n)
@@ -978,21 +979,24 @@ def extract_genomes(r: ReductionOutput):
     # A copy whose tail's partner is its own head is a one-gene circle: all
     # of these are made at once, and _trace walks the other ids.
     loops = [e for e in range(n_vertices) if e & 2 and partner[e] == e ^ 2]
-    indexed = [_new(Chromosome, (CIRCULAR, (_new(Gene, ((e >> 2) + 1, "ab"[e & 1], False)),)))
-               for e in loops]
-    erased = [_new(Chromosome, (CIRCULAR, (_new(Gene, ((e >> 2) + 1, "", False)),)))
-              for e in loops]
+    a_loops = [(e >> 2) + 1 for e in loops if not e & 1]  # the gene ids of copy a's
+    b_loops = [(e >> 2) + 1 for e in loops if e & 1]
+    indexed = _ONE_GENE_TABLES["a"].take(a_loops) + _ONE_GENE_TABLES["b"].take(b_loops)
+    erased = _ONE_GENE_TABLES[""].take(a_loops + b_loops)
     rest = [e for e in range(n_vertices) if partner[e ^ 2] != e]
+    a_gene = _GENE_TABLES["a"].one
+    b_gene = _GENE_TABLES["b"].one
+    plain = _GENE_TABLES[""]
     for shape, entries in _trace(partner, rest):
         genes = []
-        plain = []
+        keys = []  # the signed gene ids
         for e in entries:
             gid = (e >> 2) + 1
-            rev = not e & 2  # entered at its head
-            genes.append(_new(Gene, (gid, "b" if e & 1 else "a", rev)))
-            plain.append(_new(Gene, (gid, "", rev)))
+            key = gid if e & 2 else -gid  # reversed when entered at its head
+            keys.append(key)
+            genes.append(b_gene(key) if e & 1 else a_gene(key))
         indexed.append(Chromosome(shape, genes))
-        erased.append(Chromosome(shape, plain))
+        erased.append(Chromosome(shape, plain.take(keys)))
     # D holds every gene id twice: plain in D, as a and b in the indexed D
     ids = dict.fromkeys(range(1, n_vertices // 4 + 1), 2)
     return (s, Genome._built(erased, Counter(ids), _PLAIN),

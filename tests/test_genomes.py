@@ -2,6 +2,7 @@ import gc
 import hashlib
 import random
 import sys
+import threading
 from collections import Counter
 from itertools import product
 
@@ -859,6 +860,117 @@ def test_repeated_erasures_keep_no_memory():
     finally:
         gc.enable()
     assert grown < 30
+
+
+# === shared values ===
+
+
+_BOUND = genomes_module._SHARED_IDS
+
+
+def _fresh_plain_genome(text):
+    """The genome of a plain text of one chromosome a line, built by the
+    public constructors."""
+    return Genome(
+        Chromosome(LINEAR if line[0] == "[" else CIRCULAR,
+                   [Gene(abs(x), "", x < 0) for x in map(int, line[1:-1].split())])
+        for line in text.splitlines()
+    )
+
+
+def _assert_exact_values(genome):
+    for ch in genome.chromosomes:
+        assert type(ch) is Chromosome and type(ch.genes) is tuple, ch
+    _assert_exact_genes(genome)
+
+
+def _table_sizes():
+    tables = genomes_module._GENE_TABLES | {
+        ("one gene", copy): table for copy, table in genomes_module._ONE_GENE_TABLES.items()}
+    return {name: len(table._values) for name, table in tables.items()}
+
+
+def test_shared_values_equal_fresh_ones():
+    """A parsed plain genome and a singularized one equal the genomes that
+    the public constructors build, value for value, with every chromosome
+    and gene of its exact type; ids up to the bound are shared and the one
+    above it is built fresh."""
+    rng = random.Random(41)
+    texts = ["(1 -3 2)\n(4)\n[5 -6]", "[5]", "[-5]", "(-5)", "[-7 -8 -9]\n(-10 -11)",
+             "[%d]" % _BOUND, "(-%d)" % (_BOUND + 1),
+             "[%d -%d]\n(%d)\n[-%d]" % (_BOUND, _BOUND + 1, _BOUND + 1, _BOUND)]
+    for seed in range(40):
+        n = rng.randint(1, 60)
+        s, d = random_cognate_pair(n, seed % 2 == 0, rng.randint(0, 2 * n), seed)
+        texts += [format_genome(s), format_genome(d)]
+    for text in texts:
+        got = parse_genome(text)
+        assert got.chromosomes == _fresh_plain_genome(text).chromosomes, text
+        _assert_exact_values(got)
+    assert parse_genome("[%d]" % _BOUND).chromosomes[0] is parse_genome("[-%d]" % _BOUND).chromosomes[0]
+    above = parse_genome("[%d]" % (_BOUND + 1)).chromosomes[0]
+    assert above == parse_genome("[%d]" % (_BOUND + 1)).chromosomes[0]
+    assert above is not parse_genome("[%d]" % (_BOUND + 1)).chromosomes[0]
+    for seed in range(60):
+        _, d = random_cognate_pair(1 + seed, True, rng.randint(0, 2 + 2 * seed), seed)
+        got = singularize(d)
+        assert got.chromosomes == _reference_singularize(d).chromosomes, d
+        _assert_exact_values(got)
+
+
+def test_shared_tables_stay_bounded():
+    """A sparse id grows no table, which never has more slots than twice
+    the bound, plus one: the genes and chromosomes of a read that holds
+    such an id are built fresh."""
+    for text in ("(1000000000)\n(1000000000)", "[3 -1000000000]",
+                 "(%d)\n[-%d]" % (_BOUND + 1, _BOUND + 1)):
+        before = _table_sizes()
+        g = parse_genome(text)
+        assert g.chromosomes == _fresh_plain_genome(text).chromosomes
+        _assert_exact_values(g)
+        if g.is_duplicated():
+            indexed = singularize(g)
+            assert indexed.chromosomes == _reference_singularize(g).chromosomes
+            _assert_exact_values(indexed)
+        sizes = _table_sizes()
+        assert sizes == before and max(sizes.values()) <= 2 * _BOUND + 1, sizes
+
+
+def test_shared_table_growth_is_safe_across_threads():
+    """Threads that read and grow one table at once each get the value of
+    every key they ask for, and the table keeps each key's slot: four
+    threads on two cores, the interpreter switching every microsecond,
+    over 150 fresh tables that each grow from empty to 512 ids."""
+    failures = []
+
+    def read(table, seed):
+        rng = random.Random(seed)
+        for top in range(1, 513, 7):
+            keys = [rng.choice((1, -1)) * rng.randint(1, top) for _ in range(6)]
+            got = table.take(keys) + [table.one(keys[0])]
+            if got != [Gene(abs(x), "a", x < 0) for x in keys + keys[:1]]:
+                failures.append((seed, top))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(150):
+            table = genomes_module._Shared(
+                lambda x: _new(Gene, (abs(x), "a", x < 0)))
+            threads = [threading.Thread(target=read, args=(table, 4 * round_ + i))
+                       for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            values = table._values
+            size = len(values) // 2
+            assert all(v is None or v == Gene(i if i <= size else len(values) - i, "a", i > size)
+                       for i, v in enumerate(values) if i)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not failures, failures[:5]
 
 
 # === DCJ ===

@@ -1,7 +1,9 @@
 import collections
 import dataclasses
+import gc
 import hashlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -631,6 +633,12 @@ def _extremity_keyed_extract(r):
     """The extraction through an Extremity map, the tuple walk and
     `erase_indices`, as extract_genomes did before it walked integer
     extremity ids."""
+    s, d_check = _extremity_keyed_s_and_indexed_d(r)
+    return s, d_check.erase_indices(), d_check
+
+
+def _extremity_keyed_s_and_indexed_d(r):
+    """S and the indexed D of `_extremity_keyed_extract`."""
     graph = r.graph
     n_sq = graph.a_star
     circular = r.shape == "circular"
@@ -658,8 +666,7 @@ def _extremity_keyed_extract(r):
             for i in range(n_sq)
         ])
     d_adjs = [(vertex_ext[x], vertex_ext[y]) for x, y in graph.d_edges]
-    d_check = _tuple_genome(d_adjs, telos)
-    return s, d_check.erase_indices(), d_check
+    return s, _tuple_genome(d_adjs, telos)
 
 
 def _refuse(*a):
@@ -724,6 +731,96 @@ def test_extracted_genomes_equal_the_checked_construction():
                 for g in (d, indexed, singular):
                     _assert_equals_the_checked_build(g)
                 assert len({id(d.ids), id(indexed.ids), id(singular.ids)}) == 3
+
+
+def _fresh_erased(g):
+    """g with its copy indices erased, rebuilt gene by gene by the public
+    constructors."""
+    return Genome(
+        Chromosome(ch.shape, [Gene(gene.gid, "", gene.rev) for gene in ch.genes])
+        for ch in g.chromosomes
+    )
+
+
+def test_extracted_shared_values_equal_fresh_ones():
+    """extract_genomes, whose genes and one-gene chromosomes are shared
+    values, gives over the reduction corpus, in both shapes at k 8 to 12,
+    the genomes that the extremity-keyed reference builds from fresh ones,
+    with every chromosome and gene of its exact type."""
+    compared = 0
+    for inst in reduction_corpus():
+        for k in (8, 10, 12):
+            for shape in ("circular", "linear"):
+                r = build_reduction(inst, k=k, shape=shape)
+                # the reference builds S and the indexed D from fresh genes
+                s, indexed = _extremity_keyed_s_and_indexed_d(r)
+                expected = (s, _fresh_erased(indexed), indexed)
+                got = extract_genomes(r)
+                assert [g.chromosomes for g in got] == [g.chromosomes for g in expected]
+                for g in got:
+                    for ch in g.chromosomes:
+                        assert type(ch) is Chromosome and type(ch.genes) is tuple
+                        assert all(type(gene) is Gene for gene in ch.genes)
+                compared += 1
+    assert compared == 186
+
+
+def _round_trip(r):
+    """The genome half of the reduction workload: extract, write, read
+    back, singularize and rebuild the graph."""
+    s, d, _ = extract_genomes(r)
+    s2 = genomes.parse_genome(format_genome(s))
+    d2 = genomes.parse_genome(format_genome(d))
+    return build_abg(s2, singularize(d2))
+
+
+def test_repeated_round_trips_keep_no_memory():
+    """The shared-value tables grow only to the largest id asked for, so
+    once warm a round trip leaves nothing behind: with the cycle collector
+    off, 200 round trips grow the allocated blocks by fewer than 200, less
+    than one block a round trip."""
+    r = build_reduction(random_normalized_instance(3, 1), k=8)
+    for _ in range(20):
+        _round_trip(r)
+    gc.collect()
+    gc.disable()
+    try:
+        _round_trip(r)  # refills what the collection emptied
+        before = sys.getallocatedblocks()
+        for _ in range(200):
+            _round_trip(r)
+        grown = sys.getallocatedblocks() - before
+    finally:
+        gc.enable()
+    assert grown < 200
+
+
+def _held(table):
+    """The values a shared-value table has built, by key."""
+    values = table._values[:]
+    size = len(values) // 2
+    return {i if i <= size else i - len(values): value
+            for i, value in enumerate(values) if value is not None}
+
+
+def test_shared_tables_hold_their_keys():
+    """After the round trip of the pinned formula in both shapes, every
+    value that a shared-value table holds equals its key's fresh value."""
+    inst = random_normalized_instance(4, 1)
+    for shape in ("circular", "linear"):
+        _round_trip(build_reduction(inst, k=10, shape=shape))
+    for copy, table in genomes._GENE_TABLES.items():
+        held = _held(table)
+        assert held, copy
+        for x, gene in held.items():
+            assert gene == Gene(abs(x), copy, x < 0), (copy, x)
+            assert type(gene) is Gene and type(gene.rev) is bool
+    for copy, table in genomes._ONE_GENE_TABLES.items():
+        held = _held(table)
+        assert held, copy
+        for x, ch in held.items():
+            assert ch == Chromosome("circular" if x > 0 else "linear", [Gene(abs(x), copy)])
+            assert type(ch) is Chromosome and type(ch.genes[0]) is Gene
 
 
 def _with_two_more_vertices(r, d_edges=()):
