@@ -8,11 +8,12 @@ rotations and reverse complements), so equality and hashing are structural.
 
 Gene values and one-gene chromosomes are shared immutable objects: the
 parser, `singularize` and `reduction.extract_genomes` take each one, for
-gene ids up to 2**16, from a table that builds it once (`_Shared`), and
-build larger ids fresh.  Both are tuple subclasses, which CPython's cycle
-collector keeps tracked for life (it untracks only exact tuples of
-atoms), so sharing them spares the allocations and every older-generation
-collection the tracing of their repeats.
+gene ids up to 2**16, from a dict that builds it when first read and keeps
+only the ids read (`_Shared`), and build larger ids fresh.  Both are tuple
+subclasses, which CPython's cycle collector keeps tracked for life (it
+untracks only exact tuples of atoms), so sharing them spares the
+allocations and every older-generation collection the tracing of their
+repeats.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import math
 import random
 import re
-import threading
 from bisect import bisect_right
 from collections import Counter, namedtuple
 from functools import cached_property, partial
@@ -59,11 +59,11 @@ class Gene(NamedTuple):
     orders genes and gene sequences canonically.
 
     A gene is immutable and equal to any gene of the same fields, so the
-    library shares them: for an id up to 2**16 and a copy index of "", "a"
-    or "b", its readers and builders return the one value that a table
-    built (see `_Shared`).  As a tuple subclass a gene stays tracked by
-    the cycle collector for life, so each repeat would be traced again by
-    every older-generation collection."""
+    library shares them: for an int id up to 2**16 and a copy index of "",
+    "a" or "b", its readers and builders return the one value that a table
+    built when the id was first read (see `_Shared`).  As a tuple subclass
+    a gene stays tracked by the cycle collector for life, so each repeat
+    would be traced again by every older-generation collection."""
 
     gid: int
     copy: str = ""
@@ -121,6 +121,7 @@ _GENES = itemgetter(1)  # of a Chromosome
 _IDENTITY = itemgetter(0, 1)  # (gid, copy) of a Gene
 _PLAIN = frozenset([""])  # the copies of a plain genome
 _INDEXED = frozenset(["a", "b"])  # the copies of an indexed genome
+_INT = frozenset([int])  # the types of a genome's ids
 
 
 def _revcomp(genes):
@@ -219,64 +220,35 @@ class Chromosome(namedtuple("Chromosome", "shape genes")):
 
 # The largest gene id whose values are shared; larger ids are built fresh.
 _SHARED_IDS = 1 << 16
-_GROWING = threading.Lock()  # held while a table grows
 
 
-class _Shared:
+class _Shared(dict):
     """A table of shared values: key g holds make(g) and key -g make(-g),
-    each built when first asked for.  Only `take` and `one` read the
-    table.  It has a slot for each key up to the largest |key| asked for,
-    doubling as it grows, but never past _SHARED_IDS.  So whatever the
-    ids, it holds at most 2 * _SHARED_IDS + 1 slots (1 MB of list) and
-    2 * _SHARED_IDS = 131,072 values (about 15 MB when every one is built,
-    as a gene or a one-gene chromosome).  A key beyond that bound is built
-    fresh by make on each call, and so is every key of a `take` that holds
-    one."""
+    each built when first read.  Only the int keys within the bound,
+    -_SHARED_IDS <= key <= _SHARED_IDS, are kept, so the table holds just
+    the ids read, and at most 2 * _SHARED_IDS = 131,072 values: about 21 MB
+    (tracemalloc, Python 3.11) when every key of a gene table is built.
+    Any other key is built fresh by make on each read; a float equal to an
+    int key, kept, would hand its value to that key.  Two threads that miss
+    one key at once may each build its value; the values are equal, and
+    the table keeps one."""
 
-    __slots__ = ("_make", "_values")
+    __slots__ = ("_make",)
 
     def __init__(self, make):
         self._make = make
-        # make(x), or None until built, at index x for 0 < |x| <= size,
-        # where len is 2 * size + 1
-        self._values = [None]
 
-    def _holds(self, top):
-        """Whether the table has slots for the keys up to top, grown to them
-        when top is within the bound.  A growth is one slice insertion, which
-        keeps every key's slot, under a lock: so a thread that reads the
-        table while another grows it still finds each key where it was."""
-        values = self._values
-        if top <= len(values) >> 1:
-            return True
-        if top > _SHARED_IDS:
-            return False
-        with _GROWING:
-            size = len(values) >> 1
-            if top > size:  # not grown meanwhile by another thread
-                grown = min(max(top, 2 * size), _SHARED_IDS)
-                values[size + 1 : size + 1] = [None] * (2 * (grown - size))
-        return True
+    def __missing__(self, key):
+        value = self._make(key)
+        if type(key) is int and -_SHARED_IDS <= key <= _SHARED_IDS:
+            self[key] = value
+        return value
 
     def take(self, keys):
         """The values of a sequence of nonzero int keys, as a new list."""
-        values = self._values
-        top = max(max(keys, default=0), -min(keys, default=0))
-        if top > len(values) >> 1 and not self._holds(top):
-            return [*map(self._make, keys)]
-        got = [*map(values.__getitem__, keys)]
-        # every value is a nonempty tuple: a falsy item is an empty slot
-        return got if all(got) else [*map(self.one, keys)]
+        return [*map(self.__getitem__, keys)]
 
-    def one(self, key):
-        """The value of one nonzero int key."""
-        values = self._values
-        if -len(values) < 2 * key < len(values) or self._holds(abs(key)):
-            value = values[key]
-            if value is None:
-                value = values[key] = self._make(key)
-            return value
-        return self._make(key)
+    one = dict.__getitem__  # the value of one nonzero int key
 
 
 def _fresh_gene(copy, x):
@@ -369,9 +341,11 @@ class Genome:
         """The copy rule, read from the counts: every id once or twice plain,
         or once as a and once as b.  Contents that the counts alone do not
         settle (mixed plain and lettered copies, a bad id or copy index) go
-        through the per-identity checks, which name the fault."""
+        through the per-identity checks, which name the fault.  An id must be
+        an int: a bool or a float would print as itself, and equal ids share
+        the gene values of `_Shared`'s tables."""
         ids, copies = self.ids, self.copies
-        if min(ids) > 0:
+        if set(map(type, ids)) == _INT and min(ids) > 0:
             if copies == {""}:
                 if max(ids.values()) <= 2:
                     return
@@ -386,6 +360,8 @@ class Genome:
     def _check_each_identity(self):
         identities = self.identities
         for gid, copy in identities:
+            if type(gid) is not int:
+                raise GenomeError("gene ids must be ints, got %r" % (gid,))
             if gid <= 0:
                 raise GenomeError("gene ids must be positive, got %d" % gid)
             if copy not in ("", "a", "b"):
@@ -542,7 +518,8 @@ def _plain_chromosomes(text):
     letter, leading zeros included.
 
     The genes, and the one-gene chromosomes, are the shared values of the
-    tables (see `_Shared`): a signed id is a key of the gene table."""
+    tables (see `_Shared`): a signed id is a key of the gene table, and a
+    read keeps only its ids up to 2**16."""
     parts = _BRACKET.split(text)
     if len(parts) % 4 != 1 or "".join(parts[::4]).strip():
         return None
@@ -671,7 +648,8 @@ def singularize(d: Genome) -> Genome:
     reading as it stands.
 
     The relabeled genes, and the one-gene chromosomes, are the shared
-    values of the tables (see `_Shared`)."""
+    values of the tables (see `_Shared`), which keep only d's ids up to
+    2**16."""
     if not d.is_duplicated():
         raise GenomeError("singularize() needs a duplicated genome")
     if d.is_indexed():

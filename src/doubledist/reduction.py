@@ -920,7 +920,7 @@ def extract_genomes(r: ReductionOutput):
     Their genes, S's, and the one-gene circles are the shared immutable
     values of `genomes`' tables (see `genomes._Shared`): up to gene id
     2**16 each is built once per process, not once per extraction, and no
-    collection traces its repeats.
+    collection traces its repeats; a table keeps only the ids read.
 
     Every vertex must map to exactly one extremity and every extremity have
     a vertex, and every square vertex needs a fixed edge; otherwise

@@ -1,8 +1,10 @@
 import gc
 import hashlib
 import random
+import re
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 from itertools import product
 
@@ -884,10 +886,10 @@ def _assert_exact_values(genome):
     _assert_exact_genes(genome)
 
 
-def _table_sizes():
-    tables = genomes_module._GENE_TABLES | {
+def _tables():
+    """Every shared-value table, by name."""
+    return genomes_module._GENE_TABLES | {
         ("one gene", copy): table for copy, table in genomes_module._ONE_GENE_TABLES.items()}
-    return {name: len(table._values) for name, table in tables.items()}
 
 
 def test_shared_values_equal_fresh_ones():
@@ -919,12 +921,14 @@ def test_shared_values_equal_fresh_ones():
 
 
 def test_shared_tables_stay_bounded():
-    """A sparse id grows no table, which never has more slots than twice
-    the bound, plus one: the genes and chromosomes of a read that holds
-    such an id are built fresh."""
-    for text in ("(1000000000)\n(1000000000)", "[3 -1000000000]",
-                 "(%d)\n[-%d]" % (_BOUND + 1, _BOUND + 1)):
-        before = _table_sizes()
+    """No table ever holds a key beyond the bound, and a read grows a table
+    only by keys within the bound that it asked for: the genes and
+    chromosomes of a sparse id are built fresh on each read."""
+    texts = ("(1000000000)\n(1000000000)", "[3 -1000000000]",
+             "(%d)\n[-%d]" % (_BOUND + 1, _BOUND + 1),
+             "[%d -%d]\n(%d)\n[-%d]" % (_BOUND, _BOUND + 1, _BOUND + 1, _BOUND))
+    for text in texts:
+        before = {name: set(table) for name, table in _tables().items()}
         g = parse_genome(text)
         assert g.chromosomes == _fresh_plain_genome(text).chromosomes
         _assert_exact_values(g)
@@ -932,45 +936,92 @@ def test_shared_tables_stay_bounded():
             indexed = singularize(g)
             assert indexed.chromosomes == _reference_singularize(g).chromosomes
             _assert_exact_values(indexed)
-        sizes = _table_sizes()
-        assert sizes == before and max(sizes.values()) <= 2 * _BOUND + 1, sizes
+        asked = {gid for gid in g.ids if gid <= _BOUND}
+        for name, table in _tables().items():
+            assert all(abs(x) <= _BOUND for x in table), name
+            assert {abs(x) for x in set(table) - before[name]} <= asked, (text, name)
+        assert asked <= {abs(x) for x in genomes_module._GENE_TABLES[""]}, text
+    genes = genomes_module._GENE_TABLES["a"]
+    for x in (_BOUND, -_BOUND):
+        assert genes.one(x) is genes.take([x])[0]
+    for x in (_BOUND + 1, -_BOUND - 1):
+        assert genes.one(x) == genes.one(x) and genes.one(x) is not genes.one(x)
+
+
+def test_shared_tables_keep_only_the_ids_read():
+    """Reading ids near 2**16 keeps memory for those ids only: parsing a
+    pair whose ids reach 65536 and singularizing its D retain less than
+    100 KB of traced memory."""
+    parse_genome("[1 -2]\n(3)")  # the parse path's own first-use state
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        s = "[65536 -3]\n(65535)"
+        d = parse_genome(s + "\n" + s)
+        parse_genome(s)
+        singularize(d)
+        del d
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert grown < 100_000, grown
 
 
 def test_shared_table_growth_is_safe_across_threads():
-    """Threads that read and grow one table at once each get the value of
-    every key they ask for, and the table keeps each key's slot: four
+    """Threads that miss the same keys of one table at once each get every
+    key's value, and every value the table holds is its key's: four
     threads on two cores, the interpreter switching every microsecond,
-    over 150 fresh tables that each grow from empty to 512 ids."""
+    read one fresh table's keys in the same order, across the bound."""
     failures = []
+    keys = [x for g in range(_BOUND - 300, _BOUND + 40) for x in (g, -g)]
 
-    def read(table, seed):
+    def read(table, start, seed):
         rng = random.Random(seed)
-        for top in range(1, 513, 7):
-            keys = [rng.choice((1, -1)) * rng.randint(1, top) for _ in range(6)]
-            got = table.take(keys) + [table.one(keys[0])]
-            if got != [Gene(abs(x), "a", x < 0) for x in keys + keys[:1]]:
-                failures.append((seed, top))
+        start.wait()
+        for i in range(0, len(keys), 8):
+            batch = keys[i : i + 8]
+            got = table.take(batch) + [table.one(rng.choice(batch))]
+            want = [Gene(abs(x), "a", x < 0) for x in batch]
+            if got[:-1] != want or got[-1] not in want:
+                failures.append((seed, i))
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for round_ in range(150):
-            table = genomes_module._Shared(
-                lambda x: _new(Gene, (abs(x), "a", x < 0)))
-            threads = [threading.Thread(target=read, args=(table, 4 * round_ + i))
+        for round_ in range(10):
+            table = genomes_module._Shared(lambda x: _new(Gene, (abs(x), "a", x < 0)))
+            start = threading.Barrier(4)
+            threads = [threading.Thread(target=read, args=(table, start, 4 * round_ + i))
                        for i in range(4)]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join(timeout=30)
             assert not any(t.is_alive() for t in threads)
-            values = table._values
-            size = len(values) // 2
-            assert all(v is None or v == Gene(i if i <= size else len(values) - i, "a", i > size)
-                       for i, v in enumerate(values) if i)
+            assert len(table) == 2 * 301
+            assert all(v == Gene(abs(x), "a", x < 0) and abs(x) <= _BOUND
+                       for x, v in table.items())
     finally:
         sys.setswitchinterval(switch)
     assert not failures, failures[:5]
+
+
+def test_gene_ids_must_be_ints():
+    """A genome refuses a gene id that is not an int, naming it; a table
+    keeps no value of a key that is not an int, which would share it with
+    the equal int."""
+    for gid, genes in ((1.5, [Gene(1.5), Gene(2)]), ("x", [Gene("x")]),
+                       (True, [Gene(True), Gene(2)])):
+        with pytest.raises(GenomeError, match=re.escape("gene ids must be ints, got %r" % (gid,))):
+            Genome([Chromosome(LINEAR, genes)] * 2)
+    table = genomes_module._Shared(lambda x: _new(Gene, (abs(x), "a", x < 0)))
+    assert table.take([5.0, True]) == [Gene(5, "a"), Gene(1, "a")] and not table
+    assert type(table.one(5).gid) is int and list(table) == [5]
 
 
 # === DCJ ===

@@ -795,14 +795,6 @@ def test_repeated_round_trips_keep_no_memory():
     assert grown < 200
 
 
-def _held(table):
-    """The values a shared-value table has built, by key."""
-    values = table._values[:]
-    size = len(values) // 2
-    return {i if i <= size else i - len(values): value
-            for i, value in enumerate(values) if value is not None}
-
-
 def test_shared_tables_hold_their_keys():
     """After the round trip of the pinned formula in both shapes, every
     value that a shared-value table holds equals its key's fresh value."""
@@ -810,13 +802,13 @@ def test_shared_tables_hold_their_keys():
     for shape in ("circular", "linear"):
         _round_trip(build_reduction(inst, k=10, shape=shape))
     for copy, table in genomes._GENE_TABLES.items():
-        held = _held(table)
+        held = dict(table)
         assert held, copy
         for x, gene in held.items():
             assert gene == Gene(abs(x), copy, x < 0), (copy, x)
             assert type(gene) is Gene and type(gene.rev) is bool
     for copy, table in genomes._ONE_GENE_TABLES.items():
-        held = _held(table)
+        held = dict(table)
         assert held, copy
         for x, ch in held.items():
             assert ch == Chromosome("circular" if x > 0 else "linear", [Gene(abs(x), copy)])
