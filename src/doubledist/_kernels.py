@@ -231,6 +231,25 @@ def alternating_cycles(sq_id, e_part, t_part, d_part, kcap, forced=None):
     stand in that square, one with 2 left must be in it or reach it in one
     hop, and one with 3 left within two hops (a hop being a square edge,
     either bit, and the fixed edge after it).
+
+    A start s in a forced square whose forced bit pairs s with d_part[s]
+    is a forced 2-cycle, settled with no walk.  Every start has
+    d_part[s] > s, and a forced square allows one bit only, so the walk
+    from s could take only the square edge to d_part[s], and its fixed
+    edge back to s closes that 2-cycle after one pop; nothing else is
+    listed or pushed from s.
+
+    A walk never meets one of its vertices again before it closes, with
+    no test of the path.  Its bits are consistent: a square keeps one bit
+    per walk, read from choices or forced, so the walk uses at most the
+    two edges of that bit's matching in it.  A walk stands at a fresh
+    vertex (true of s), so if the square was met before, through one edge
+    of the matching, the walk enters at one of the other edge's two
+    corners, both fresh, and leaves by the other: the partner is fresh.
+    Before the step, every vertex of the walk but s, the one it stands on
+    included, has its fixed edge on the walk.  d_part is an involution,
+    so d, the fixed-edge partner of the fresh partner, is none of them:
+    it is fresh, or it is s and the step closes the cycle.
     """
     n = len(sq_id)
     out = []
@@ -252,6 +271,10 @@ def alternating_cycles(sq_id, e_part, t_part, d_part, kcap, forced=None):
              or t_part[s] > s and d_part[t_part[s]] >= s)
     ]
     for s in starts:
+        bit = forced[sq_id[s]]
+        if bit >= 0 and (t_part[s] if bit else e_part[s]) == d_part[s]:
+            settled2x += 2  # a forced 2-cycle
+            continue
         last_sq = sq_id[d_part[s]]
         # DFS over (path, choices); steps alternate square edge then d-edge.
         # A hop is a square edge and the fixed edge after it.  The cycle's
@@ -271,7 +294,7 @@ def alternating_cycles(sq_id, e_part, t_part, d_part, kcap, forced=None):
             known = choices.get(sq, forced[sq])
             for bit in (0, 1) if known < 0 else (known,):
                 partner = t_part[cur] if bit else e_part[cur]
-                if partner <= s or partner in path:
+                if partner <= s:  # partner is fresh: see the docstring
                     continue
                 nchoices = choices if known >= 0 else {**choices, sq: bit}
                 d = d_part[partner]
@@ -283,7 +306,7 @@ def alternating_cycles(sq_id, e_part, t_part, d_part, kcap, forced=None):
                         out.append((npath, tuple(sorted(nchoices.items()))))
                     else:
                         settled2x += 2
-                elif d > s and left and sq_id[d] >= 0 and d not in npath:
+                elif d > s and left and sq_id[d] >= 0:  # so d is fresh
                     if sq_id[d] != last_sq:
                         if left == 1:
                             continue

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from itertools import compress
 from typing import NamedTuple
 
 from . import _kernels
@@ -42,6 +43,12 @@ class Square(NamedTuple):
         if bit:
             return ((self.u, self.vhat), (self.uhat, self.v))
         return ((self.u, self.v), (self.uhat, self.vhat))
+
+
+# The entries of a resolution, and of a forced tuple; a set test reads the
+# whole tuple at C speed, matching by equality as `in` does.
+_BITS = frozenset({0, 1})
+_FORCED_BITS = frozenset({-1, 0, 1})
 
 
 class AmbiguousBreakpointGraph:
@@ -166,18 +173,24 @@ class AmbiguousBreakpointGraph:
         return self.n_vertices // 2
 
     def check_resolution(self, tau):
-        # From a list, so the tuple is made at its final size.  tuple() of a
-        # generator starts at a guessed size and resizes; freed, such a tuple
-        # goes to CPython's free list for its final size, not the one it was
-        # taken from, so a solve loop piles up to 2,000 of them per size
-        # between full collections.
+        """tau as a tuple of ints, one bit per square.  An entry is a bit
+        when it equals 0 or 1 (True and 1.0 are, 0.7 and "1" are not);
+        checked before int(), which would read 0.7 as 0 and "1" as 1."""
         tau = list(tau)
-        # checked before int(), which would read 0.7 as 0 and "1" as 1
-        if len(tau) != self.a_star or any(b not in (0, 1) for b in tau):
+        try:
+            ok = len(tau) == self.a_star and _BITS.issuperset(tau)
+        except TypeError:  # an unhashable entry, which is no bit
+            ok = False
+        if not ok:
             raise GenomeError(
                 "resolution must be %d bits, got %r" % (self.a_star, tuple(tau))
             )
-        return tuple([int(b) for b in tau])
+        # From a list, so the tuple is made at its final size.  tuple() of an
+        # iterator with no length, a map or a generator, starts at a guessed
+        # size and resizes; freed, such a tuple goes to CPython's free list
+        # for its final size, not the one it was taken from, so a solve loop
+        # piles up to 2,000 of them per size between full collections.
+        return tuple([*map(int, tau)])
 
     def degree_sequence_ok(self) -> bool:
         """Every vertex has degree 3 (circular-derived graphs)."""
@@ -285,14 +298,11 @@ def resolve(abg: AmbiguousBreakpointGraph, tau) -> ComponentCensus:
     tau = abg.check_resolution(tau)
     # e_part holds every square's solid pair; rewrite the squares at bit 1
     pa = list(abg.e_part)
-    squares = abg.squares
-    for index, bit in enumerate(tau):
-        if bit:
-            u, v, uhat, vhat = squares[index]  # Square.edges(1)
-            pa[u] = vhat
-            pa[vhat] = u
-            pa[uhat] = v
-            pa[v] = uhat
+    for u, v, uhat, vhat in compress(abg.squares, tau):  # Square.edges(1)
+        pa[u] = vhat
+        pa[vhat] = u
+        pa[uhat] = v
+        pa[v] = uhat
     cycles, paths = _kernels.walk_components(pa, abg.d_part)
     return ComponentCensus.from_lengths(cycles, paths)
 
@@ -395,16 +405,26 @@ def enumerate_candidates(abg: AmbiguousBreakpointGraph, k: int,
     square edge left it must stand in that square, with two it must be in
     it or reach it in one hop (a square edge, either bit, and the fixed
     edge after it), and with three within two hops; a walk that closes
-    early passes every test.
+    early passes every test.  A start whose forced bit pairs it with its
+    fixed-edge partner is a forced 2-cycle, settled by that one test with
+    no walk; on WGD pairs these are most of what a graph settles.  A walk
+    keeps one bit per square, so it never meets its own vertices again
+    before it closes and keeps no test of them.
     A walk still branches up to twice per free square step, so the worst
     case stays O(V * 2^(k/2)) walks; the pruning cuts the walks that cannot
-    close."""
+    close.  forced is checked as a set, at C speed: an entry is a bit when
+    it equals -1, 0 or 1, and anything else, an unhashable entry included,
+    raises ValueError."""
     k = check_k(k)
     if not isinstance(k, int):
         raise ValueError("candidate enumeration needs finite k")
     if forced is not None:
         forced = tuple(forced)
-        if len(forced) != abg.a_star or any(b not in (-1, 0, 1) for b in forced):
+        try:
+            ok = len(forced) == abg.a_star and _FORCED_BITS.issuperset(forced)
+        except TypeError:  # an unhashable entry, which is no bit
+            ok = False
+        if not ok:
             raise ValueError("forced must hold -1, 0 or 1 for each of the %d "
                              "squares, got %r" % (abg.a_star, forced))
         if max(forced, default=-1) < 0:

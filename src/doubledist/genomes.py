@@ -177,7 +177,12 @@ class Chromosome(namedtuple("Chromosome", "shape genes")):
             raise GenomeError("unknown chromosome shape: %r" % (shape,))
         if not genes:
             raise GenomeError("empty chromosome")
-        return _new(cls, (shape, _canonical_genes(shape, genes)))
+        try:
+            genes = _canonical_genes(shape, genes)
+        except TypeError:  # ids that do not order, a str beside an int
+            _refuse_ids(gene[0] for gene in genes if type(gene) is Gene)
+            raise
+        return _new(cls, (shape, genes))
 
     @classmethod
     def _make(cls, fields):
@@ -291,6 +296,14 @@ def _bad_gene():
     raise GenomeError("gene id 0 is not allowed")
 
 
+def _refuse_ids(gids):
+    """Raise GenomeError naming the first of the gene ids gids that is not
+    an int; return when there is none."""
+    for gid in gids:
+        if type(gid) is not int:
+            raise GenomeError("gene ids must be ints, got %r" % (gid,))
+
+
 class Genome:
     """An immutable multiset of chromosomes with derived adjacency data."""
 
@@ -308,6 +321,28 @@ class Genome:
         for ch in chroms:
             if type(ch) is not Chromosome:
                 raise GenomeError("a genome holds Chromosome values, got %r" % (ch,))
+        # The type of every occurrence's id, before the sort, which cannot
+        # order a str id beside an int one.  ids counts by equality and keeps
+        # the first of equal keys, so its keys alone would pass a True read
+        # after a 1, or 5.0 after 5.
+        gids = [*map(_GID, chain.from_iterable(map(_GENES, chroms)))]
+        if set(map(type, gids)) != _INT:
+            _refuse_ids(gids)
+        self._fill(chroms)
+
+    @classmethod
+    def _of_int_ids(cls, chroms):
+        """The genome of a nonempty list of Chromosome values whose gene ids
+        are ints, as `int` makes them: the parsers' constructor.  It checks
+        the copy rule, as the constructor does, and not the types, which
+        cost a test per gene occurrence."""
+        g = cls.__new__(cls)
+        g._fill(chroms)
+        return g
+
+    def _fill(self, chroms):
+        """Set the slots from the list chroms, sorted in place, and check
+        the copy rule."""
         chroms.sort()
         init = object.__setattr__
         init(self, "chromosomes", tuple(chroms))
@@ -341,11 +376,12 @@ class Genome:
         """The copy rule, read from the counts: every id once or twice plain,
         or once as a and once as b.  Contents that the counts alone do not
         settle (mixed plain and lettered copies, a bad id or copy index) go
-        through the per-identity checks, which name the fault.  An id must be
-        an int: a bool or a float would print as itself, and equal ids share
-        the gene values of `_Shared`'s tables."""
+        through the per-identity checks, which name the fault.  The ids are
+        ints by now: a bool or a float would print as itself, and equal ids
+        share the gene values of `_Shared`'s tables, so the constructor
+        refuses them."""
         ids, copies = self.ids, self.copies
-        if set(map(type, ids)) == _INT and min(ids) > 0:
+        if min(ids) > 0:
             if copies == {""}:
                 if max(ids.values()) <= 2:
                     return
@@ -360,8 +396,6 @@ class Genome:
     def _check_each_identity(self):
         identities = self.identities
         for gid, copy in identities:
-            if type(gid) is not int:
-                raise GenomeError("gene ids must be ints, got %r" % (gid,))
             if gid <= 0:
                 raise GenomeError("gene ids must be positive, got %d" % gid)
             if copy not in ("", "a", "b"):
@@ -500,7 +534,8 @@ def parse_genome(text: str) -> Genome:
     by `_scanned_chromosomes`, the grammar's reference, which names the
     fault."""
     chroms = None if _NOT_PLAIN.search(text) else _plain_chromosomes(text)
-    return Genome(_scanned_chromosomes(text) if chroms is None else chroms)
+    # both readers take every id from int()
+    return Genome._of_int_ids(_scanned_chromosomes(text) if chroms is None else chroms)
 
 
 def _plain_chromosomes(text):

@@ -47,7 +47,9 @@ class SolveStats:
     squares and their free squares; for `mis`, conflict-graph components and
     their candidates), the time spent getting the candidates (about 0
     when the graph already holds them) and, for `mis`, building their
-    conflict graph.  When a budget stops the `mis`
+    conflict graph and searching it (search_ms), and the time `_result`
+    takes to re-score the witness (rescore_ms, after wall_ms, which it is
+    not part of).  When a budget stops the `mis`
     search, upper_bound bounds the optimal score: the scores of the
     candidates the forced bits settle and of the components it closed, plus
     the root clique-cover bound of the rest; it stays None otherwise."""
@@ -60,6 +62,8 @@ class SolveStats:
     enumerate_ms: float = 0.0
     forced: int = 0
     conflict_ms: float = 0.0
+    search_ms: float = 0.0
+    rescore_ms: float = 0.0
 
 
 @dataclass
@@ -73,9 +77,12 @@ class SolveResult:
 
 
 def _result(abg, tau, k, engine, optimal, stats, best2x) -> SolveResult:
-    """Re-score the witness tau on the whole graph; an optimal witness must
-    score the doubled optimum best2x the engine reported."""
+    """Re-score the witness tau on the whole graph, timed in
+    stats.rescore_ms; an optimal witness must score the doubled optimum
+    best2x the engine reported."""
+    t0 = time.monotonic()
     actual = score(abg, tau, k)
+    stats.rescore_ms = (time.monotonic() - t0) * 1000.0
     if optimal and 2 * actual != best2x:
         raise RuntimeError("ss_%s witness re-scores to %s, the search reported %s"
                            % (engine, actual, Fraction(best2x, 2)))
@@ -342,6 +349,11 @@ def _check_budgets(budget_nodes, budget_ms=None) -> None:
             raise ValueError("%s must not be negative, got %r" % (name, value))
 
 
+# a forced entry as the witness's bit: -1 (free) reads 0 until a chosen
+# candidate sets it
+_AS_BIT = (0, 1, 0)
+
+
 def ss_mis(
     abg: AmbiguousBreakpointGraph,
     k: int,
@@ -353,7 +365,12 @@ def ss_mis(
     and budget_ms the wall time, read at every node and after every 64
     domination tests of a node's reductions; a search that either
     budget stops returns its best witness so far with optimal=False and an
-    upper bound on the optimum in stats.upper_bound."""
+    upper bound on the optimum in stats.upper_bound.
+
+    The witness is the forced bits, with the free bits of the chosen
+    candidates written over the free squares they hold and 0 at every
+    other free square: a pass per square at C speed, then one write per
+    chosen free bit.  stats.search_ms times the search."""
     _check_budgets(budget_nodes, budget_ms)
     t0 = time.monotonic()
     # Only resolutions that keep the forced bits need searching, so the
@@ -368,14 +385,19 @@ def ss_mis(
     t1 = time.monotonic()
     masks = conflict_masks(cands)
     conflict_ms = (time.monotonic() - t1) * 1000.0
-    budget = _SearchBudget(budget_nodes, budget_ms)
     weights = [c.weight2 for c in cands]
+    t1 = time.monotonic()
+    budget = _SearchBudget(budget_nodes, budget_ms)
     best2x, best_mask, closed = _max_weight_independent_set(weights, masks, budget)
+    search_ms = (time.monotonic() - t1) * 1000.0
 
-    choices = {}
+    # the forced bits, 0 at a free square, then the chosen candidates' free
+    # bits; the tuple is made from the list, as in check_resolution
+    tau = [*map(_AS_BIT.__getitem__, forced)]
     for i in _bits(best_mask):
-        choices.update(cands[i].choices)
-    tau = tuple([choices.get(i, max(bit, 0)) for i, bit in enumerate(forced)])
+        for sq, bit in cands[i].choices:
+            tau[sq] = bit
+    tau = tuple(tau)
     stats = SolveStats(
         nodes=budget.spent,
         candidates=len(cset),
@@ -385,6 +407,7 @@ def ss_mis(
         enumerate_ms=enumerate_ms,
         forced=abg.a_star - forced.count(-1),
         conflict_ms=conflict_ms,
+        search_ms=search_ms,
     )
     fixed2x = cset.settled2x + len(abg.isolated)
     if not closed:

@@ -456,6 +456,32 @@ def test_resolution_entries_must_equal_0_or_1():
     assert score(g, (0.0, True), 8) == score(g, TRIO_TAU, 8)
 
 
+def test_bit_checks_test_entries_by_equality_at_c_speed():
+    """check_resolution and the forced check of enumerate_candidates test
+    their entries as a set: an unhashable entry is refused as any other
+    non-bit is, with the same error and not a TypeError; 0.7 and "1" are
+    refused; True and 1.0 are taken, and come back as ints."""
+    g = trio_graph()
+    for bad in (([0], 1), (0, {1: 1}), (bytearray(b"1"), 0), (0.7, 1), ("1", 0),
+                (0, 1, 0)):
+        with pytest.raises(GenomeError, match="resolution must be 2 bits"):
+            g.check_resolution(bad)
+        with pytest.raises(ValueError, match="forced must hold"):
+            enumerate_candidates(g, 8, bad)
+    for tau, want in (((True, 1.0), (1, 1)), (iter([0.0, False]), (0, 0))):
+        tau = g.check_resolution(tau)
+        assert tau == want and [type(b) for b in tau] == [int, int]
+    assert score(g, (1.0, True), 8) == score(g, (1, 1), 8)
+    forced = forced_choices(g)
+    assert forced == (0, -1)
+    odd = (False, -1.0)
+    cs = enumerate_candidates(trio_graph(), 8, odd)
+    assert cs.candidates == enumerate_candidates(g, 8, forced).candidates
+    assert all(type(bit) is int for c in cs for _, bit in c.choices)
+    assert enumerate_candidates(g, 8, (True, 1.0)).settled2x == \
+        enumerate_candidates(trio_graph(), 8, (1, 1)).settled2x
+
+
 def test_score_isolated_only():
     g = build_abg(parse_genome("[1]"), parse_genome("[1.a]\n[1.b]"))
     for k in (2, 8):

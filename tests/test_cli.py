@@ -86,9 +86,10 @@ def test_dd_stats_on_stderr(files, capsys):
     assert record["components"] >= 1 and record["nodes"] >= record["components"]
     assert set(record) == {"nodes", "candidates", "wall_ms", "components",
                            "largest_component", "upper_bound", "enumerate_ms", "forced",
-                           "conflict_ms"}
+                           "conflict_ms", "search_ms", "rescore_ms"}
     assert record["upper_bound"] is None
-    assert 0 <= record["enumerate_ms"] + record["conflict_ms"] <= record["wall_ms"]
+    assert 0 <= record["enumerate_ms"] + record["conflict_ms"] + record["search_ms"] <= record["wall_ms"]
+    assert record["rescore_ms"] > 0
     assert run(argv) == 0
     assert capsys.readouterr() == (out, "")
 

@@ -1024,6 +1024,28 @@ def test_gene_ids_must_be_ints():
     assert type(table.one(5).gid) is int and list(table) == [5]
 
 
+def test_every_occurrence_of_an_id_must_be_an_int():
+    """A non-int id equal to an int one read before it is refused, naming
+    it, though the id counts keep only the first of equal keys; so is a str
+    id beside an int one, which cannot be ordered, in a chromosome or in a
+    genome's chromosome sort.  The parsers take every id from int()."""
+    cases = (
+        (True, lambda: Genome([Chromosome(LINEAR, [Gene(1), Gene(2)]),
+                               Chromosome(LINEAR, [Gene(True), Gene(2)])])),
+        (5.0, lambda: Genome([Chromosome(LINEAR, [Gene(5), Gene(2)]),
+                              Chromosome(CIRCULAR, [Gene(5.0)]), Chromosome(LINEAR, [Gene(2)])])),
+        ("x", lambda: Chromosome(LINEAR, [Gene("x"), Gene(2)])),
+        ("x", lambda: Chromosome(CIRCULAR, [Gene(2), Gene("x"), Gene(3)])),
+        ("x", lambda: Genome([Chromosome(LINEAR, [Gene("x")]), Chromosome(LINEAR, [Gene(2)])])),
+    )
+    for gid, build in cases:
+        with pytest.raises(GenomeError, match=re.escape("gene ids must be ints, got %r" % (gid,))):
+            build()
+    g = parse_genome("[1 2]\n[001 2]")
+    assert {type(gene.gid) for ch in g.chromosomes for gene in ch.genes} == {int}
+    assert format_genome(g) == "[1 2]\n[1 2]"
+
+
 # === DCJ ===
 
 

@@ -12,11 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doubledist import _kernels
-from doubledist.abg import build_abg, enumerate_candidates, forced_choices, score
+from doubledist.abg import (
+    AmbiguousBreakpointGraph,
+    build_abg,
+    enumerate_candidates,
+    forced_choices,
+    score,
+)
 from doubledist.bpgraph import INFINITY, BudgetExceeded
 from doubledist.genomes import random_cognate_pair, singularize
 from doubledist.reduction import build_closed_flower, build_reduction, normalize, parse_cnf
-from doubledist.solver import ss_naive
+from doubledist.solver import ss_mis, ss_naive
 
 from satgen import reduction_corpus
 
@@ -652,3 +658,77 @@ def test_two_hop_prune_matches_the_reference():
         assert _kernels.alternating_cycles(*args) == want
         found[forced is not None] += len(want[0])
     assert found[False] > 10000 and found[True] > 1000
+
+
+# Hand-built graphs of forced 2-cycles.  A square (u, v, uhat, vhat) pairs
+# u-v and uhat-vhat under bit 0, u-vhat and uhat-v under bit 1.
+# name: (squares, fixed edges, {k: settled2x under forced_choices})
+_FORCED_TWO_CYCLES = {
+    # bit 0 closes 0-1; 2-3 ends on two telomeres
+    "one 2-cycle": ([(0, 1, 2, 3)], [(0, 1)], {2: 2, 8: 2}),
+    # both edges of bit 0 duplicate a fixed edge
+    "two 2-cycles": ([(0, 1, 2, 3)], [(0, 1), (2, 3)], {2: 4, 8: 4}),
+    # square 0 closes 0-1 under bit 0 and square 1 closes 4-7 under bit 1;
+    # their other edges, 2-3 and 6-5, close the 4-cycle 2-3-6-5 through
+    # the fixed edges 3-6 and 5-2, which k = 2 does not count
+    "2-cycle and 4-cycle": ([(0, 1, 2, 3), (4, 5, 6, 7)],
+                            [(0, 1), (4, 7), (3, 6), (5, 2)], {2: 4, 8: 6, 10: 6}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FORCED_TWO_CYCLES))
+def test_forced_two_cycles_are_settled_at_the_start(name):
+    """A start in a forced square whose bit pairs it with its fixed-edge
+    partner settles a 2-cycle with no walk; a start in the same square whose
+    bit leads elsewhere is still walked.  The kernel agrees with the
+    reference walk, order included, under the forced bits, every square
+    free and every other bit tuple, and both engines find the same score."""
+    squares, d_edges, settled = _FORCED_TWO_CYCLES[name]
+    n = 4 * len(squares)
+    g = AmbiguousBreakpointGraph([str(v) for v in range(n)], squares, d_edges)
+    forced = forced_choices(g)
+    assert -1 not in forced
+    bit_tuples = [None] + [tuple((t >> i) & 1 for i in range(g.a_star))
+                           for t in range(1 << g.a_star)]
+    for k in range(0, 13):
+        for bits in bit_tuples:
+            args = (g.sq_id, g.e_part, g.t_part, g.d_part, k, bits)
+            assert _kernels.alternating_cycles(*args) == _reference_alternating_cycles(*args)
+    for k, settled2x in settled.items():
+        args = (g.sq_id, g.e_part, g.t_part, g.d_part, k, forced)
+        assert _kernels.alternating_cycles(*args) == ([], settled2x)
+        assert enumerate_candidates(g, k, forced).settled2x == settled2x
+        assert ss_mis(g, k).score == ss_naive(g, k).score
+    # every square free: the 2-cycles are listed, each with its bit
+    cycles, settled2x = _kernels.alternating_cycles(
+        g.sq_id, g.e_part, g.t_part, g.d_part, 8)
+    assert settled2x == 0
+    for x, y in d_edges:
+        sq = g.sq_id[x]
+        if sq == g.sq_id[y]:
+            assert ((min(x, y), max(x, y)), ((sq, forced[sq]),)) in cycles
+
+
+def test_forced_cycles_match_the_reference_on_seeded_wgd_pairs():
+    """On WGD pairs of 20 to 100 genes, where forced_choices fixes nearly
+    every square, the kernel lists and settles what the reference walk does,
+    order included, and most of the settled weight is forced 2-cycles."""
+    rng = random.Random(34)
+    two_cycles2x = settled2x = listed = 0
+    for seed in range(40):
+        n = rng.randint(20, 100)
+        s, d = random_cognate_pair(n, True, max(1, n // 4), seed)
+        g = build_abg(s, d)
+        forced = forced_choices(g)
+        d_edges = set(g.d_edges)
+        pairs = sum((min(e), max(e)) in d_edges
+                    for sq, bit in zip(g.squares, forced) if bit >= 0
+                    for e in sq.edges(bit))
+        for k in (8, 10):
+            args = (g.sq_id, g.e_part, g.t_part, g.d_part, k, forced)
+            want = _reference_alternating_cycles(*args)
+            assert _kernels.alternating_cycles(*args) == want
+            listed += len(want[0])
+            settled2x += want[1]
+            two_cycles2x += 2 * pairs
+    assert listed > 50 and settled2x >= two_cycles2x > 0.9 * settled2x

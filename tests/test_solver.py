@@ -860,3 +860,56 @@ def test_tau_bits_read_the_integer_as_the_shifts_do():
             assert type(got) is tuple and all(type(b) is int for b in got)
             cases += 1
     assert cases == 63
+
+
+def test_stats_time_the_search_and_the_rescore(monkeypatch):
+    """ss_mis times its MWIS search in search_ms, inside wall_ms beside
+    enumerate_ms and conflict_ms; both engines time the witness's re-score
+    in rescore_ms, which wall_ms does not hold, and naive runs no search."""
+    s, d = random_cognate_pair(30, wgd=True, ops=20, seed=31)
+    g = build_abg(s, singularize(d))
+    mis = ss_mis(g, 8).stats
+    assert mis.search_ms > 0 and mis.rescore_ms > 0
+    assert mis.enumerate_ms + mis.conflict_ms + mis.search_ms <= mis.wall_ms
+    naive = ss_naive(g, 8).stats
+    assert naive.rescore_ms > 0 and naive.search_ms == 0
+    # with a clock one second later at each reading: with no time budget,
+    # the search reads it at its start and end only, as the re-score does
+    monkeypatch.setattr(solver.time, "monotonic", _FakeClock())
+    r = ss_mis(g, 8)
+    assert r.stats.search_ms == r.stats.rescore_ms == 1000.0
+    assert ss_naive(g, 8).stats.rescore_ms == 1000.0
+
+
+def _reference_mis_witness(g, k, forced):
+    """The witness ss_mis builds, as it built it one square at a time: the
+    chosen candidates' bits, then each forced bit, then 0."""
+    cands = sorted(enumerate_candidates(g, k, forced).candidates,
+                   key=lambda c: (-c.weight2, c.vertices))
+    budget = solver._SearchBudget(1 << 22, None)
+    _, best_mask, _ = solver._max_weight_independent_set(
+        [c.weight2 for c in cands], conflict_masks(cands), budget)
+    choices = {}
+    for i in solver._bits(best_mask):
+        choices.update(cands[i].choices)
+    return tuple([choices.get(i, max(bit, 0)) for i, bit in enumerate(forced)])
+
+
+def test_mis_witness_matches_the_per_square_reference():
+    """The witness is the forced bits, with the chosen candidates' free bits
+    written over them and 0 at the other free squares; a search stopped at
+    its first node keeps the forced bits and 0."""
+    rng = random.Random(34)
+    free = 0
+    for seed in range(30):
+        n = rng.randint(10, 60)
+        s, d = random_cognate_pair(n, wgd=True, ops=rng.randint(1, n), seed=seed)
+        g = build_abg(s, d)
+        forced = forced_choices(g)
+        free += forced.count(-1)
+        r = ss_mis(g, 8)
+        assert r.tau == _reference_mis_witness(g, 8, forced)
+        assert [type(b) for b in r.tau] == [int] * g.a_star
+        stopped = ss_mis(g, 8, budget_nodes=0)
+        assert stopped.tau == tuple(max(bit, 0) for bit in forced)
+    assert free > 50
